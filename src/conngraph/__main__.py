@@ -1,7 +1,5 @@
 """Allow running the CLI as `python -m conngraph`."""
 
-import sys
+from .cli import console_main
 
-from .cli import main
-
-sys.exit(main())
+console_main()

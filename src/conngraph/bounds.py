@@ -12,20 +12,45 @@ have closed forms:
 An order-statistic argument turns these into a lower bound on the expected
 algebraic connectivity, a trace argument gives an upper bound on its second
 moment, and a second-moment (Paley-Zygmund) step combines the two into a
-lower bound on P[connected].  The free parameter N (how many eigenvalue
-draws the order statistic uses) is scanned over an explicit finite range and
-the best value kept.
+lower bound on P[connected].  It has a free parameter, the number N of
+eigenvalue draws the order statistic uses, and the bound is the maximum over
+N >= 2 of
+
+    (a R(N) - b sqrt(N-1))_+^2 / ((n-1) R(N)^2 E)  =  (a - b g(N))_+^2 / ((n-1) E),
+    R(N) = 1 - ((n-2)/(n-1))^(N-1),   g(N) = sqrt(N-1) / R(N),
+
+with a = 2mp, b = S and E the second-moment energy.  Only g depends on N,
+and g depends on nothing but n: in y = (N-1) L with L = -log(1 - 1/(n-1)),
+g = sqrt(y / L) / (1 - e^-y), which falls and then rises, with its minimum at
+the root y* = 1.2564312086... of e^y = 1 + 2y.  So the best draw count is
+N_c = 1 + y*/L, rounded to the better neighbouring integer and kept inside
+[2, n_hi], where n_hi (``n_search_max``) is the largest N at which the
+numerator can be positive at all.
+
+Floating point makes the ratio at neighbouring N tie or jitter in its last
+bits, most of all when b is tiny (p near 1), and the reported N is the
+smallest one that attains the largest computed ratio.  So the ratio is
+evaluated, with one fixed expression, over the rounding band: every N whose
+true value could lie within rounding error of the maximum, that is, with
+g(N) <= g_min + 2 tau / b where tau = 64 eps (a + b g_min), widened by one
+on each side.  Quasi-convexity of g makes that band an interval around N_c.
+It holds 2-4 draw counts in well-conditioned cells and grows towards
+[2, n_hi] as b vanishes; past the N at which R(N) rounds to exactly 1 the
+computed ratio can only fall, which ends the band there.  A cell with
+a - b g_min < -tau is vacuous: every ratio rounds to 0 and N = 2 is reported.
 
 For unions of T independent samples of the same template, connectivity of
 the union equals connectivity of a single sample with the collapsed edge
 probability p_hat(T) = 1 - (1 - p)^T, so every bound extends to unions by
-substitution.
+substitution.  The union horizon search evaluates horizons in growing
+chunks, many cells at once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -35,8 +60,20 @@ from .graphs import UnderlyingGraph, sum_degree_squares
 DEFAULT_N_CAP = 10**6
 DEFAULT_T_MAX = 10**5
 
-_SCAN_CHUNK = 4096
 _RADICAND_FLOOR = -1e-9
+# root of e^y = 1 + 2y: the minimum of g in y = (N-1) L (module docstring)
+_Y_STAR = 1.2564312086261697
+# tau / (a + b g_min): a generous bound on the rounding error of one ratio
+_ROUNDING = 64 * np.finfo(float).eps
+# (N-1) L past which R(N) = 1 - e^-((N-1) L) rounds to exactly 1
+_SATURATION = 40.0
+# draw counts per evaluation of a wide band, which bounds its memory
+_BAND_CHUNK = 4096
+# draw counts evaluated together for every horizon of a union search
+_WINDOW = 6
+# horizons in the first chunk of a union search, and in the largest
+_FIRST_HORIZONS = 16
+_MAX_HORIZONS = 1024
 
 __all__ = [
     "DEFAULT_N_CAP",
@@ -161,14 +198,22 @@ def _radicand_split(n: int, m: int, deg_sq: int) -> tuple[int, int]:
     return a0, a1
 
 
-def _s_squared(n: int, m: int, deg_sq: int, p: float, q: float) -> float:
+def _radicand(n: int, m: int, deg_sq: int, p, q):
+    # p and q may be floats or arrays of horizons
     a0, a1 = _radicand_split(n, m, deg_sq)
-    radicand = p * (a0 + q * a1)
+    return p * (float(a0) + q * float(a1))
+
+
+def _checked_radicand(radicand: float) -> float:
     if radicand < 0.0:
         if radicand < _RADICAND_FLOOR:
             raise NegativeRadicand(f"variance radicand {radicand} is below the rounding floor")
         return 0.0
     return radicand
+
+
+def _s_squared(n: int, m: int, deg_sq: int, p: float, q: float) -> float:
+    return _checked_radicand(_radicand(n, m, deg_sq, p, q))
 
 
 def s_value(params: ModelParams) -> float:
@@ -211,9 +256,9 @@ def lambda2_mean_lower(params: ModelParams, N: int) -> float:
     return max(0.0, raw / ((params.n - 1) * r))
 
 
-def _energy(n: int, m: int, deg_sq: int, p: float, q: float) -> float:
+def _energy(n: int, m: int, deg_sq: int, p, q):
     # 4mp - 2mp^2 + p^2 deg_sq  ==  2mp(1 + q) + p^2 deg_sq, all positive.
-    return 2.0 * m * p * (1.0 + q) + p * p * deg_sq
+    return 2.0 * m * p * (1.0 + q) + p * p * float(deg_sq)
 
 
 def lambda2_sq_mean_upper(params: ModelParams) -> float:
@@ -226,16 +271,19 @@ def lambda2_sq_mean_upper(params: ModelParams) -> float:
     return _energy(params.n, params.m, deg_sq, params.p, 1.0 - params.p) / (params.n - 1)
 
 
+def _general_terms(n: int, m: int, deg_sq: int, p, q):
+    """(a, b^2, E) of the general route; p and q may be floats or arrays."""
+    return 2.0 * m * p, _radicand(n, m, deg_sq, p, q), _energy(n, m, deg_sq, p, q)
+
+
+def _complete_terms(n: int, p, q):
+    """(a, b^2, E) of the complete template's reduced parameterization."""
+    return np.sqrt(n * (n - 1) * p), 2.0 * (n - 1) * q, 2.0 * q + n * p
+
+
 def _general_scales(n: int, m: int, deg_sq: int, p: float, q: float) -> tuple[float, float, float]:
-    a = 2.0 * m * p
-    b = math.sqrt(_s_squared(n, m, deg_sq, p, q))
-    return a, b, _energy(n, m, deg_sq, p, q)
-
-
-def _complete_scales(n: int, p: float, q: float) -> tuple[float, float, float]:
-    a = math.sqrt(n * (n - 1) * p)
-    b = math.sqrt(2.0 * (n - 1) * q)
-    return a, b, 2.0 * q + n * p
+    a, s_sq, energy = _general_terms(n, m, deg_sq, p, q)
+    return a, math.sqrt(_checked_radicand(s_sq)), energy
 
 
 def _range_limit(a: float, b: float, n_cap: int) -> int:
@@ -251,55 +299,131 @@ def _range_limit(a: float, b: float, n_cap: int) -> int:
     return max(2, int(math.floor(ratio)))
 
 
-def _ratio_terms(a: float, b: float, energy: float, n: int, N: int) -> tuple[float, float, float]:
-    r = -math.expm1((N - 1) * math.log1p(-1.0 / (n - 1)))
-    raw = a * r - b * math.sqrt(N - 1.0)
-    num = max(0.0, raw) ** 2
-    den = (n - 1) * r * r * energy
-    return num, den, min(1.0, num / den)
+def _ratio_terms(a, b, energy, n: int, ns: np.ndarray):
+    """Numerator, denominator and clamped bound ratio at the draw counts ns.
 
-
-def _scan_max(a: float, b: float, energy: float, n: int, n_cap: int) -> tuple[float, int, int]:
-    """Maximize the bound ratio over N in [2, range limit], ties to smallest N.
-
-    Scans ascending in chunks.  Before each later chunk, an upper envelope
-    for everything at or past it (numerator at most a - b sqrt(N0 - 1), R at
-    least its value at N0) is compared against the best value so far; once
-    the envelope cannot win, the scan stops without losing the true maximum.
+    Every reported ratio comes from this one expression, so a cell and the
+    same cell inside a union search agree to the bit.  a, b and energy
+    broadcast against ns: scalars for one cell, columns for many.
     """
-    n_hi = _range_limit(a, b, n_cap)
+    r = -np.expm1((ns - 1.0) * math.log1p(-1.0 / (n - 1)))
+    raw = a * r - b * np.sqrt(ns - 1.0)
+    np.clip(raw, 0.0, None, out=raw)
+    num = raw * raw
+    den = (n - 1) * r * r * energy
+    return num, den, np.minimum(num / den, 1.0)
+
+
+def _g(N: int, log_decay: float) -> float:
+    """g(N) = sqrt(N-1) / R(N); the bound ratio falls as g rises."""
+    return math.sqrt(N - 1.0) / -math.expm1((N - 1) * log_decay)
+
+
+def _reach(g, limit: float, start: int, stop: int) -> int:
+    """Farthest N from start towards stop with g(N) <= limit.
+
+    Needs g(start) <= limit and g monotone from start to stop: gallops out,
+    then bisects the last step.
+    """
+    step = 1 if stop >= start else -1
+    inside, jump = start, 1
+    while inside != stop:
+        probe = stop if (stop - inside) * step <= jump else inside + step * jump
+        if g(probe) > limit:
+            while abs(probe - inside) > 1:
+                mid = (inside + probe) // 2
+                if g(mid) <= limit:
+                    inside = mid
+                else:
+                    probe = mid
+            return inside
+        inside, jump = probe, 2 * jump
+    return inside
+
+
+def _band(a: float, b: float, n: int, n_hi: int) -> tuple[int, int] | None:
+    """Draw counts in [2, n_hi] whose ratio can round to the largest one.
+
+    None when the cell is vacuous: every ratio rounds to zero.
+    """
     log_decay = math.log1p(-1.0 / (n - 1))
-    best_val = -1.0
-    best_n = 2
-    lo = 2
-    while lo <= n_hi:
-        hi = min(n_hi, lo + _SCAN_CHUNK - 1)
-        if lo > 2:
-            r0 = -math.expm1((lo - 1) * log_decay)
-            raw_cap = a - b * math.sqrt(lo - 1.0)
-            ceiling = 0.0
-            if raw_cap > 0.0:
-                ceiling = min(1.0, raw_cap * raw_cap / ((n - 1) * r0 * r0 * energy))
-            if ceiling <= best_val:
-                break
-        ns = np.arange(lo, hi + 1, dtype=float)
-        r = -np.expm1((ns - 1.0) * log_decay)
-        raw = a * r - b * np.sqrt(ns - 1.0)
-        np.clip(raw, 0.0, None, out=raw)
-        vals = np.minimum(raw * raw / ((n - 1) * r * r * energy), 1.0)
-        i = int(np.argmax(vals))
-        if float(vals[i]) > best_val:
-            best_val = float(vals[i])
-            best_n = lo + i
-        lo = hi + 1
-    return best_val, best_n, n_hi
+    spread = -1.0 / log_decay
+    best = min(max(2, int(1.0 + _Y_STAR * spread)), n_hi)
+    if best < n_hi and _g(best + 1, log_decay) < _g(best, log_decay):
+        best += 1
+    g_min = _g(best, log_decay)
+    tau = _ROUNDING * (a + b * g_min)
+    if a - b * g_min < -tau:
+        return None
+    # once R(N) rounds to exactly 1 the computed ratio can only fall with N
+    top = min(n_hi, 2 + int(_SATURATION * spread))
+    limit = g_min + 2.0 * tau / b if b > 0.0 else math.inf
+    g = partial(_g, log_decay=log_decay)
+    return max(2, _reach(g, limit, best, 2) - 1), min(top, _reach(g, limit, best, top) + 1)
+
+
+def _best_in(a: float, b: float, energy: float, n: int, lo: int, hi: int) -> tuple[int, float, float, float]:
+    """(N, numerator, denominator, ratio) at the first N in [lo, hi] with the largest ratio.
+
+    Evaluated in ascending chunks so that a wide band stays small in memory,
+    stopping at the first ratio that reaches the clamp at 1.  When
+    every ratio rounds to 0, N = 2 is reported, as a scan of all of
+    [2, n_hi] would.
+    """
+    best = None
+    for start in range(lo, hi + 1, _BAND_CHUNK):
+        ns = np.arange(start, min(hi, start + _BAND_CHUNK - 1) + 1, dtype=float)
+        num, den, val = _ratio_terms(a, b, energy, n, ns)
+        i = int(np.argmax(val))
+        if best is None or val[i] > best[3]:
+            best = (start + i, float(num[i]), float(den[i]), float(val[i]))
+        if best[3] == 1.0:  # the clamp: no later N can do better
+            break
+    if best[3] == 0.0 and best[0] != 2:
+        return _best_in(a, b, energy, n, 2, 2)
+    return best
+
+
+def _maximize(a: float, b: float, energy: float, n: int, n_cap: int) -> tuple[int, int, float, float, float]:
+    """Best draw count of one cell: (N, n_hi, numerator, denominator, ratio)."""
+    n_hi = _range_limit(a, b, n_cap)
+    band = _band(a, b, n, n_hi)
+    best_n, num, den, val = _best_in(a, b, energy, n, *(band or (2, 2)))
+    return best_n, n_hi, num, den, val
+
+
+def _maximize_rows(a: np.ndarray, b: np.ndarray, energy: np.ndarray, n: int, n_cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """Best ratio of each row of cells sharing n, as _maximize reports it.
+
+    Each row's rounding band is tested against one window of _WINDOW draw
+    counts around N_c (the same for every row, since N_c depends on n only);
+    rows whose band fits are evaluated together on the window and vacuous
+    rows are 0.  The rest are left NaN and returned as pending, for
+    _maximize to take one at a time, in order, as far as the caller needs.
+    """
+    log_decay = math.log1p(-1.0 / (n - 1))
+    first = max(2, int(1.0 + _Y_STAR / -log_decay) + 1 - _WINDOW // 2)
+    cols = np.arange(first, first + _WINDOW, dtype=float)
+    g = np.sqrt(cols - 1.0) / -np.expm1((cols - 1.0) * log_decay)
+    g_min = g.min()
+    tau = _ROUNDING * (a + b * g_min)
+    vacuous = a - b * g_min < -tau
+    with np.errstate(divide="ignore", invalid="ignore"):
+        room = 1.0 + (a * a) / (b * b)
+    fits = (room >= cols[-1]) & (b * (g[-1] - g_min) > 2.0 * tau) & (n_cap >= cols[-1])
+    if first > 2:
+        fits &= b * (g[0] - g_min) > 2.0 * tau
+    vals = np.where(vacuous, 0.0, np.nan)
+    rows = fits & ~vacuous
+    if rows.any():
+        vals[rows] = _ratio_terms(a[rows, None], b[rows, None], energy[rows, None], n, cols)[2].max(axis=1)
+    return vals, np.flatnonzero(np.isnan(vals))
 
 
 def _general_bound_result(n: int, m: int, deg_sq: int, p: float, q: float, n_cap: int) -> BoundResult:
-    a, b, energy = _general_scales(n, m, deg_sq, p, q)
-    _, best_n, n_hi = _scan_max(a, b, energy, n, n_cap)
-    num, den, val = _ratio_terms(a, b, energy, n, best_n)
-    s_sq = _s_squared(n, m, deg_sq, p, q)
+    a, s_sq, energy = _general_terms(n, m, deg_sq, p, q)
+    s_sq = _checked_radicand(s_sq)
+    best_n, n_hi, num, den, val = _maximize(a, math.sqrt(s_sq), energy, n, n_cap)
     return BoundResult(
         probability_lower_bound=val,
         maximizing_n=best_n,
@@ -313,9 +437,8 @@ def _general_bound_result(n: int, m: int, deg_sq: int, p: float, q: float, n_cap
 
 
 def _complete_bound_result(n: int, p: float, q: float, n_cap: int) -> BoundResult:
-    a, b, energy = _complete_scales(n, p, q)
-    _, best_n, n_hi = _scan_max(a, b, energy, n, n_cap)
-    num, den, val = _ratio_terms(a, b, energy, n, best_n)
+    a, b_sq, energy = _complete_terms(n, p, q)
+    best_n, n_hi, num, den, val = _maximize(float(a), math.sqrt(b_sq), energy, n, n_cap)
     sigma_sq = 2.0 * n * p * q
     return BoundResult(
         probability_lower_bound=val,
@@ -338,14 +461,15 @@ def connectivity_bound_at_N(params: ModelParams, N: int) -> float:
     N = _check_count(N, "N", 2)
     deg_sq = sum_degree_squares(params.graph)
     a, b, energy = _general_scales(params.n, params.m, deg_sq, params.p, 1.0 - params.p)
-    return _ratio_terms(a, b, energy, params.n, N)[2]
+    return float(_ratio_terms(a, b, energy, params.n, np.array([float(N)]))[2][0])
 
 
 def n_search_max(params: ModelParams, n_cap: int = DEFAULT_N_CAP) -> int:
-    """Largest draw count the bound scan needs to consider.
+    """Largest draw count at which the bound can be positive.
 
-    Floor of (S^2 + 4 m^2 p^2) / S^2, capped at n_cap and lifted to at
-    least 2; a vanishing S^2 yields the cap directly.
+    The maximizing draw count never exceeds it.  Floor of
+    (S^2 + 4 m^2 p^2) / S^2, capped at n_cap and lifted to at least 2; a
+    vanishing S^2 yields the cap directly.
     """
     n_cap = _check_count(n_cap, "n_cap", 2)
     deg_sq = sum_degree_squares(params.graph)
@@ -400,27 +524,43 @@ def union_edge_probability(p: float, T: int) -> float:
     return -math.expm1(T * math.log1p(-p))
 
 
-def _t_star_scan(scales, n: int, p: float, epsilon: float, t_max: int, n_cap: int) -> TStarResult:
-    # Exhaustive ascending scan; monotonicity of the bound in p is not
-    # established, so no bisection.  Once the complement underflows to zero
-    # every later horizon evaluates on identical inputs, so one terminal
-    # evaluation decides the remainder of the range.
+def _t_star_scan(terms, n: int, p: float, epsilon: float, t_max: int, n_cap: int) -> TStarResult:
+    # Ascending scan, in chunks of horizons that double in size; monotonicity
+    # of the bound in p is not established, so no bisection.  The scan stops
+    # at the first horizon that meets the target, and after the first whose
+    # complement underflows to zero, since every later horizon evaluates on
+    # identical inputs.  A negative radicand raises only if it comes first.
     target = 1.0 - epsilon
     log_q = math.log1p(-p)
     trace: list[tuple[int, float]] = []
-    best_t, best_bound = 0, -1.0
-    for T in range(1, t_max + 1):
-        q_hat = math.exp(T * log_q)
-        p_hat = -math.expm1(T * log_q)
-        a, b, energy = scales(p_hat, q_hat)
-        val, _, _ = _scan_max(a, b, energy, n, n_cap)
-        trace.append((T, val))
-        if val > best_bound:
-            best_bound, best_t = val, T
-        if val >= target:
-            return TStarResult(T, epsilon, val, tuple(trace))
-        if q_hat == 0.0:
+    start, size = 1, _FIRST_HORIZONS
+    while start <= t_max:
+        horizons = range(start, min(t_max, start + size - 1) + 1)
+        # the complement by math, not numpy, exactly as union_edge_probability
+        exponents = (np.arange(horizons.start, horizons.stop) * log_q).tolist()
+        q_hat = np.fromiter(map(math.exp, exponents), float, len(exponents))
+        p_hat = -np.fromiter(map(math.expm1, exponents), float, len(exponents))
+        a, s_sq, energy = terms(p_hat, q_hat)
+        halts = np.flatnonzero((q_hat == 0.0) | (s_sq < _RADICAND_FLOOR))
+        last = int(halts[0]) if len(halts) else len(horizons) - 1
+        a, b, energy = a[: last + 1], np.sqrt(np.maximum(s_sq[: last + 1], 0.0)), energy[: last + 1]
+        vals, pending = _maximize_rows(a, b, energy, n, n_cap)
+        met = np.flatnonzero(vals >= target)
+        end = int(met[0]) if len(met) else last
+        for i in pending[pending <= end]:  # in order, and none past the stop
+            vals[i] = _maximize(float(a[i]), float(b[i]), float(energy[i]), n, n_cap)[4]
+            if vals[i] >= target:
+                end = int(i)
+                break
+        _checked_radicand(float(s_sq[end]))  # raises if the stop is a negative radicand
+        trace += zip(horizons[: end + 1], vals[: end + 1].tolist())
+        if vals[end] >= target:
+            return TStarResult(horizons[end], epsilon, float(vals[end]), tuple(trace))
+        if len(halts):
             break
+        start += size
+        size = min(2 * size, _MAX_HORIZONS)
+    best_t, best_bound = max(trace, key=lambda entry: entry[1])
     raise TStarNotFound(
         f"no horizon up to {t_max} reaches bound {target} (best {best_bound} at T={best_t})",
         best_t,
@@ -451,10 +591,8 @@ def t_star(
         raise InvalidParameter(f"bounds need n >= 3 vertices, got {graph.n}")
     deg_sq = sum_degree_squares(graph)
 
-    def scales(p_hat: float, q_hat: float):
-        return _general_scales(graph.n, graph.m, deg_sq, p_hat, q_hat)
-
-    return _t_star_scan(scales, graph.n, p, float(epsilon), t_max, n_cap)
+    terms = partial(_general_terms, graph.n, graph.m, deg_sq)
+    return _t_star_scan(terms, graph.n, p, float(epsilon), t_max, n_cap)
 
 
 def t_star_from_stats(
@@ -476,10 +614,7 @@ def t_star_from_stats(
     t_max = _check_count(t_max, "t_max", 1)
     n_cap = _check_count(n_cap, "n_cap", 2)
 
-    def scales(p_hat: float, q_hat: float):
-        return _general_scales(n, m, deg_sq, p_hat, q_hat)
-
-    return _t_star_scan(scales, n, p, float(epsilon), t_max, n_cap)
+    return _t_star_scan(partial(_general_terms, n, m, deg_sq), n, p, float(epsilon), t_max, n_cap)
 
 
 def t_star_complete(
@@ -497,7 +632,4 @@ def t_star_complete(
     t_max = _check_count(t_max, "t_max", 1)
     n_cap = _check_count(n_cap, "n_cap", 2)
 
-    def scales(p_hat: float, q_hat: float):
-        return _complete_scales(n, p_hat, q_hat)
-
-    return _t_star_scan(scales, n, p, float(epsilon), t_max, n_cap)
+    return _t_star_scan(partial(_complete_terms, n), n, p, float(epsilon), t_max, n_cap)

@@ -64,6 +64,7 @@ EXIT_USAGE = 2
 EXIT_DISCONNECTED = 3
 EXIT_TSTAR_NOT_FOUND = 4
 EXIT_ENUMERATION_CAP = 5
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer killed by it
 
 CSV_COLUMNS = ("family", "n", "p", "T", "p_hat", "bound", "n_star", "estimate", "ci_low", "ci_high")
 
@@ -691,7 +692,7 @@ def _build_parser(trials_default: int, confidence_default: float, t_max_default:
     _add_template_group(sp)
     sp.add_argument("--p", type=float, required=True, help="edge retention probability, in (0, 1)")
     sp.add_argument("--T", type=int, metavar="N", help="union horizon; bound evaluated at p_hat(T)")
-    sp.add_argument("--n-cap", type=int, default=n_cap_default, dest="n_cap", help="cap on the N scan")
+    sp.add_argument("--n-cap", type=int, default=n_cap_default, dest="n_cap", help="cap on the draw count N")
     _add_output_flags(sp)
     sp.set_defaults(func=cmd_bound)
 
@@ -700,7 +701,7 @@ def _build_parser(trials_default: int, confidence_default: float, t_max_default:
     sp.add_argument("--p", type=float, required=True, help="per-sample edge probability, in (0, 1)")
     sp.add_argument("--epsilon", type=float, required=True, help="target gap, in (0, 1)")
     sp.add_argument("--t-max", type=int, default=t_max_default, dest="t_max", help="largest horizon scanned")
-    sp.add_argument("--n-cap", type=int, default=n_cap_default, dest="n_cap", help="cap on the N scan")
+    sp.add_argument("--n-cap", type=int, default=n_cap_default, dest="n_cap", help="cap on the draw count N")
     _add_output_flags(sp)
     sp.set_defaults(func=cmd_tstar)
 
@@ -717,7 +718,7 @@ def _build_parser(trials_default: int, confidence_default: float, t_max_default:
         dest="lambda2_moments",
         help="also estimate first and second moments of the algebraic connectivity",
     )
-    sp.add_argument("--n-cap", type=int, default=n_cap_default, dest="n_cap", help="cap on the N scan")
+    sp.add_argument("--n-cap", type=int, default=n_cap_default, dest="n_cap", help="cap on the draw count N")
     _add_output_flags(sp)
     sp.set_defaults(func=cmd_simulate)
 
@@ -741,7 +742,7 @@ def _build_parser(trials_default: int, confidence_default: float, t_max_default:
     sp.add_argument("--trials", type=int, default=trials_default, help="Monte Carlo trials per cell")
     sp.add_argument("--seed", type=int, default=0, help="random seed")
     sp.add_argument("--confidence", type=float, default=confidence_default, help="CI confidence level")
-    sp.add_argument("--n-cap", type=int, default=n_cap_default, dest="n_cap", help="cap on the N scan")
+    sp.add_argument("--n-cap", type=int, default=n_cap_default, dest="n_cap", help="cap on the draw count N")
     _add_output_flags(sp)
     sp.set_defaults(func=cmd_sweep)
 
@@ -779,10 +780,20 @@ def main(argv=None) -> int:
     except TStarNotFound as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TSTAR_NOT_FOUND
+    except BrokenPipeError:
+        raise
     except (ConnGraphError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 
 def console_main() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (`conngraph sweep ... | head`): stop
+        # quietly, with stdout on devnull so the interpreter's last flush is too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    sys.exit(code)

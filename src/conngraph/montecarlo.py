@@ -137,10 +137,11 @@ def _connected_rows(n: int, ei: np.ndarray, ej: np.ndarray, present: np.ndarray)
     Min-label propagation: every vertex starts with its own index as label and
     each pass pulls the smaller label across every present edge.  n - 1 passes
     suffice regardless of edge order; a pass that changes nothing ends early.
-    A row is connected exactly when every label has dropped to zero.
+    A row is connected exactly when every label has dropped to zero.  Labels
+    are int16 while every vertex index fits, int32 beyond.
     """
     rows = present.shape[0]
-    labels = np.tile(np.arange(n, dtype=np.int16), (rows, 1))
+    labels = np.tile(np.arange(n, dtype=np.int16 if n <= 1 << 15 else np.int32), (rows, 1))
     for _ in range(max(1, n - 1)):
         before = labels.copy()
         for e in range(ei.shape[0]):

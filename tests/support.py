@@ -85,6 +85,25 @@ def reference_bound(n, m, deg_sq, p, n_cap=10**6):
     return best, best_n
 
 
+def reference_ratio(n, m, deg_sq, p, N):
+    """The maximized ratio at one draw count N, transcribed like reference_bound."""
+    s = math.sqrt(max(0.0, reference_s_squared(n, m, deg_sq, p)))
+    energy = 4 * m * p - 2 * m * p * p + p * p * deg_sq
+    r = 1.0 - ((n - 2) / (n - 1)) ** (N - 1)
+    raw = 2 * m * p * r - s * math.sqrt(N - 1)
+    return min(1.0, max(0.0, raw) ** 2 / ((n - 1) * r * r * energy))
+
+
+def reference_tolerance(n, m, deg_sq, p):
+    """Relative tolerance of reference_bound against the package.
+
+    The naive transcription forms S^2 by cancelling terms as large as
+    4 m^2 p^2, so its own rounding error grows with their ratio to S^2.
+    """
+    terms = 2 * m * p * (n - 1) * (2 - p) + p * p * (n - 1) * deg_sq + 4 * m * m * p * p
+    return 1e-9 + 1e-15 * terms / max(abs(reference_s_squared(n, m, deg_sq, p)), 1e-300)
+
+
 def random_connected_graph(rng, n, extra_edges):
     """Random spanning tree plus a few extra edges; rng is random.Random."""
     edges = set()

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from conngraph import (
@@ -11,6 +12,7 @@ from conngraph import (
     complete,
     complete_minus_cycle,
     complete_minus_cycle_stats,
+    complete_stats,
     connectivity_bound,
     connectivity_bound_at_N,
     connectivity_bound_complete,
@@ -30,7 +32,14 @@ from conngraph import (
     t_star_from_stats,
     union_edge_probability,
 )
-from conngraph.bounds import _s_squared
+from conngraph.bounds import (
+    DEFAULT_N_CAP,
+    _complete_bound_result,
+    _general_bound_result,
+    _maximize,
+    _maximize_rows,
+    _s_squared,
+)
 
 import support
 
@@ -136,7 +145,7 @@ def test_bound_in_unit_interval():
 
 
 def test_bound_matches_naive_reference():
-    # pruned chunked scan against a from-scratch full scan of the same ratio
+    # closed-form maximiser against a from-scratch full scan of the same ratio
     rng = random.Random(31)
     for _ in range(25):
         n = rng.randrange(3, 9)
@@ -316,3 +325,136 @@ def test_bound_result_diagnostics_consistent():
     assert res.numerator / res.denominator == pytest.approx(
         res.probability_lower_bound, rel=1e-12
     )
+
+
+def _random_cell(rng):
+    """(n, m, deg_sq, p, n_cap) with n up to 1e7 and p near 0, near 1 or between.
+
+    n_cap keeps the reference scan short; below n ~ 2e4 it often lies past
+    the unconstrained maximiser 1 + y*/L ~ 1.26 n.
+    """
+    n = int(10 ** rng.uniform(math.log10(3), 7))
+    if rng.random() < 0.3:
+        m, deg_sq = n * (n - 1) // 2, n * (n - 1) ** 2
+    else:
+        m = rng.randint(n - 1, min(n * (n - 1) // 2, 30 * n))
+        deg_sq = -(-4 * m * m // n) + rng.randint(0, 50 * m)
+    u = rng.random()
+    if u < 0.3:
+        p = 10 ** rng.uniform(-6, -1)
+    elif u < 0.7:
+        p = 1.0 - 10 ** rng.uniform(-12, -1)
+    else:
+        p = rng.uniform(0.1, 0.9)
+    caps = [rng.randint(2, 20_000)] + ([3 * n] if n < 20_000 else []) + ([DEFAULT_N_CAP] if n < 300 else [])
+    return n, m, deg_sq, p, rng.choice(caps)
+
+
+def test_maximizer_matches_reference_scan():
+    rng = random.Random(2024)
+    compared = 0
+    for _ in range(300):
+        n, m, deg_sq, p, n_cap = _random_cell(rng)
+        res = connectivity_bound_from_stats(n, m, deg_sq, p, n_cap)
+        want, want_n = support.reference_bound(n, m, deg_sq, p, n_cap)
+        tol = support.reference_tolerance(n, m, deg_sq, p)
+        assert res.probability_lower_bound == pytest.approx(want, rel=tol, abs=1e-12), (n, m, deg_sq, p, n_cap)
+        # the draw count is pinned down wherever the reference's winner beats
+        # its neighbours by far more than rounding
+        neighbours = [
+            support.reference_ratio(n, m, deg_sq, p, N)
+            for N in (want_n - 1, want_n + 1)
+            if 2 <= N <= res.n_search_max
+        ]
+        if want > 1e-6 and all(want - v > 1e-9 * want for v in neighbours):
+            assert res.maximizing_n == want_n, (n, m, deg_sq, p, n_cap)
+            compared += 1
+    assert compared >= 30
+
+
+def test_maximizer_degenerate_cells():
+    # the complement underflowed to 0 (a long union): b = 0, so every draw
+    # count rounds to the clamp at 1 and the first one, N = 2, is reported
+    for res in (
+        _complete_bound_result(30, 1.0, 0.0, DEFAULT_N_CAP),
+        _general_bound_result(30, 435, 30 * 29**2, 1.0, 0.0, DEFAULT_N_CAP),
+        _complete_bound_result(9_000_000, 1.0, 0.0, 10**12),
+    ):
+        assert (res.probability_lower_bound, res.maximizing_n) == (1.0, 2)
+    # vacuous: every ratio is 0, and N = 2 although n_search_max is far above
+    res = connectivity_bound_complete(10**6, 0.6)
+    assert (res.probability_lower_bound, res.maximizing_n, res.n_search_max) == (0.0, 2, 750_000)
+    # n_cap below the unconstrained maximiser: the best N is the cap itself
+    res = connectivity_bound_complete(10**7, 0.999)
+    assert res.maximizing_n == res.n_search_max == DEFAULT_N_CAP
+    assert res.probability_lower_bound == pytest.approx(0.7247378041072873, rel=1e-12)
+    res = connectivity_bound(ModelParams(complete(30), 0.99), n_cap=10)
+    assert res.maximizing_n == res.n_search_max == 10
+    assert res.probability_lower_bound > 0.0
+
+
+def test_maximizer_rows_agree_with_single_cells():
+    # the union search's many-row path against the one-cell path, on rows
+    # built to have every band width: b from a down to 1e-25 a, and a^2 / ((n-1) E)
+    # on both sides of the clamp at 1
+    rng = random.Random(6)
+    for _ in range(24):
+        n = int(10 ** rng.uniform(math.log10(3), 3.5))
+        a = np.array([10 ** rng.uniform(0, 3) for _ in range(16)])
+        b = a * np.array([10 ** -rng.uniform(0, 25) for _ in range(16)])
+        energy = a * a / ((n - 1) * np.array([rng.uniform(0.3, 1.2) for _ in range(16)]))
+        vals, pending = _maximize_rows(a, b, energy, n, DEFAULT_N_CAP)
+        cells = [_maximize(float(x), float(y), float(z), n, DEFAULT_N_CAP)[4] for x, y, z in zip(a, b, energy)]
+        assert np.isnan(vals).tolist() == [i in pending for i in range(16)]
+        assert [v for i, v in enumerate(vals.tolist()) if i not in pending] == [
+            v for i, v in enumerate(cells) if i not in pending
+        ]
+
+
+def _assert_trace_is_cells(trace, p, cell):
+    """Each horizon's trace value is, bit for bit, the cell at its (p_hat, q_hat)."""
+    log_q = math.log1p(-p)
+    assert [T for T, _ in trace] == list(range(1, len(trace) + 1))
+    for T, val in trace:
+        p_hat, q_hat = union_edge_probability(p, T), math.exp(T * log_q)
+        assert val == cell(p_hat, q_hat).probability_lower_bound, T
+
+
+def test_t_star_trace_matches_cells_found():
+    m, deg_sq = complete_stats(40)
+    res = t_star_from_stats(40, m, deg_sq, 0.01, 1e-4)
+    assert res.t_star > 1000  # several chunks of horizons
+    _assert_trace_is_cells(res.trace, 0.01, lambda ph, qh: _general_bound_result(40, m, deg_sq, ph, qh, DEFAULT_N_CAP))
+    assert res.bound_at_t_star == res.trace[-1][1] >= 1 - 1e-4 > res.trace[-2][1]
+    # large n with a tight target: many horizons have wide rounding bands
+    res = t_star_complete(20_000, 0.05, 1e-6)
+    _assert_trace_is_cells(res.trace, 0.05, lambda ph, qh: _complete_bound_result(20_000, ph, qh, DEFAULT_N_CAP))
+
+
+def test_t_star_trace_matches_cells_not_found():
+    with pytest.raises(TStarNotFound) as info:
+        t_star_complete(2000, 0.01, 1e-9, t_max=300)
+    exc = info.value
+    assert len(exc.trace) == 300
+    _assert_trace_is_cells(exc.trace, 0.01, lambda ph, qh: _complete_bound_result(2000, ph, qh, DEFAULT_N_CAP))
+    assert (exc.best_t, exc.best_bound) == max(exc.trace, key=lambda entry: entry[1])
+
+
+def test_t_star_stops_where_the_complement_underflows():
+    g = complete_minus_cycle(5)
+    m, deg_sq = g.m, sum_degree_squares(g)
+    with pytest.raises(TStarNotFound) as info:
+        t_star(g, 0.5, 0.01, t_max=10**5)
+    trace = info.value.trace
+    last = len(trace)
+    assert math.exp(last * math.log1p(-0.5)) == 0.0 < math.exp((last - 1) * math.log1p(-0.5))
+    _assert_trace_is_cells(trace, 0.5, lambda ph, qh: _general_bound_result(5, m, deg_sq, ph, qh, DEFAULT_N_CAP))
+
+
+def test_t_star_negative_radicand_only_when_reached():
+    # impossible stats: the radicand turns negative from horizon 8 on
+    assert t_star_from_stats(3, 3, 1, 0.1, 0.5).t_star == 7
+    with pytest.raises(TStarNotFound):
+        t_star_from_stats(3, 3, 1, 0.1, 0.01, t_max=7)
+    with pytest.raises(NegativeRadicand):
+        t_star_from_stats(3, 3, 1, 0.1, 0.01)

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -9,11 +10,10 @@ import pytest
 from jsonschema import Draft202012Validator
 
 from conngraph import connectivity_bound_complete, exact_connectivity, complete
-from conngraph.cli import _monotonicity_notes, main
+from conngraph.cli import EXIT_BROKEN_PIPE, _monotonicity_notes, main
 
-SCHEMA = json.loads(
-    (Path(__file__).resolve().parents[1] / "docs" / "output-schema.json").read_text()
-)
+ROOT = Path(__file__).resolve().parents[1]
+SCHEMA = json.loads((ROOT / "docs" / "output-schema.json").read_text())
 Draft202012Validator.check_schema(SCHEMA)
 VALIDATOR = Draft202012Validator(SCHEMA)
 
@@ -333,3 +333,59 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "bound" in proc.stdout
+
+
+def test_broken_pipe_is_quiet():
+    # the reader closes stdout before the CLI writes, as `| head` can
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "conngraph", "bound", "--complete", "3", "--p", "0.5"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == EXIT_BROKEN_PIPE
+    assert err == b""
+
+
+def readme_commands():
+    """Every `conngraph ...` line in the README's fenced blocks, continuations joined."""
+    commands, fenced, current = [], False, None
+    for line in (ROOT / "README.md").read_text().splitlines():
+        if line.startswith("```"):
+            fenced = not fenced
+        elif fenced and (current is not None or line.startswith("conngraph ")):
+            current = line.strip() if current is None else f"{current} {line.strip()}"
+            if current.endswith("\\"):
+                current = current[:-1].rstrip()
+            else:
+                commands.append(current)
+                current = None
+    return commands
+
+
+def test_readme_has_cli_examples():
+    assert len(readme_commands()) >= 3
+
+
+@pytest.mark.parametrize("command", readme_commands())
+def test_readme_cli_example_runs(capsys, command):
+    code, _, err = run_cli(capsys, *shlex.split(command)[1:])
+    assert code == 0, err
+
+
+@pytest.mark.parametrize(
+    "n, p, T, n_star",
+    [
+        (472, 0.4417364082795953, 463, 3),
+        (285, 0.190532324952515, 7229, 4),
+        (41, 0.8146425719813257, 387, 2),
+        (5, 0.5114357165618862, 1442, 3),
+    ],
+)
+def test_bound_union_ties_report_first_draw_count(capsys, n, p, T, n_star):
+    # p_hat rounds to (nearly) 1, so ratios at many draw counts tie at the
+    # clamp or in their last bits; the smallest draw count reaching the top wins
+    payload = run_json(capsys, "bound", "--complete", str(n), "--p", repr(p), "--T", str(T), "--json")
+    assert (payload["bound"], payload["n_star"]) == (1.0, n_star)

@@ -185,6 +185,12 @@ def test_empirical_connectivity_extremes():
     assert empirical_connectivity(g, 0.0, trials=500, seed=0).point == 0.0
 
 
+def test_empirical_connectivity_star_beyond_int16_labels():
+    # vertex labels past 32767 must not wrap: at p = 1 every trial keeps the star
+    star = from_edge_list(40_000, [(0, leaf) for leaf in range(1, 40_000)])
+    assert empirical_connectivity(star, 1.0, trials=3, seed=0).point == 1.0
+
+
 def test_empirical_connectivity_union_matches_collapsed_probability():
     g = complete(6)
     p, T = 0.3, 3
