@@ -60,7 +60,10 @@ def _jacobi_sweep(a: np.ndarray) -> None:
                 continue
             app, aqq = a[p, p], a[q, q]
             theta = (aqq - app) / (2.0 * apq)
-            if theta >= 0.0:
+            if abs(theta) > 1e150:
+                # theta * theta would overflow; there t = 1/(2 theta) to rounding
+                t = 0.5 / theta
+            elif theta >= 0.0:
                 t = 1.0 / (theta + math.sqrt(1.0 + theta * theta))
             else:
                 t = -1.0 / (-theta + math.sqrt(1.0 + theta * theta))

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import re
 import shlex
 import subprocess
 import sys
@@ -273,6 +274,21 @@ def test_sweep_csv_reparse_identical(capsys, tmp_path):
         assert float(row["bound"]) == expected
 
 
+def test_sweep_csv_file_next_to_any_report(capsys, tmp_path):
+    argv = ("sweep", "--family", "complete", "--n-values", "4,6", "--p-values", "0.9")
+    path = tmp_path / "grid.csv"
+    payload = run_json(capsys, *argv, "--json", "--csv", str(path))
+    assert len(payload["rows"]) == 2
+    code, grid, _ = run_cli(capsys, *argv)  # no file: the grid goes to stdout
+    assert code == 0
+    assert path.read_text() == grid
+    path.unlink()
+    code, out, _ = run_cli(capsys, *argv, "--csv", str(path))
+    assert code == 0
+    assert out == ""  # a file was given, so stdout stays empty
+    assert path.read_text() == grid
+
+
 def test_monotonicity_notes_helper():
     increasing = [
         {"family": "complete", "n": 5, "p": 0.5, "bound": 0.1},
@@ -319,6 +335,131 @@ def test_env_override_invalid(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "bound", "--complete", "3", "--p", "0.5")
     assert code == 2
     assert "CONNGRAPH_T_MAX" in err
+
+
+N_CAP_COMMANDS = {
+    "bound": ("bound", "--complete", "5", "--p", "0.5"),
+    "tstar": ("tstar", "--complete", "5", "--p", "0.5", "--epsilon", "0.1"),
+    "simulate": ("simulate", "--complete", "5", "--p", "0.5", "--trials", "50"),
+    "sweep": ("sweep", "--family", "complete", "--n-values", "5", "--p-values", "0.5"),
+}
+
+
+@pytest.mark.parametrize("n_cap", ["1", "0", "-3"])
+@pytest.mark.parametrize("command", sorted(N_CAP_COMMANDS))
+def test_n_cap_below_two_is_a_usage_error(capsys, monkeypatch, command, n_cap):
+    message = f"error: n_cap must be an integer >= 2, got {n_cap}\n"
+    code, out, err = run_cli(capsys, *N_CAP_COMMANDS[command], "--n-cap", n_cap)
+    assert (code, out, err) == (2, "", message)
+    monkeypatch.setenv("CONNGRAPH_N_CAP", n_cap)
+    code, out, err = run_cli(capsys, *N_CAP_COMMANDS[command])
+    assert (code, out, err) == (2, "", message)
+
+
+def three_renderings(capsys, *argv):
+    """The JSON payload, the CSV rows and the text lines of one invocation."""
+    payload = run_json(capsys, *argv, "--json")
+    code, out, err = run_cli(capsys, *argv, "--csv", "-")
+    assert code == 0, err
+    rows = parse_csv(out)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    text = dict(re.split(r"\s{2,}", line, maxsplit=1) for line in out.splitlines())
+    return payload, rows, text
+
+
+def assert_agree(payload, row, text, fields):
+    """Each (text label, JSON key, CSV column) names one value in all three renderings."""
+    for label, key, column in fields:
+        value = payload[key]
+        if label is not None:
+            assert text[label] == ("%.12g" % value if isinstance(value, float) else str(value)), label
+        if column is not None:
+            assert row[column] == ("%.17g" % value if isinstance(value, float) else str(value)), column
+
+
+HEAD = [("p", "p", "p"), ("T", "T", "T"), ("p_hat", "p_hat", "p_hat")]
+
+
+def test_bound_renderings_agree(capsys):
+    payload, [row], text = three_renderings(capsys, "bound", "--complete", "7", "--p", "0.4", "--T", "3")
+    assert list(text) == ["template", "p", "T", "p_hat", "bound", "maximizing N", "N range", "mu", "sigma^2", "S"]
+    assert text["template"] == f"{row['family']} n={row['n']}" == "complete n=7"
+    assert text["N range"] == f"2..{payload['n_search_max']}"
+    assert_agree(
+        payload,
+        row,
+        text,
+        HEAD
+        + [
+            ("bound", "bound", "bound"),
+            ("maximizing N", "n_star", "n_star"),
+            ("mu", "mu", None),
+            ("sigma^2", "sigma_squared", None),
+            ("S", "s_value", None),
+        ],
+    )
+
+
+def test_tiny_bound_renderings_agree(capsys):
+    payload, [row], text = three_renderings(capsys, "bound", "--complete", "2", "--p", "0.3", "--T", "2")
+    assert list(text) == ["template", "p", "T", "p_hat", "probability", "note"]
+    assert text["note"] == "exact (closed form for n <= 2)"
+    assert row["n_star"] == ""
+    assert "n_star" not in payload
+    assert_agree(payload, row, text, HEAD + [("probability", "bound", "bound")])
+
+
+def test_tstar_renderings_agree(capsys):
+    payload, rows, text = three_renderings(capsys, "tstar", "--complete", "3", "--p", "0.5", "--epsilon", "0.2")
+    assert list(text) == ["template", "p", "epsilon", "T*", "bound at T*"]
+    assert len(rows) == payload["trace_length"]
+    assert [int(r["T"]) for r in rows] == list(range(1, payload["t_star"] + 1))
+    fields = [("p", "p", "p"), ("epsilon", "epsilon", None), ("T*", "t_star", "T"), ("bound at T*", "bound_at_t_star", "bound")]
+    assert_agree(payload, rows[-1], text, fields)
+
+
+def test_simulate_renderings_agree(capsys):
+    argv = ("simulate", "--complete", "4", "--p", "0.6", "--T", "2", "--trials", "500", "--seed", "4", "--lambda2-moments")
+    payload, [row], text = three_renderings(capsys, *argv)
+    assert list(text) == [
+        "template", "p", "T", "p_hat", "trials", "seed", "estimate", "95% CI", "bound", "verdict",
+        "lambda2 mean", "lambda2 mean sq",
+    ]
+    assert text["95% CI"] == "%.12g .. %.12g" % (payload["ci_low"], payload["ci_high"])
+    assert text["verdict"].startswith("SOUND" if payload["sound"] else "UNSOUND")
+    assert text["lambda2 mean"] == "%.12g" % payload["lambda2"]["mean"]
+    assert text["lambda2 mean sq"] == "%.12g" % payload["lambda2"]["mean_sq"]
+    fields = HEAD + [
+        ("trials", "trials", None),
+        ("seed", "seed", None),
+        ("estimate", "estimate", "estimate"),
+        (None, "ci_low", "ci_low"),
+        (None, "ci_high", "ci_high"),
+        ("bound", "bound", "bound"),
+    ]
+    assert_agree(payload, row, text, fields)
+
+
+def test_exact_renderings_agree(capsys):
+    payload, [row], text = three_renderings(capsys, "exact", "--complete", "4", "--p", "0.5", "--T", "2")
+    assert list(text) == ["template", "p", "T", "p_hat", "probability", "connected"]
+    assert text["connected"] == f"{payload['connected_subsets']} of {payload['total_subsets']} edge subsets"
+    assert_agree(payload, row, text, HEAD + [("probability", "probability", "estimate")])
+
+
+def test_sweep_renderings_agree(capsys):
+    argv = ("sweep", "--family", "complete", "--n-values", "3,5", "--p-values", "0.8,0.95", "--simulate", "--trials", "200")
+    payload = run_json(capsys, *argv, "--json")
+    _, grid, _ = run_cli(capsys, *argv, "--csv", "-")
+    _, text, _ = run_cli(capsys, *argv)
+    assert text == grid  # the grid is sweep's text report
+    rows = parse_csv(grid)
+    assert len(rows) == len(payload["rows"]) == 4
+    for row, json_row in zip(rows, payload["rows"]):
+        assert list(json_row) == list(row)
+        assert_agree(json_row, row, {}, [(None, col, col) for col in row if json_row[col] is not None])
+        assert all(row[col] == "" for col in row if json_row[col] is None)
 
 
 def test_help_exits_zero(capsys):

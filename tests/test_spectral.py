@@ -1,4 +1,5 @@
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -70,6 +71,16 @@ def test_matches_lapack_on_sampled_laplacians():
         got = eigenvalues_symmetric(lap).eigenvalues
         want = np.linalg.eigvalsh(lap)
         assert np.max(np.abs(got - want)) < 1e-8
+
+
+def test_huge_rotation_angle_does_not_overflow():
+    # a[0, 1] is so small that theta = (a11 - a00) / (2 a01) squares past the
+    # float range; the rotation must still be taken without a warning
+    m = np.array([[1.0, 1e-170, 1.0], [1e-170, 2.0, 0.0], [1.0, 0.0, 3.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = eigenvalues_symmetric(m).eigenvalues
+    assert np.max(np.abs(got - np.linalg.eigvalsh(m))) < 1e-12
 
 
 def test_eigenvalues_sorted_ascending():
