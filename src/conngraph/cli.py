@@ -381,7 +381,10 @@ def cmd_simulate(args) -> _Report:
         ("bound", row["bound"]),
         ("verdict", f"{verdict} (bound <= estimate + 4 half-widths)"),
     ]
-    if args.lambda2_moments:
+    # `--csv -` prints only the CSV row, which has no lambda2 columns, so the
+    # moments are skipped there; below 2 vertices the call still runs, to
+    # raise its typed error under every renderer
+    if args.lambda2_moments and (args.csv != "-" or tpl.n < 2):
         pe, _ = _collapse(args.p, args.T)
         lam = empirical_lambda2_moments(tpl.graph, pe, trials=args.trials, seed=args.seed)
         payload["lambda2"] = {

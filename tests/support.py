@@ -2,12 +2,16 @@
 
 Everything here is deliberately written from scratch in plain Python:
 breadth-first connectivity, brute-force subset enumeration, and a direct
-transcription of the bound formulas with a naive full scan.  Slow is fine;
-independent is the point.
+transcription of the bound formulas with a naive full scan.  The one numpy
+routine is the package's former Monte Carlo connectivity kernel, min-label
+propagation, kept as a second oracle for the hook-and-shortcut kernel that
+replaced it.  Slow is fine; independent is the point.
 """
 
 import itertools
 import math
+
+import numpy as np
 
 
 def bfs_connected(n, edges):
@@ -26,6 +30,32 @@ def bfs_connected(n, edges):
                 seen.add(w)
                 stack.append(w)
     return len(seen) == n
+
+
+def reference_connected_rows(n, ei, ej, present):
+    """Row-wise connectivity of a (rows, m) edge-presence matrix, by min-label propagation.
+
+    Every vertex starts with its own index as label, and each pass pulls the
+    smaller label across every present edge, one edge column at a time.
+    n - 1 passes suffice whatever the edge order; a pass that changes nothing
+    ends early.  A row is connected when every label has dropped to zero.
+    """
+    rows = present.shape[0]
+    labels = np.tile(np.arange(n, dtype=np.int64), (rows, 1))
+    for _ in range(max(1, n - 1)):
+        before = labels.copy()
+        for e in range(len(ei)):
+            col = present[:, e]
+            if not col.any():
+                continue
+            li = labels[:, ei[e]]
+            lj = labels[:, ej[e]]
+            mn = np.minimum(li, lj)
+            labels[:, ei[e]] = np.where(col, mn, li)
+            labels[:, ej[e]] = np.where(col, mn, lj)
+        if np.array_equal(labels, before):
+            break
+    return ~labels.any(axis=1)
 
 
 def brute_force_connectivity(n, edges, p):

@@ -119,6 +119,28 @@ def test_simulate_lambda2_block(capsys):
     assert payload["lambda2"]["trials"] == 2000
 
 
+def test_simulate_csv_stdout_skips_lambda2_moments(capsys, monkeypatch):
+    # the stdout CSV has no lambda2 columns, so the moments are never computed
+    argv = ("simulate", "--complete", "12", "--p", "0.5", "--trials", "300", "--csv", "-")
+    plain = run_cli(capsys, *argv)
+
+    def unused(*args, **kwargs):
+        raise AssertionError("lambda2 moments computed for --csv -")
+
+    monkeypatch.setattr("conngraph.cli.empirical_lambda2_moments", unused)
+    assert run_cli(capsys, *argv, "--lambda2-moments") == plain
+    assert plain[0] == 0 and plain[2] == ""
+
+
+@pytest.mark.parametrize("render", [(), ("--json",), ("--csv", "-"), ("--csv", "PATH")])
+def test_simulate_lambda2_one_vertex_is_a_usage_error(capsys, tmp_path, render):
+    render = tuple(str(tmp_path / "rows.csv") if r == "PATH" else r for r in render)
+    argv = ("simulate", "--complete", "1", "--p", "0.5", "--lambda2-moments", *render)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: algebraic connectivity needs at least 2 vertices\n")
+    assert not (tmp_path / "rows.csv").exists()
+
+
 def test_simulate_bit_reproducible(capsys):
     args = ("simulate", "--complete", "5", "--p", "0.4", "--trials", "3000", "--seed", "77")
     _, first, _ = run_cli(capsys, *args)

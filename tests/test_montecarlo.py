@@ -27,6 +27,7 @@ from conngraph import (
     union_edge_probability,
     wilson_interval,
 )
+import conngraph.montecarlo as mc
 from conngraph.montecarlo import _block_plan, _connected_profile, _connected_rows, _edge_arrays
 
 import support
@@ -109,6 +110,12 @@ def test_exact_enumeration_cap():
         exact_connectivity(complete(4), 0.5, cap=5)
 
 
+def test_exact_enumeration_refuses_more_than_32_edges():
+    # subset ids are uint32: a larger cap must not start a 2^36 enumeration
+    with pytest.raises(TooManyEdges, match="cap is 32"):
+        exact_connectivity(complete(9), 0.5, cap=40)  # m = 36
+
+
 def test_connected_rows_against_bfs():
     rng = random.Random(37)
     np_rng = np.random.default_rng(37)
@@ -121,6 +128,108 @@ def test_connected_rows_against_bfs():
         for row in range(64):
             chosen = [e for e, keep in zip(g.edges, present[row]) if keep]
             assert bool(got[row]) == support.bfs_connected(n, chosen)
+
+
+def assert_kernels_agree(n, edges, present):
+    ei = np.array([i for i, _ in edges], dtype=np.intp)
+    ej = np.array([j for _, j in edges], dtype=np.intp)
+    got = _connected_rows(n, ei, ej, present)
+    assert got.dtype == bool and got.shape == (present.shape[0],)
+    assert got.tolist() == support.reference_connected_rows(n, ei, ej, present).tolist()
+
+
+def random_rows(np_rng, rows, m, p):
+    """Presence rows at probability p, with one all-present and one empty row."""
+    present = np_rng.random((rows, m)) < p
+    present[0] = True
+    present[1] = False
+    return present
+
+
+def relabeled_path(order, closed):
+    ends = order[1:] + order[:1] if closed else order[1:]
+    return sorted((min(a, b), max(a, b)) for a, b in zip(order, ends))
+
+
+def grid_edges(rows, cols):
+    right = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+    down = [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+    return sorted(right + down)
+
+
+def test_connected_rows_paths_and_cycles_match_reference():
+    rng = random.Random(41)
+    np_rng = np.random.default_rng(41)
+    for n in (2, 3, 7, 64, 200):
+        for closed in (False, True):
+            order = list(range(n))
+            rng.shuffle(order)
+            edges = relabeled_path(order, closed and n > 2)
+            for p in (0.5, 0.9, 0.99):
+                assert_kernels_agree(n, edges, random_rows(np_rng, 24, len(edges), p))
+    # n = 2000: the reference needs about one pass per vertex of a run whose
+    # smallest label is not at its start, so shuffled labels go in only at
+    # moderate p; an ascending path gives the kernel its longest hook chains
+    # while the reference carries each run's label down it in one pass
+    order = list(range(2000))
+    rng.shuffle(order)
+    for closed in (False, True):
+        assert_kernels_agree(2000, relabeled_path(order, closed), random_rows(np_rng, 8, 1999 + closed, 0.6)[1:])
+    assert_kernels_agree(2000, relabeled_path(list(range(2000)), False), random_rows(np_rng, 8, 1999, 0.999))
+
+
+def test_connected_rows_grids_trees_and_complete_graphs_match_reference():
+    rng = random.Random(43)
+    np_rng = np.random.default_rng(43)
+    for rows, cols in ((1, 5), (3, 3), (8, 11), (20, 20)):
+        edges = grid_edges(rows, cols)
+        for p in (0.5, 0.75, 0.95):
+            assert_kernels_agree(rows * cols, edges, random_rows(np_rng, 32, len(edges), p))
+    for n, chords in ((10, 3), (100, 10), (400, 40)):
+        edges = support.random_connected_graph(rng, n, chords)
+        for p in (0.7, 0.95):
+            assert_kernels_agree(n, edges, random_rows(np_rng, 32, len(edges), p))
+    for n in (4, 20, 60):
+        edges = complete(n).edges
+        for p in (0.05, 0.1, 0.3):
+            assert_kernels_agree(n, edges, random_rows(np_rng, 64, len(edges), p))
+
+
+def test_connected_rows_degenerate_shapes_match_reference():
+    np_rng = np.random.default_rng(47)
+    edges = complete(5).edges
+    for rows in (0, 1, 5):
+        assert_kernels_agree(5, edges, np.ones((rows, 10), dtype=bool))
+        assert_kernels_agree(5, edges, np.zeros((rows, 10), dtype=bool))
+        assert_kernels_agree(5, edges, np_rng.random((rows, 10)) < 0.5)
+        assert_kernels_agree(1, [], np.zeros((rows, 0), dtype=bool))  # n = 1: always connected
+        assert_kernels_agree(3, [], np.zeros((rows, 0), dtype=bool))  # m = 0: never, past n = 1
+    assert _connected_rows(1, *_edge_arrays(complete(1)), np.zeros((4, 0), dtype=bool)).all()
+
+
+def test_connected_rows_sub_block_seams(monkeypatch):
+    np_rng = np.random.default_rng(53)
+    g = complete_minus_cycle(5)  # n = 5, m = 5
+    step = mc._CONN_SLOTS // g.m
+    for rows in (step - 1, step, step + 1, 2 * step + 3):
+        assert_kernels_agree(g.n, g.edges, np_rng.random((rows, g.m)) < 0.6)
+    # with a tiny budget every few rows start a sub-block; no sub-block may
+    # hold more (row, edge) slots or (row, vertex) ids than the budget
+    seen = []
+    kernel = mc._hook_and_shortcut
+
+    def spy(n, ei, ej, present):
+        seen.append(present.shape[0] * max(present.shape[1], n))
+        return kernel(n, ei, ej, present)
+
+    monkeypatch.setattr(mc, "_CONN_SLOTS", 35)
+    monkeypatch.setattr(mc, "_hook_and_shortcut", spy)
+    for rows in (1, 6, 7, 8, 50):
+        assert_kernels_agree(g.n, g.edges, np_rng.random((rows, g.m)) < 0.6)
+    assert max(seen) == 35 and len(seen) == 1 + 1 + 1 + 2 + 8
+    seen.clear()
+    assert_kernels_agree(9, [], np.zeros((50, 0), dtype=bool))  # n > m: 3 rows per sub-block
+    assert max(seen) == 27 and len(seen) == 17
 
 
 def test_sample_graph_extremes():
@@ -189,6 +298,20 @@ def test_empirical_connectivity_star_beyond_int16_labels():
     # vertex labels past 32767 must not wrap: at p = 1 every trial keeps the star
     star = from_edge_list(40_000, [(0, leaf) for leaf in range(1, 40_000)])
     assert empirical_connectivity(star, 1.0, trials=3, seed=0).point == 1.0
+
+
+@pytest.mark.parametrize(
+    "n, star",
+    [(40_000, False), (32_768, True), (32_769, True)],
+    ids=["path-40000", "star-32768", "star-32769"],
+)
+def test_empirical_connectivity_at_scale(n, star):
+    # at p = 1 every trial keeps every edge; a long path needs long hook
+    # chains, and the stars sit on either side of the old int16 label limit
+    # (the star at n = 40000 has its own test above)
+    edges = [(0, v) for v in range(1, n)] if star else [(v, v + 1) for v in range(n - 1)]
+    est = empirical_connectivity(from_edge_list(n, edges), 1.0, trials=4, seed=0)
+    assert est.successes == 4
 
 
 def test_empirical_connectivity_union_matches_collapsed_probability():
