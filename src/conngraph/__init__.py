@@ -2,155 +2,24 @@
 on the probability that a random subgraph of a connected template (or a
 union of several independent subgraphs) is connected, with exact
 enumeration and Monte Carlo oracles for checking them.
+
+The package exports each module's ``__all__`` and nothing else.
 """
 
-from .bounds import (
-    DEFAULT_N_CAP,
-    DEFAULT_T_MAX,
-    BoundResult,
-    ModelParams,
-    TStarResult,
-    connectivity_bound,
-    connectivity_bound_at_N,
-    connectivity_bound_complete,
-    connectivity_bound_from_stats,
-    ell_first_order_lower,
-    ell_mean,
-    ell_variance,
-    lambda2_mean_lower,
-    lambda2_sq_mean_upper,
-    n_search_max,
-    r_factor,
-    s_value,
-    t_star,
-    t_star_complete,
-    t_star_from_stats,
-    union_edge_probability,
-)
-from .errors import (
-    ConnGraphError,
-    DisconnectedTemplate,
-    EmptyUnion,
-    InvalidEdge,
-    InvalidParameter,
-    MismatchedParents,
-    NegativeRadicand,
-    NoConvergence,
-    NotSymmetric,
-    TooManyEdges,
-    TStarNotFound,
-)
-from .graphs import (
-    SampledGraph,
-    UnderlyingGraph,
-    UnionFind,
-    complete,
-    complete_minus_cycle,
-    complete_minus_cycle_stats,
-    complete_stats,
-    from_edge_list,
-    is_connected,
-    laplacian,
-    read_edge_list,
-    sum_degree_squares,
-    union,
-)
-from .montecarlo import (
-    DEFAULT_CONFIDENCE,
-    DEFAULT_ENUMERATION_CAP,
-    CoupledCheck,
-    EllMoments,
-    EmpiricalEstimate,
-    ExactProbability,
-    Lambda2Moments,
-    coupled_monotonicity_check,
-    empirical_connectivity,
-    empirical_ell_min_mean,
-    empirical_ell_moments,
-    empirical_lambda2_moments,
-    exact_connectivity,
-    sample_graph,
-    sample_union,
-    wilson_interval,
-)
-from .spectral import (
-    Spectrum,
-    algebraic_connectivity,
-    eigenvalues_symmetric,
-    sample_ell,
-    sample_ell_first_order_statistic,
-    zero_threshold,
-)
+from . import bounds, errors, graphs, montecarlo, spectral
+from .bounds import *  # noqa: F401,F403
+from .errors import *  # noqa: F401,F403
+from .graphs import *  # noqa: F401,F403
+from .montecarlo import *  # noqa: F401,F403
+from .spectral import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "ConnGraphError",
-    "InvalidParameter",
-    "InvalidEdge",
-    "DisconnectedTemplate",
-    "MismatchedParents",
-    "EmptyUnion",
-    "NotSymmetric",
-    "NoConvergence",
-    "NegativeRadicand",
-    "TooManyEdges",
-    "TStarNotFound",
-    "UnderlyingGraph",
-    "SampledGraph",
-    "UnionFind",
-    "from_edge_list",
-    "complete",
-    "complete_minus_cycle",
-    "complete_stats",
-    "complete_minus_cycle_stats",
-    "read_edge_list",
-    "is_connected",
-    "union",
-    "laplacian",
-    "sum_degree_squares",
-    "Spectrum",
-    "eigenvalues_symmetric",
-    "zero_threshold",
-    "algebraic_connectivity",
-    "sample_ell",
-    "sample_ell_first_order_statistic",
-    "DEFAULT_N_CAP",
-    "DEFAULT_T_MAX",
-    "ModelParams",
-    "BoundResult",
-    "TStarResult",
-    "r_factor",
-    "ell_mean",
-    "s_value",
-    "ell_variance",
-    "ell_first_order_lower",
-    "lambda2_mean_lower",
-    "lambda2_sq_mean_upper",
-    "connectivity_bound_at_N",
-    "n_search_max",
-    "connectivity_bound",
-    "connectivity_bound_from_stats",
-    "connectivity_bound_complete",
-    "union_edge_probability",
-    "t_star",
-    "t_star_from_stats",
-    "t_star_complete",
-    "DEFAULT_ENUMERATION_CAP",
-    "DEFAULT_CONFIDENCE",
-    "EmpiricalEstimate",
-    "ExactProbability",
-    "Lambda2Moments",
-    "EllMoments",
-    "CoupledCheck",
-    "wilson_interval",
-    "sample_graph",
-    "sample_union",
-    "empirical_connectivity",
-    "exact_connectivity",
-    "empirical_lambda2_moments",
-    "empirical_ell_moments",
-    "empirical_ell_min_mean",
-    "coupled_monotonicity_check",
+    *errors.__all__,
+    *graphs.__all__,
+    *spectral.__all__,
+    *bounds.__all__,
+    *montecarlo.__all__,
 ]

@@ -30,6 +30,8 @@ import sys
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import __version__
 from .bounds import (
     DEFAULT_N_CAP,
@@ -51,11 +53,12 @@ from .errors import (
 from .graphs import (
     UnderlyingGraph,
     SampledGraph,
+    _connected_rows,
+    _edge_arrays,
     complete,
     complete_minus_cycle,
     complete_minus_cycle_stats,
     complete_stats,
-    is_connected,
     read_edge_list,
     sum_degree_squares,
 )
@@ -482,12 +485,13 @@ def cmd_spectrum_check(args) -> _Report:
         )
     threshold = zero_threshold(graph.n)
     total = 1 << graph.m
+    # one presence row per edge subset; one kernel call gives every combinatorial verdict
+    present = (np.arange(total)[:, None] >> np.arange(graph.m) & 1).astype(bool)
+    connected = _connected_rows(graph.n, *_edge_arrays(graph), present)
     mismatches = 0
-    for mask in range(total):
-        present = frozenset(e for i, e in enumerate(graph.edges) if mask >> i & 1)
-        sub = SampledGraph(graph, present)
-        spectral_connected = algebraic_connectivity(sub) > threshold
-        if spectral_connected != is_connected(sub):
+    for row, combinatorial in zip(present.tolist(), connected.tolist()):
+        sub = SampledGraph(graph, frozenset(e for e, keep in zip(graph.edges, row) if keep))
+        if (algebraic_connectivity(sub) > threshold) != combinatorial:
             mismatches += 1
     ok = mismatches == 0
     payload = {

@@ -2,6 +2,20 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "ConnGraphError",
+    "InvalidParameter",
+    "InvalidEdge",
+    "DisconnectedTemplate",
+    "MismatchedParents",
+    "EmptyUnion",
+    "NotSymmetric",
+    "NoConvergence",
+    "NegativeRadicand",
+    "TooManyEdges",
+    "TStarNotFound",
+]
+
 
 class ConnGraphError(Exception):
     """Base class for all errors raised by this package."""

@@ -6,13 +6,10 @@ blocks of trials; each block draws from its own child stream spawned from the
 base seed, so results are reproducible for fixed (seed, parameters) and do
 not depend on how many blocks run or in what order they would be scheduled.
 
-Monte Carlo, the coupled check and exact enumeration all test connectivity
-with one kernel, ``_connected_rows``: hook and shortcut over a whole block of
-edge-presence rows at once, in a few rounds of whole-array operations (a
-path with shuffled labels takes 6 at n = 1000, 10 at n = 40000) rather than
-a Python loop over edges.  It reads the presence rows in sub-blocks of at
-most ``_CONN_SLOTS`` (row, edge) slots, so its index arrays (about 40 bytes
-per slot) stay a few MB whatever the size of the block of uniforms.
+Every estimator runs one block loop, ``_blocks``, which sizes the blocks of
+trials and hands each its child stream.  Monte Carlo, the coupled check and
+exact enumeration decide connectivity with the package's one kernel,
+``graphs._connected_rows``, a whole block of edge-presence rows per call.
 """
 
 from __future__ import annotations
@@ -25,7 +22,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .errors import InvalidParameter, TooManyEdges
-from .graphs import SampledGraph, UnderlyingGraph
+from .graphs import SampledGraph, UnderlyingGraph, _connected_rows, _edge_arrays
 
 DEFAULT_ENUMERATION_CAP = 24
 DEFAULT_CONFIDENCE = 0.95
@@ -33,7 +30,6 @@ _MAX_ENUMERATION_EDGES = 32  # subset ids are uint32
 
 _BLOCK = 8192
 _BLOCK_BUDGET = 1 << 22  # max uniforms drawn per block
-_CONN_SLOTS = 1 << 16  # max (row, edge) slots per connectivity sub-block
 
 __all__ = [
     "DEFAULT_ENUMERATION_CAP",
@@ -134,67 +130,10 @@ def _check_probability(p: float) -> float:
     return float(p)
 
 
-def _edge_arrays(parent: UnderlyingGraph) -> tuple[np.ndarray, np.ndarray]:
-    if parent.m == 0:
-        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
-    arr = np.asarray(parent.edges, dtype=np.intp)
-    return arr[:, 0], arr[:, 1]
-
-
-def _connected_rows(n: int, ei: np.ndarray, ej: np.ndarray, present: np.ndarray) -> np.ndarray:
-    """Row-wise connectivity for a (trials, m) boolean edge-presence matrix.
-
-    Hook and shortcut (Shiloach & Vishkin 1982; FastSV, Zhang, Azad & Hu
-    2020) over the flattened (rows x n) vertex space, where vertex v of row r
-    is ``r * n + v``.  The present (row, edge) slots are found once and
-    mapped to their two flat endpoints; every vertex starts as its own root.
-    Each round hooks the larger root of every live edge onto the smaller one
-    with ``np.minimum.at``, jumps pointers (``parent = parent[parent]``)
-    until every vertex points at its root, and then drops the edges whose
-    ends share a root.  Hooks only point to smaller ids, so no cycle forms,
-    and a round with live edges hooks at least one root, so the loop ends.
-    A row is connected when every vertex has the root of its vertex 0.
-
-    Memory rule: rows are taken in sub-blocks of at most ``_CONN_SLOTS``
-    (row, edge) slots and as many (row, vertex) ids (one row when a row
-    alone has more).  The index arrays take about 40 bytes per slot, so they
-    stay a few MB however many rows the caller's block of uniforms holds.
-    Vertex ids are int32 while a sub-block has fewer than 2^31 of them,
-    int64 beyond.
-    """
-    rows, m = present.shape
-    step = max(1, _CONN_SLOTS // max(m, n))
-    out = np.empty(rows, dtype=bool)
-    for start in range(0, rows, step):
-        out[start : start + step] = _hook_and_shortcut(n, ei, ej, present[start : start + step])
-    return out
-
-
-def _hook_and_shortcut(n: int, ei: np.ndarray, ej: np.ndarray, present: np.ndarray) -> np.ndarray:
-    rows = present.shape[0]
-    dtype = np.int32 if rows * n < 1 << 31 else np.int64
-    parent = np.arange(rows * n, dtype=dtype)
-    offsets = np.arange(0, rows * n, n, dtype=dtype)[:, None]
-    slots = np.flatnonzero(present)
-    u = np.take(offsets + ei.astype(dtype), slots)
-    v = np.take(offsets + ej.astype(dtype), slots)
-    ru, rv = u, v  # every vertex starts as its own root
-    while u.size:
-        np.minimum.at(parent, np.maximum(ru, rv), np.minimum(ru, rv))
-        while True:
-            jumped = np.take(parent, parent)
-            if np.array_equal(jumped, parent):
-                break
-            parent = jumped
-        ru, rv = np.take(parent, u), np.take(parent, v)
-        live = np.flatnonzero(ru != rv)
-        u, v, ru, rv = (np.take(a, live) for a in (u, v, ru, rv))
-    labels = parent.reshape(rows, n)
-    return (labels == labels[:, :1]).all(axis=1)
-
-
 def _block_plan(trials: int, draws_per_trial: int) -> list[int]:
     """Split trials into fixed-size blocks, shrinking when a trial draws a lot."""
+    if not isinstance(trials, (int, np.integer)):
+        raise InvalidParameter(f"trials must be an integer, got {trials!r}")
     if trials < 1:
         raise InvalidParameter(f"need at least one trial, got {trials}")
     per = max(1, draws_per_trial)
@@ -205,17 +144,34 @@ def _block_plan(trials: int, draws_per_trial: int) -> list[int]:
     return sizes
 
 
-def _block_generators(seed: int, blocks: int):
-    for child in np.random.SeedSequence(seed).spawn(blocks):
-        yield np.random.Generator(np.random.PCG64(child))
+def _blocks(trials: int, draws_per_trial: int, seed: int):
+    """Yield (size, generator) for each block of trials, in order.
+
+    Each block draws from its own PCG64 stream spawned from ``seed``, which
+    must be a non-negative integer.
+    """
+    sizes = _block_plan(trials, draws_per_trial)
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise InvalidParameter(f"seed must be a non-negative integer, got {seed!r}")
+    for size, child in zip(sizes, np.random.SeedSequence(seed).spawn(len(sizes))):
+        yield size, np.random.Generator(np.random.PCG64(child))
+
+
+def _estimate(successes: int, trials: int, confidence: float) -> EmpiricalEstimate:
+    low, high = wilson_interval(successes, trials, confidence)
+    return EmpiricalEstimate(trials, successes, successes / trials, low, high, confidence)
+
+
+def _mean_se(total: float, total_sq: float, trials: int) -> tuple[float, float, float]:
+    """Mean, sample variance and standard error of the mean, from a sum and a sum of squares."""
+    mean = total / trials
+    var = max(0.0, (total_sq - trials * mean * mean) / max(1, trials - 1))
+    return mean, var, math.sqrt(var / trials)
 
 
 def sample_graph(parent: UnderlyingGraph, p: float, rng: np.random.Generator) -> SampledGraph:
     """Draw one realization: each template edge kept independently with probability p."""
-    p = _check_probability(p)
-    mask = rng.random(parent.m) < p
-    present = frozenset(e for e, keep in zip(parent.edges, mask) if keep)
-    return SampledGraph(parent, present)
+    return sample_union(parent, p, 1, rng)
 
 
 def sample_union(parent: UnderlyingGraph, p: float, T: int, rng: np.random.Generator) -> SampledGraph:
@@ -247,14 +203,11 @@ def empirical_connectivity(
         raise InvalidParameter(f"need T >= 1 layers, got {T!r}")
     T = int(T)
     ei, ej = _edge_arrays(parent)
-    sizes = _block_plan(trials, T * parent.m)
     successes = 0
-    for b, gen in zip(sizes, _block_generators(seed, len(sizes))):
-        u = gen.random((b, T, parent.m))
-        present = (u < p).any(axis=1)
+    for b, gen in _blocks(trials, T * parent.m, seed):
+        present = (gen.random((b, T, parent.m)) < p).any(axis=1)
         successes += int(_connected_rows(parent.n, ei, ej, present).sum())
-    low, high = wilson_interval(successes, trials, confidence)
-    return EmpiricalEstimate(trials, successes, successes / trials, low, high, confidence)
+    return _estimate(successes, trials, confidence)
 
 
 @lru_cache(maxsize=64)
@@ -307,6 +260,12 @@ def _laplacian_stack(n: int, ei: np.ndarray, ej: np.ndarray, present: np.ndarray
     return lap
 
 
+def _sampled_spectra(n: int, ei: np.ndarray, ej: np.ndarray, p: float, gen: np.random.Generator, rows: int) -> np.ndarray:
+    """Ascending Laplacian spectra of ``rows`` subgraphs, one row of edge uniforms each."""
+    present = gen.random((rows, ei.shape[0])) < p
+    return np.linalg.eigvalsh(_laplacian_stack(n, ei, ej, present))
+
+
 def empirical_lambda2_moments(parent: UnderlyingGraph, p: float, trials: int, seed: int = 0) -> Lambda2Moments:
     """Monte Carlo first and second moments of the algebraic connectivity.
 
@@ -317,21 +276,16 @@ def empirical_lambda2_moments(parent: UnderlyingGraph, p: float, trials: int, se
     if parent.n < 2:
         raise InvalidParameter("algebraic connectivity needs at least 2 vertices")
     ei, ej = _edge_arrays(parent)
-    sizes = _block_plan(trials, parent.m + parent.n * parent.n)
     s1 = s2 = s4 = 0.0
-    for b, gen in zip(sizes, _block_generators(seed, len(sizes))):
-        present = gen.random((b, parent.m)) < p
-        vals = np.linalg.eigvalsh(_laplacian_stack(parent.n, ei, ej, present))
-        lam2 = vals[:, 1]
+    for b, gen in _blocks(trials, parent.m + parent.n * parent.n, seed):
+        lam2 = _sampled_spectra(parent.n, ei, ej, p, gen, b)[:, 1]
         sq = lam2 * lam2
         s1 += float(np.sum(lam2))
         s2 += float(np.sum(sq))
         s4 += float(np.sum(sq * sq))
-    mean = s1 / trials
-    mean_sq = s2 / trials
-    var = max(0.0, (s2 - trials * mean * mean) / max(1, trials - 1))
-    var_sq = max(0.0, (s4 - trials * mean_sq * mean_sq) / max(1, trials - 1))
-    return Lambda2Moments(mean, mean_sq, math.sqrt(var / trials), math.sqrt(var_sq / trials), trials)
+    mean, _, se_mean = _mean_se(s1, s2, trials)
+    mean_sq, _, se_mean_sq = _mean_se(s2, s4, trials)
+    return Lambda2Moments(mean, mean_sq, se_mean, se_mean_sq, trials)
 
 
 def empirical_ell_moments(parent: UnderlyingGraph, p: float, trials: int, seed: int = 0) -> EllMoments:
@@ -344,18 +298,13 @@ def empirical_ell_moments(parent: UnderlyingGraph, p: float, trials: int, seed: 
     if parent.n < 2:
         raise InvalidParameter("ell is undefined below 2 vertices")
     ei, ej = _edge_arrays(parent)
-    sizes = _block_plan(trials, parent.m + parent.n * parent.n)
     s1 = s2 = 0.0
-    for b, gen in zip(sizes, _block_generators(seed, len(sizes))):
-        present = gen.random((b, parent.m)) < p
-        vals = np.linalg.eigvalsh(_laplacian_stack(parent.n, ei, ej, present))
-        idx = gen.integers(1, parent.n, size=b)
-        ell = vals[np.arange(b), idx]
+    for b, gen in _blocks(trials, parent.m + parent.n * parent.n, seed):
+        vals = _sampled_spectra(parent.n, ei, ej, p, gen, b)
+        ell = vals[np.arange(b), gen.integers(1, parent.n, size=b)]
         s1 += float(np.sum(ell))
         s2 += float(np.sum(ell * ell))
-    mean = s1 / trials
-    var = max(0.0, (s2 - trials * mean * mean) / max(1, trials - 1))
-    return EllMoments(mean, var, math.sqrt(var / trials), trials)
+    return EllMoments(*_mean_se(s1, s2, trials), trials)
 
 
 def empirical_ell_min_mean(
@@ -380,11 +329,9 @@ def empirical_ell_min_mean(
     n = parent.n
     ei, ej = _edge_arrays(parent)
     graphs_per_trial = N if independent_graphs else 1
-    sizes = _block_plan(trials, graphs_per_trial * (parent.m + n * n))
     s1 = s2 = 0.0
-    for b, gen in zip(sizes, _block_generators(seed, len(sizes))):
-        present = gen.random((b * graphs_per_trial, parent.m)) < p
-        vals = np.linalg.eigvalsh(_laplacian_stack(n, ei, ej, present))
+    for b, gen in _blocks(trials, graphs_per_trial * (parent.m + n * n), seed):
+        vals = _sampled_spectra(n, ei, ej, p, gen, b * graphs_per_trial)
         idx = gen.integers(1, n, size=(b, N))
         if independent_graphs:
             flat = vals.reshape(b * N, n)
@@ -394,9 +341,8 @@ def empirical_ell_min_mean(
         mins = ell.min(axis=1)
         s1 += float(np.sum(mins))
         s2 += float(np.sum(mins * mins))
-    mean = s1 / trials
-    var = max(0.0, (s2 - trials * mean * mean) / max(1, trials - 1))
-    return mean, math.sqrt(var / trials)
+    mean, _, se = _mean_se(s1, s2, trials)
+    return mean, se
 
 
 def coupled_monotonicity_check(
@@ -419,19 +365,12 @@ def coupled_monotonicity_check(
     if p_low > p_high:
         raise InvalidParameter(f"p_low {p_low} exceeds p_high {p_high}")
     ei, ej = _edge_arrays(parent)
-    sizes = _block_plan(trials, parent.m)
     s_low = s_high = violations = 0
-    for b, gen in zip(sizes, _block_generators(seed, len(sizes))):
+    for b, gen in _blocks(trials, parent.m, seed):
         u = gen.random((b, parent.m))
         conn_low = _connected_rows(parent.n, ei, ej, u < p_low)
         conn_high = _connected_rows(parent.n, ei, ej, u < p_high)
         s_low += int(conn_low.sum())
         s_high += int(conn_high.sum())
         violations += int((conn_low & ~conn_high).sum())
-    lo_lo, lo_hi = wilson_interval(s_low, trials, confidence)
-    hi_lo, hi_hi = wilson_interval(s_high, trials, confidence)
-    return CoupledCheck(
-        EmpiricalEstimate(trials, s_low, s_low / trials, lo_lo, lo_hi, confidence),
-        EmpiricalEstimate(trials, s_high, s_high / trials, hi_lo, hi_hi, confidence),
-        violations,
-    )
+    return CoupledCheck(_estimate(s_low, trials, confidence), _estimate(s_high, trials, confidence), violations)

@@ -26,9 +26,6 @@ JACOBI_REL_TOL = 1e-10
 SYMMETRY_TOL = 1e-12
 
 __all__ = [
-    "JACOBI_MAX_SWEEPS",
-    "JACOBI_REL_TOL",
-    "SYMMETRY_TOL",
     "Spectrum",
     "eigenvalues_symmetric",
     "algebraic_connectivity",

@@ -173,6 +173,16 @@ def test_exact_cap_exit_code(capsys):
     assert "cap" in err
 
 
+def test_negative_seed_is_a_typed_usage_error(capsys):
+    for argv in (
+        ["simulate", "--complete", "5", "--p", "0.5", "--seed", "-1"],
+        ["sweep", "--family", "complete", "--n-values", "5", "--p-values", "0.5", "--simulate", "--seed", "-1"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: seed must be a non-negative integer, got -1\n"
+
+
 def test_disconnected_template_exit_code(capsys, tmp_path):
     bad = tmp_path / "disc.txt"
     bad.write_text("4\n0 1\n2 3\n")

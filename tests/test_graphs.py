@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -10,7 +11,6 @@ from conngraph import (
     InvalidParameter,
     MismatchedParents,
     SampledGraph,
-    UnionFind,
     complete,
     complete_minus_cycle,
     complete_minus_cycle_stats,
@@ -145,6 +145,12 @@ def test_sampled_graph_connectivity_matches_bfs():
         present = frozenset(e for e in parent.edges if rng.random() < 0.6)
         sg = SampledGraph(parent, present)
         assert is_connected(sg) == support.bfs_connected(n, present)
+    for n in (9, 17, 40, 120, 300):
+        for _ in range(4):
+            parent = from_edge_list(n, support.random_connected_graph(rng, n, rng.randrange(0, n)))
+            for keep in (0.5, 0.8, 0.95):
+                present = frozenset(e for e in parent.edges if rng.random() < keep)
+                assert is_connected(SampledGraph(parent, present)) == support.bfs_connected(n, present)
 
 
 def test_all_present():
@@ -203,12 +209,36 @@ def test_sum_degree_squares():
     assert sum_degree_squares(star) == 9 + 3
 
 
-def test_union_find():
-    uf = UnionFind(5)
-    assert uf.components == 5
-    uf.merge(0, 1)
-    uf.merge(1, 2)
-    assert uf.components == 3
-    assert uf.find(0) == uf.find(2)
-    uf.merge(0, 2)  # already joined, no change
-    assert uf.components == 3
+
+
+def test_from_edge_list_matches_bfs():
+    rng = random.Random(59)
+    for n in (2, 3, 5, 9, 17, 40, 120, 300):
+        for _ in range(6):
+            # draws on both sides of the connectivity threshold, about (n log n) / 2
+            draws = rng.randrange(n // 2, int(n * math.log(n)) + 4)
+            pairs = {tuple(sorted(rng.sample(range(n), 2))) for _ in range(draws)}
+            if support.bfs_connected(n, pairs):
+                assert is_connected(from_edge_list(n, pairs))
+            else:
+                with pytest.raises(DisconnectedTemplate):
+                    from_edge_list(n, pairs)
+
+
+def test_kernel_degenerate_graphs():
+    assert is_connected(from_edge_list(1, []))
+    assert is_connected(SampledGraph(complete(1), frozenset()))
+    assert not is_connected(SampledGraph(complete(4), frozenset()))
+    assert is_connected(SampledGraph(complete(2), frozenset({(0, 1)})))
+
+
+def test_two_large_stars_are_disconnected():
+    # 40000 vertices: past the int16 range that once wrapped vertex labels
+    n = 40_000
+    half = n // 2
+    pairs = [(0, v) for v in range(1, half)] + [(half, v) for v in range(half + 1, n)]
+    with pytest.raises(DisconnectedTemplate):
+        from_edge_list(n, pairs)
+    star = from_edge_list(n, pairs + [(0, half)])
+    assert is_connected(star)
+    assert not is_connected(SampledGraph(star, frozenset(pairs)))

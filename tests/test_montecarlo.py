@@ -27,8 +27,9 @@ from conngraph import (
     union_edge_probability,
     wilson_interval,
 )
-import conngraph.montecarlo as mc
-from conngraph.montecarlo import _block_plan, _connected_profile, _connected_rows, _edge_arrays
+import conngraph.graphs as graphs
+from conngraph.graphs import _connected_rows, _edge_arrays
+from conngraph.montecarlo import _block_plan, _connected_profile
 
 import support
 
@@ -210,20 +211,20 @@ def test_connected_rows_degenerate_shapes_match_reference():
 def test_connected_rows_sub_block_seams(monkeypatch):
     np_rng = np.random.default_rng(53)
     g = complete_minus_cycle(5)  # n = 5, m = 5
-    step = mc._CONN_SLOTS // g.m
+    step = graphs._CONN_SLOTS // g.m
     for rows in (step - 1, step, step + 1, 2 * step + 3):
         assert_kernels_agree(g.n, g.edges, np_rng.random((rows, g.m)) < 0.6)
     # with a tiny budget every few rows start a sub-block; no sub-block may
     # hold more (row, edge) slots or (row, vertex) ids than the budget
     seen = []
-    kernel = mc._hook_and_shortcut
+    kernel = graphs._hook_and_shortcut
 
     def spy(n, ei, ej, present):
         seen.append(present.shape[0] * max(present.shape[1], n))
         return kernel(n, ei, ej, present)
 
-    monkeypatch.setattr(mc, "_CONN_SLOTS", 35)
-    monkeypatch.setattr(mc, "_hook_and_shortcut", spy)
+    monkeypatch.setattr(graphs, "_CONN_SLOTS", 35)
+    monkeypatch.setattr(graphs, "_hook_and_shortcut", spy)
     for rows in (1, 6, 7, 8, 50):
         assert_kernels_agree(g.n, g.edges, np_rng.random((rows, g.m)) < 0.6)
     assert max(seen) == 35 and len(seen) == 1 + 1 + 1 + 2 + 8
@@ -330,6 +331,31 @@ def test_empirical_connectivity_validation():
         empirical_connectivity(g, 0.5, T=0)
     with pytest.raises(InvalidParameter):
         empirical_connectivity(g, 0.5, trials=0)
+
+
+# each of the five estimators through the one block loop, as (trials, seed) -> call
+ESTIMATORS = {
+    "connectivity": lambda g, trials, seed: empirical_connectivity(g, 0.5, trials=trials, seed=seed),
+    "coupled": lambda g, trials, seed: coupled_monotonicity_check(g, 0.3, 0.6, trials, seed=seed),
+    "lambda2": lambda g, trials, seed: empirical_lambda2_moments(g, 0.5, trials, seed=seed),
+    "ell": lambda g, trials, seed: empirical_ell_moments(g, 0.5, trials, seed=seed),
+    "ell_min": lambda g, trials, seed: empirical_ell_min_mean(g, 0.5, 2, trials, seed=seed),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ESTIMATORS))
+def test_estimators_reject_bad_seed_and_trials(name):
+    estimate = ESTIMATORS[name]
+    g = complete(4)
+    for seed in (-1, -(2**70), 2.5, 3.0, "3", None):
+        with pytest.raises(InvalidParameter, match="seed must be a non-negative integer"):
+            estimate(g, 10, seed)
+    for trials in (2.5, 10.0, "10", None):
+        with pytest.raises(InvalidParameter, match="trials must be an integer"):
+            estimate(g, trials, 0)
+    with pytest.raises(InvalidParameter, match="need at least one trial"):
+        estimate(g, 0, -1)  # the trial count is checked first
+    estimate(g, np.int64(10), np.uint64(2**63))  # numpy integers are integers
 
 
 def test_block_plan_covers_trials():

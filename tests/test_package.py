@@ -1,0 +1,45 @@
+import runpy
+from pathlib import Path
+
+import pytest
+
+import conngraph
+
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
+
+# The package exports each module's __all__; this is the whole public API.
+PUBLIC_NAMES = [
+    "BoundResult", "ConnGraphError", "CoupledCheck", "DEFAULT_CONFIDENCE",
+    "DEFAULT_ENUMERATION_CAP", "DEFAULT_N_CAP", "DEFAULT_T_MAX", "DisconnectedTemplate",
+    "EllMoments", "EmpiricalEstimate", "EmptyUnion", "ExactProbability", "InvalidEdge",
+    "InvalidParameter", "Lambda2Moments", "MismatchedParents", "ModelParams", "NegativeRadicand",
+    "NoConvergence", "NotSymmetric", "SampledGraph", "Spectrum", "TStarNotFound", "TStarResult",
+    "TooManyEdges", "UnderlyingGraph", "__version__", "algebraic_connectivity", "complete",
+    "complete_minus_cycle", "complete_minus_cycle_stats", "complete_stats", "connectivity_bound",
+    "connectivity_bound_at_N", "connectivity_bound_complete", "connectivity_bound_from_stats",
+    "coupled_monotonicity_check", "eigenvalues_symmetric", "ell_first_order_lower", "ell_mean",
+    "ell_variance", "empirical_connectivity", "empirical_ell_min_mean", "empirical_ell_moments",
+    "empirical_lambda2_moments", "exact_connectivity", "from_edge_list", "is_connected",
+    "lambda2_mean_lower", "lambda2_sq_mean_upper", "laplacian", "n_search_max", "r_factor",
+    "read_edge_list", "s_value", "sample_ell", "sample_ell_first_order_statistic", "sample_graph",
+    "sample_union", "sum_degree_squares", "t_star", "t_star_complete", "t_star_from_stats", "union",
+    "union_edge_probability", "wilson_interval", "zero_threshold",
+]
+
+
+def test_public_api_snapshot():
+    assert sorted(conngraph.__all__) == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
+        assert getattr(conngraph, name) is not None
+    namespace = {}
+    exec("from conngraph import *", namespace)
+    assert sorted(k for k in namespace if k != "__builtins__") == PUBLIC_NAMES
+
+
+# eigensolver_checks.py runs the pure-Python Jacobi solver for about 11 s
+# and is left to be run by hand
+@pytest.mark.parametrize("demo", ["bound_vs_truth.py", "desk_scale_sweep.py", "union_horizon.py"])
+def test_demo_runs(demo, capsys):
+    runpy.run_path(str(DEMOS / demo), run_name="__main__")
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) > 3
