@@ -44,6 +44,14 @@ the union equals connectivity of a single sample with the collapsed edge
 probability p_hat(T) = 1 - (1 - p)^T, so every bound extends to unions by
 substitution.  The union horizon search evaluates horizons in growing
 chunks, many cells at once.
+
+The bound does not fall as p rises, hence not as T rises.  At fixed N and
+q = 1 - p, the general ratio is (2m - g S/p)_+^2 / ((n-1) E/p^2), where
+S/p = sqrt(4m(n-1)/p - A1) (S^2 = p (A0 + q A1), A0 + A1 = 4m(n-1)) and
+E/p^2 = 2m(2-p)/p + sum d^2 both fall in p.  The complete ratio is
+(a - g b)_+^2 / ((n-1) E), where a^2/E = n(n-1)p / (2q + np) rises in p and
+b^2/E = 2(n-1)q / (2q + np) falls.  The maximum of such ratios over the
+fixed range 2 <= N <= n_cap, clamped at 1, cannot fall either.
 """
 
 from __future__ import annotations
@@ -189,31 +197,33 @@ def ell_mean(params: ModelParams) -> float:
     return 2.0 * params.m * params.p / (params.n - 1)
 
 
-def _radicand_split(n: int, m: int, deg_sq: int) -> tuple[int, int]:
-    # S^2 = p * (A0 + (1-p) * A1) with exact integer A0, A1; this form adds
-    # nonnegative pieces instead of cancelling three large ones, which keeps
-    # S accurate when p approaches 1 (union horizons push it there).
+def _checked_radicand(radicand: float) -> float:
+    if radicand < _RADICAND_FLOOR:
+        raise NegativeRadicand(f"variance radicand {radicand} is below the rounding floor")
+    return max(radicand, 0.0)
+
+
+def _general_terms(n: int, m: int, deg_sq: int, p, q):
+    """(a, S^2, E) of the general route; p and q may be floats or arrays of horizons.
+
+    S^2 = p (A0 + q A1) with exact integers A0, A1, and E = 2mp(1 + q) + p^2 sum(d^2):
+    sums of nonnegative pieces, not cancellations, so they stay accurate as p
+    nears 1 (union horizons push it there).  S^2 is not checked here.
+    """
     a0 = (n - 1) * (2 * m + deg_sq) - 4 * m * m
     a1 = (n - 1) * (2 * m - deg_sq) + 4 * m * m
-    return a0, a1
+    return 2.0 * m * p, p * (float(a0) + q * float(a1)), 2.0 * m * p * (1.0 + q) + p * p * float(deg_sq)
 
 
-def _radicand(n: int, m: int, deg_sq: int, p, q):
-    # p and q may be floats or arrays of horizons
-    a0, a1 = _radicand_split(n, m, deg_sq)
-    return p * (float(a0) + q * float(a1))
+def _complete_terms(n: int, p, q):
+    """(a, b^2, E) of the complete template's reduced parameterization."""
+    return np.sqrt(n * (n - 1) * p), 2.0 * (n - 1) * q, 2.0 * q + n * p
 
 
-def _checked_radicand(radicand: float) -> float:
-    if radicand < 0.0:
-        if radicand < _RADICAND_FLOOR:
-            raise NegativeRadicand(f"variance radicand {radicand} is below the rounding floor")
-        return 0.0
-    return radicand
-
-
-def _s_squared(n: int, m: int, deg_sq: int, p: float, q: float) -> float:
-    return _checked_radicand(_radicand(n, m, deg_sq, p, q))
+def _model_terms(params: ModelParams) -> tuple[float, float, float]:
+    """(a, S^2, E) of a model, with S^2 checked against the rounding floor."""
+    a, s_sq, energy = _general_terms(params.n, params.m, sum_degree_squares(params.graph), params.p, 1.0 - params.p)
+    return a, _checked_radicand(s_sq), energy
 
 
 def s_value(params: ModelParams) -> float:
@@ -222,15 +232,12 @@ def s_value(params: ModelParams) -> float:
     A radicand between -1e-9 and 0 is treated as rounding noise and clamped
     to zero; anything more negative raises NegativeRadicand.
     """
-    deg_sq = sum_degree_squares(params.graph)
-    return math.sqrt(_s_squared(params.n, params.m, deg_sq, params.p, 1.0 - params.p))
+    return math.sqrt(_model_terms(params)[1])
 
 
 def ell_variance(params: ModelParams) -> float:
     """Variance of the random nontrivial eigenvalue: S^2 / (n - 1)^2."""
-    deg_sq = sum_degree_squares(params.graph)
-    s_sq = _s_squared(params.n, params.m, deg_sq, params.p, 1.0 - params.p)
-    return s_sq / (params.n - 1) ** 2
+    return _model_terms(params)[1] / (params.n - 1) ** 2
 
 
 def ell_first_order_lower(params: ModelParams, N: int) -> float:
@@ -256,34 +263,13 @@ def lambda2_mean_lower(params: ModelParams, N: int) -> float:
     return max(0.0, raw / ((params.n - 1) * r))
 
 
-def _energy(n: int, m: int, deg_sq: int, p, q):
-    # 4mp - 2mp^2 + p^2 deg_sq  ==  2mp(1 + q) + p^2 deg_sq, all positive.
-    return 2.0 * m * p * (1.0 + q) + p * p * float(deg_sq)
-
-
 def lambda2_sq_mean_upper(params: ModelParams) -> float:
     """Upper bound on the mean squared algebraic connectivity.
 
     (4mp - 2mp^2 + p^2 sum(d_i^2)) / (n - 1), evaluated as a sum of
     positive terms.
     """
-    deg_sq = sum_degree_squares(params.graph)
-    return _energy(params.n, params.m, deg_sq, params.p, 1.0 - params.p) / (params.n - 1)
-
-
-def _general_terms(n: int, m: int, deg_sq: int, p, q):
-    """(a, b^2, E) of the general route; p and q may be floats or arrays."""
-    return 2.0 * m * p, _radicand(n, m, deg_sq, p, q), _energy(n, m, deg_sq, p, q)
-
-
-def _complete_terms(n: int, p, q):
-    """(a, b^2, E) of the complete template's reduced parameterization."""
-    return np.sqrt(n * (n - 1) * p), 2.0 * (n - 1) * q, 2.0 * q + n * p
-
-
-def _general_scales(n: int, m: int, deg_sq: int, p: float, q: float) -> tuple[float, float, float]:
-    a, s_sq, energy = _general_terms(n, m, deg_sq, p, q)
-    return a, math.sqrt(_checked_radicand(s_sq)), energy
+    return _model_terms(params)[2] / (params.n - 1)
 
 
 def _range_limit(a: float, b: float, n_cap: int) -> int:
@@ -420,36 +406,23 @@ def _maximize_rows(a: np.ndarray, b: np.ndarray, energy: np.ndarray, n: int, n_c
     return vals, np.flatnonzero(np.isnan(vals))
 
 
+def _bound_result(a: float, b: float, energy: float, n: int, n_cap: int, **ell) -> BoundResult:
+    """Maximize one cell and report it with the ell statistics of its model."""
+    best_n, n_hi, num, den, val = _maximize(a, b, energy, n, n_cap)
+    return BoundResult(val, best_n, n_hi, num, den, **ell)
+
+
 def _general_bound_result(n: int, m: int, deg_sq: int, p: float, q: float, n_cap: int) -> BoundResult:
     a, s_sq, energy = _general_terms(n, m, deg_sq, p, q)
     s_sq = _checked_radicand(s_sq)
-    best_n, n_hi, num, den, val = _maximize(a, math.sqrt(s_sq), energy, n, n_cap)
-    return BoundResult(
-        probability_lower_bound=val,
-        maximizing_n=best_n,
-        n_search_max=n_hi,
-        numerator=num,
-        denominator=den,
-        s_value=math.sqrt(s_sq),
-        mu=2.0 * m * p / (n - 1),
-        sigma_squared=s_sq / (n - 1) ** 2,
-    )
+    s = math.sqrt(s_sq)
+    return _bound_result(a, s, energy, n, n_cap, s_value=s, mu=a / (n - 1), sigma_squared=s_sq / (n - 1) ** 2)
 
 
 def _complete_bound_result(n: int, p: float, q: float, n_cap: int) -> BoundResult:
     a, b_sq, energy = _complete_terms(n, p, q)
-    best_n, n_hi, num, den, val = _maximize(float(a), math.sqrt(b_sq), energy, n, n_cap)
     sigma_sq = 2.0 * n * p * q
-    return BoundResult(
-        probability_lower_bound=val,
-        maximizing_n=best_n,
-        n_search_max=n_hi,
-        numerator=num,
-        denominator=den,
-        s_value=(n - 1) * math.sqrt(sigma_sq),
-        mu=n * p,
-        sigma_squared=sigma_sq,
-    )
+    return _bound_result(float(a), math.sqrt(b_sq), energy, n, n_cap, s_value=(n - 1) * math.sqrt(sigma_sq), mu=n * p, sigma_squared=sigma_sq)
 
 
 def connectivity_bound_at_N(params: ModelParams, N: int) -> float:
@@ -459,9 +432,8 @@ def connectivity_bound_at_N(params: ModelParams, N: int) -> float:
     clamped into [0, 1].
     """
     N = _check_count(N, "N", 2)
-    deg_sq = sum_degree_squares(params.graph)
-    a, b, energy = _general_scales(params.n, params.m, deg_sq, params.p, 1.0 - params.p)
-    return float(_ratio_terms(a, b, energy, params.n, np.array([float(N)]))[2][0])
+    a, s_sq, energy = _model_terms(params)
+    return float(_ratio_terms(a, math.sqrt(s_sq), energy, params.n, np.array([float(N)]))[2][0])
 
 
 def n_search_max(params: ModelParams, n_cap: int = DEFAULT_N_CAP) -> int:
@@ -472,9 +444,8 @@ def n_search_max(params: ModelParams, n_cap: int = DEFAULT_N_CAP) -> int:
     vanishing S^2 yields the cap directly.
     """
     n_cap = _check_count(n_cap, "n_cap", 2)
-    deg_sq = sum_degree_squares(params.graph)
-    a, b, _ = _general_scales(params.n, params.m, deg_sq, params.p, 1.0 - params.p)
-    return _range_limit(a, b, n_cap)
+    a, s_sq, _ = _model_terms(params)
+    return _range_limit(a, math.sqrt(s_sq), n_cap)
 
 
 def connectivity_bound_from_stats(n: int, m: int, deg_sq: int, p: float, n_cap: int = DEFAULT_N_CAP) -> BoundResult:
@@ -495,8 +466,7 @@ def connectivity_bound_from_stats(n: int, m: int, deg_sq: int, p: float, n_cap: 
 def connectivity_bound(params: ModelParams, n_cap: int = DEFAULT_N_CAP) -> BoundResult:
     """Best connectivity lower bound over all admissible draw counts N."""
     n_cap = _check_count(n_cap, "n_cap", 2)
-    deg_sq = sum_degree_squares(params.graph)
-    return _general_bound_result(params.n, params.m, deg_sq, params.p, 1.0 - params.p, n_cap)
+    return _general_bound_result(params.n, params.m, sum_degree_squares(params.graph), params.p, 1.0 - params.p, n_cap)
 
 
 def connectivity_bound_complete(n: int, p: float, n_cap: int = DEFAULT_N_CAP) -> BoundResult:
@@ -524,10 +494,19 @@ def union_edge_probability(p: float, T: int) -> float:
     return -math.expm1(T * math.log1p(-p))
 
 
+def _check_search(p: float, epsilon: float, t_max: int, n_cap: int) -> tuple[float, float, int, int]:
+    """The checked (p, epsilon, t_max, n_cap) of a union horizon search, in that order."""
+    p = _check_open_probability(p)
+    if not 0.0 < float(epsilon) < 1.0:
+        raise InvalidParameter(f"epsilon must lie in (0, 1), got {epsilon}")
+    return p, float(epsilon), _check_count(t_max, "t_max", 1), _check_count(n_cap, "n_cap", 2)
+
+
 def _t_star_scan(terms, n: int, p: float, epsilon: float, t_max: int, n_cap: int) -> TStarResult:
-    # Ascending scan, in chunks of horizons that double in size; monotonicity
-    # of the bound in p is not established, so no bisection.  The scan stops
-    # at the first horizon that meets the target, and after the first whose
+    # Ascending scan, in chunks of horizons that double in size.  The bound
+    # does not decrease in T (module docstring), but every horizon up to T*
+    # is evaluated because the trace reports each one.  The scan stops at
+    # the first horizon that meets the target, and after the first whose
     # complement underflows to zero, since every later horizon evaluates on
     # identical inputs.  A negative radicand raises only if it comes first.
     target = 1.0 - epsilon
@@ -582,17 +561,10 @@ def t_star(
     collapsed probability p_hat(T); raises TStarNotFound (carrying the best
     horizon seen and the whole trace) when t_max is exhausted.
     """
-    p = _check_open_probability(p)
-    if not 0.0 < float(epsilon) < 1.0:
-        raise InvalidParameter(f"epsilon must lie in (0, 1), got {epsilon}")
-    t_max = _check_count(t_max, "t_max", 1)
-    n_cap = _check_count(n_cap, "n_cap", 2)
+    search = _check_search(p, epsilon, t_max, n_cap)
     if graph.n < 3:
         raise InvalidParameter(f"bounds need n >= 3 vertices, got {graph.n}")
-    deg_sq = sum_degree_squares(graph)
-
-    terms = partial(_general_terms, graph.n, graph.m, deg_sq)
-    return _t_star_scan(terms, graph.n, p, float(epsilon), t_max, n_cap)
+    return _t_star_scan(partial(_general_terms, graph.n, graph.m, sum_degree_squares(graph)), graph.n, *search)
 
 
 def t_star_from_stats(
@@ -608,13 +580,7 @@ def t_star_from_stats(
     n = _check_count(n, "n", 3)
     m = _check_count(m, "m", 1)
     deg_sq = _check_count(deg_sq, "deg_sq", 1)
-    p = _check_open_probability(p)
-    if not 0.0 < float(epsilon) < 1.0:
-        raise InvalidParameter(f"epsilon must lie in (0, 1), got {epsilon}")
-    t_max = _check_count(t_max, "t_max", 1)
-    n_cap = _check_count(n_cap, "n_cap", 2)
-
-    return _t_star_scan(partial(_general_terms, n, m, deg_sq), n, p, float(epsilon), t_max, n_cap)
+    return _t_star_scan(partial(_general_terms, n, m, deg_sq), n, *_check_search(p, epsilon, t_max, n_cap))
 
 
 def t_star_complete(
@@ -626,10 +592,4 @@ def t_star_complete(
 ) -> TStarResult:
     """Union horizon search for the complete template via its simplified bound."""
     n = _check_count(n, "n", 3)
-    p = _check_open_probability(p)
-    if not 0.0 < float(epsilon) < 1.0:
-        raise InvalidParameter(f"epsilon must lie in (0, 1), got {epsilon}")
-    t_max = _check_count(t_max, "t_max", 1)
-    n_cap = _check_count(n_cap, "n_cap", 2)
-
-    return _t_star_scan(partial(_complete_terms, n), n, p, float(epsilon), t_max, n_cap)
+    return _t_star_scan(partial(_complete_terms, n), n, *_check_search(p, epsilon, t_max, n_cap))

@@ -64,6 +64,7 @@ from .graphs import (
 )
 from .montecarlo import (
     DEFAULT_CONFIDENCE,
+    _check_confidence,
     empirical_connectivity,
     empirical_lambda2_moments,
     exact_connectivity,
@@ -139,6 +140,8 @@ def _check_flags(args) -> None:
     # --csv - claims stdout for the dataset, so the report is suppressed
     if getattr(args, "csv", None) == "-" and args.json:
         raise InvalidParameter("--json cannot be combined with --csv -")
+    if "confidence" in args:
+        _check_confidence(args.confidence)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ MB whatever the size of the caller's block.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -127,11 +128,10 @@ def from_edge_list(n: int, pairs) -> UnderlyingGraph:
 
 def complete(n: int) -> UnderlyingGraph:
     """Complete template on n vertices; n = 1 gives the single-vertex graph."""
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise InvalidParameter(f"complete graph needs n >= 1, got {n!r}")
+    m, _ = complete_stats(n)
     n = int(n)
     edges = tuple((i, j) for i in range(n) for j in range(i + 1, n))
-    return UnderlyingGraph(n, edges, len(edges), tuple([n - 1] * n))
+    return UnderlyingGraph(n, edges, m, tuple([n - 1] * n))
 
 
 def complete_minus_cycle(n: int) -> UnderlyingGraph:
@@ -140,14 +140,11 @@ def complete_minus_cycle(n: int) -> UnderlyingGraph:
     n = 4 would leave two disjoint diagonals and raises DisconnectedTemplate;
     n < 4 raises InvalidParameter.
     """
-    if not isinstance(n, (int, np.integer)) or n < 4:
-        raise InvalidParameter(f"complete-minus-cycle needs n >= 5, got {n!r}")
+    m, _ = complete_minus_cycle_stats(n)
     n = int(n)
-    if n == 4:
-        raise DisconnectedTemplate("removing a 4-cycle from K4 leaves two disjoint edges")
     cycle = {(i, (i + 1) % n) if i < (i + 1) % n else ((i + 1) % n, i) for i in range(n)}
     edges = tuple((i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in cycle)
-    return UnderlyingGraph(n, edges, len(edges), tuple([n - 3] * n))
+    return UnderlyingGraph(n, edges, m, tuple([n - 3] * n))
 
 
 def complete_stats(n: int) -> tuple[int, int]:
@@ -161,7 +158,7 @@ def complete_stats(n: int) -> tuple[int, int]:
 def complete_minus_cycle_stats(n: int) -> tuple[int, int]:
     """(m, sum of squared degrees) for complete-minus-cycle, no materialization.
 
-    Mirrors the constructor's error behavior for small n.
+    Raises what the constructor raises for small n: the constructor calls it.
     """
     if not isinstance(n, (int, np.integer)) or n < 4:
         raise InvalidParameter(f"complete-minus-cycle needs n >= 5, got {n!r}")
@@ -260,7 +257,7 @@ def _vertices_and_edges(g: UnderlyingGraph | SampledGraph) -> tuple[int, tuple[E
 def _edge_arrays(g: UnderlyingGraph | SampledGraph) -> tuple[np.ndarray, np.ndarray]:
     """The two endpoint arrays of the edges ``_vertices_and_edges`` gives."""
     _, edges = _vertices_and_edges(g)
-    arr = np.asarray(list(edges), dtype=np.intp).reshape(-1, 2)
+    arr = np.fromiter(chain.from_iterable(edges), np.intp, 2 * len(edges)).reshape(-1, 2)
     return arr[:, 0], arr[:, 1]
 
 

@@ -108,14 +108,18 @@ class CoupledCheck:
     dominance_violations: int
 
 
+def _check_confidence(confidence: float) -> None:
+    if not 0.0 < confidence < 1.0:
+        raise InvalidParameter(f"confidence must lie in (0, 1), got {confidence}")
+
+
 def wilson_interval(successes: int, trials: int, confidence: float = DEFAULT_CONFIDENCE) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion, clamped to [0, 1]."""
     if trials < 1:
         raise InvalidParameter(f"need at least one trial, got {trials}")
     if not 0 <= successes <= trials:
         raise InvalidParameter(f"successes {successes} outside [0, {trials}]")
-    if not 0.0 < confidence < 1.0:
-        raise InvalidParameter(f"confidence must lie in (0, 1), got {confidence}")
+    _check_confidence(confidence)
     z = NormalDist().inv_cdf((1.0 + confidence) / 2.0)
     phat = successes / trials
     denom = 1.0 + z * z / trials
@@ -145,16 +149,17 @@ def _block_plan(trials: int, draws_per_trial: int) -> list[int]:
 
 
 def _blocks(trials: int, draws_per_trial: int, seed: int):
-    """Yield (size, generator) for each block of trials, in order.
+    """An iterator of (size, generator) for each block of trials, in order.
 
     Each block draws from its own PCG64 stream spawned from ``seed``, which
-    must be a non-negative integer.
+    must be a non-negative integer.  The trial count and the seed are
+    checked when this is called, before anything is drawn.
     """
     sizes = _block_plan(trials, draws_per_trial)
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise InvalidParameter(f"seed must be a non-negative integer, got {seed!r}")
-    for size, child in zip(sizes, np.random.SeedSequence(seed).spawn(len(sizes))):
-        yield size, np.random.Generator(np.random.PCG64(child))
+    children = np.random.SeedSequence(seed).spawn(len(sizes))
+    return ((size, np.random.Generator(np.random.PCG64(child))) for size, child in zip(sizes, children))
 
 
 def _estimate(successes: int, trials: int, confidence: float) -> EmpiricalEstimate:
@@ -202,9 +207,11 @@ def empirical_connectivity(
     if not isinstance(T, (int, np.integer)) or T < 1:
         raise InvalidParameter(f"need T >= 1 layers, got {T!r}")
     T = int(T)
+    blocks = _blocks(trials, T * parent.m, seed)
+    _check_confidence(confidence)
     ei, ej = _edge_arrays(parent)
     successes = 0
-    for b, gen in _blocks(trials, T * parent.m, seed):
+    for b, gen in blocks:
         present = (gen.random((b, T, parent.m)) < p).any(axis=1)
         successes += int(_connected_rows(parent.n, ei, ej, present).sum())
     return _estimate(successes, trials, confidence)
@@ -364,9 +371,11 @@ def coupled_monotonicity_check(
     p_high = _check_probability(p_high)
     if p_low > p_high:
         raise InvalidParameter(f"p_low {p_low} exceeds p_high {p_high}")
+    blocks = _blocks(trials, parent.m, seed)
+    _check_confidence(confidence)
     ei, ej = _edge_arrays(parent)
     s_low = s_high = violations = 0
-    for b, gen in _blocks(trials, parent.m, seed):
+    for b, gen in blocks:
         u = gen.random((b, parent.m))
         conn_low = _connected_rows(parent.n, ei, ej, u < p_low)
         conn_high = _connected_rows(parent.n, ei, ej, u < p_high)

@@ -34,11 +34,12 @@ from conngraph import (
 )
 from conngraph.bounds import (
     DEFAULT_N_CAP,
+    _checked_radicand,
     _complete_bound_result,
     _general_bound_result,
+    _general_terms,
     _maximize,
     _maximize_rows,
-    _s_squared,
 )
 
 import support
@@ -221,9 +222,9 @@ def test_negative_radicand_on_impossible_stats():
 
 def test_radicand_clamp_boundary():
     # a0 = 0 for these stats; a tiny negative complement lands in the clamp window
-    assert _s_squared(3, 5, 40, 1e-3, -1e-12) == 0.0
+    assert _checked_radicand(_general_terms(3, 5, 40, 1e-3, -1e-12)[1]) == 0.0
     with pytest.raises(NegativeRadicand):
-        _s_squared(3, 5, 40, 1e-3, -1.0)
+        _checked_radicand(_general_terms(3, 5, 40, 1e-3, -1.0)[1])
 
 
 def test_union_edge_probability():
@@ -304,16 +305,74 @@ def test_t_star_variants_agree():
 
 
 def test_t_star_validation():
-    with pytest.raises(InvalidParameter):
-        t_star(complete(3), 0.5, 0.0)
-    with pytest.raises(InvalidParameter):
-        t_star(complete(3), 0.5, 1.0)
-    with pytest.raises(InvalidParameter):
-        t_star(complete(3), 1.0, 0.1)
-    with pytest.raises(InvalidParameter):
-        t_star(complete(2), 0.5, 0.1)
-    with pytest.raises(InvalidParameter):
-        t_star_complete(3, 0.5, 0.1, t_max=0)
+    # the exact message of each single fault, then which of two faults is reported
+    k3, k2 = complete(3), complete(2)
+    p_msg = "need p strictly inside (0, 1), got 1.0"
+    eps_msg = "epsilon must lie in (0, 1), got 0.0"
+    t_max_msg = "t_max must be an integer >= 1, got 0"
+    n_cap_msg = "n_cap must be an integer >= 2, got 1"
+    n_msg = "n must be an integer >= 3, got 2"
+    cases = [
+        (lambda: t_star(k3, 1.0, 0.1), p_msg),
+        (lambda: t_star(k3, 0.5, 0.0), eps_msg),
+        (lambda: t_star(k3, 0.5, 1.0), "epsilon must lie in (0, 1), got 1.0"),
+        (lambda: t_star(k3, 0.5, 0.1, t_max=0), t_max_msg),
+        (lambda: t_star(k3, 0.5, 0.1, n_cap=1), n_cap_msg),
+        (lambda: t_star(k2, 0.5, 0.1), "bounds need n >= 3 vertices, got 2"),
+        (lambda: t_star(k2, 1.0, 0.1), p_msg),
+        (lambda: t_star_from_stats(3, 3, 12, 1.0, 0.1), p_msg),
+        (lambda: t_star_from_stats(3, 3, 12, 0.5, 0.0), eps_msg),
+        (lambda: t_star_from_stats(3, 3, 12, 0.5, 0.1, t_max=0), t_max_msg),
+        (lambda: t_star_from_stats(3, 3, 12, 0.5, 0.1, n_cap=1), n_cap_msg),
+        (lambda: t_star_from_stats(2, 3, 12, 0.5, 0.1), n_msg),
+        (lambda: t_star_from_stats(3, 0, 12, 0.5, 0.1), "m must be an integer >= 1, got 0"),
+        (lambda: t_star_from_stats(3, 3, 0, 0.5, 0.1), "deg_sq must be an integer >= 1, got 0"),
+        (lambda: t_star_from_stats(2, 3, 12, 1.0, 0.0), n_msg),
+        (lambda: t_star_complete(3, 1.0, 0.1), p_msg),
+        (lambda: t_star_complete(3, 0.5, 0.0), eps_msg),
+        (lambda: t_star_complete(3, 0.5, 0.1, t_max=0), t_max_msg),
+        (lambda: t_star_complete(3, 0.5, 0.1, n_cap=1), n_cap_msg),
+        (lambda: t_star_complete(2, 0.5, 0.1), n_msg),
+        (lambda: t_star_complete(2, 1.0, 0.1, t_max=0), n_msg),
+        (lambda: connectivity_bound(K3_HALF, n_cap=1), n_cap_msg),
+        (lambda: connectivity_bound(ModelParams(k3, 1.0)), "bounds need p strictly inside (0, 1), got 1.0"),
+        (lambda: connectivity_bound(ModelParams(k2, 0.5)), "bounds need n >= 3 vertices, got 2"),
+        (lambda: connectivity_bound_from_stats(3, 3, 12, 1.0), p_msg),
+        (lambda: connectivity_bound_from_stats(3, 3, 12, 0.5, n_cap=1), n_cap_msg),
+        (lambda: connectivity_bound_from_stats(2, 3, 12, 0.5), n_msg),
+        (lambda: connectivity_bound_from_stats(3, 0, 12, 0.5), "m must be an integer >= 1, got 0"),
+        (lambda: connectivity_bound_from_stats(3, 3, 0, 0.5), "deg_sq must be an integer >= 1, got 0"),
+        (lambda: connectivity_bound_from_stats(2, 3, 12, 1.0, n_cap=1), n_msg),
+        (lambda: connectivity_bound_complete(3, 1.0), p_msg),
+        (lambda: connectivity_bound_complete(3, 0.5, n_cap=1), n_cap_msg),
+        (lambda: connectivity_bound_complete(2, 0.5), n_msg),
+        (lambda: connectivity_bound_complete(2, 1.0, n_cap=1), n_msg),
+    ]
+    for i, (call, message) in enumerate(cases):
+        with pytest.raises(InvalidParameter) as info:
+            call()
+        assert str(info.value) == message, i
+
+
+def test_bound_never_drops_as_p_rises():
+    # the module docstring's monotonicity argument, checked in floating point
+    # on adjacent p of random graphs' stats and of the complete route
+    rng = random.Random(97)
+    ps = sorted({rng.uniform(0.0, 1.0) for _ in range(60)} | {x for k in range(1, 13) for x in (10.0**-k, 1.0 - 10.0**-k)})
+    steps = 0
+    for _ in range(40):
+        n = rng.randrange(3, 60)
+        g = from_edge_list(n, support.random_connected_graph(rng, n, rng.randrange(0, n * (n - 1) // 2)))
+        deg_sq = sum_degree_squares(g)
+        bounds = [connectivity_bound_from_stats(n, g.m, deg_sq, p).probability_lower_bound for p in ps]
+        assert all(lo <= hi for lo, hi in zip(bounds, bounds[1:])), n
+        steps += len(bounds) - 1
+    for _ in range(40):
+        n = int(10 ** rng.uniform(math.log10(3), 5))
+        bounds = [connectivity_bound_complete(n, p).probability_lower_bound for p in ps]
+        assert all(lo <= hi for lo, hi in zip(bounds, bounds[1:])), n
+        steps += len(bounds) - 1
+    assert steps > 5000
 
 
 def test_bound_result_diagnostics_consistent():

@@ -183,6 +183,22 @@ def test_negative_seed_is_a_typed_usage_error(capsys):
         assert err == "error: seed must be a non-negative integer, got -1\n"
 
 
+def test_bad_confidence_is_a_usage_error_before_sampling(capsys, monkeypatch):
+    def sampled(*args):
+        raise AssertionError("a trial was drawn before confidence was checked")
+
+    monkeypatch.setattr("conngraph.montecarlo._connected_rows", sampled)
+    simulate = ["simulate", "--complete", "60", "--p", "0.1", "--trials", "20000"]
+    sweep = ["sweep", "--family", "complete", "--n-values", "60", "--p-values", "0.1", "--simulate"]
+    for argv in (simulate + ["--confidence", "1.5"], sweep + ["--confidence", "0"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: confidence must lie in (0, 1), got {float(argv[-1])}\n"
+    monkeypatch.setenv("CONNGRAPH_CONFIDENCE", "1.5")
+    for argv in (simulate, sweep):
+        assert run_cli(capsys, *argv) == (2, "", "error: confidence must lie in (0, 1), got 1.5\n")
+
+
 def test_disconnected_template_exit_code(capsys, tmp_path):
     bad = tmp_path / "disc.txt"
     bad.write_text("4\n0 1\n2 3\n")

@@ -11,6 +11,7 @@ from conngraph import (
     InvalidParameter,
     MismatchedParents,
     SampledGraph,
+    UnderlyingGraph,
     complete,
     complete_minus_cycle,
     complete_minus_cycle_stats,
@@ -22,6 +23,8 @@ from conngraph import (
     sum_degree_squares,
     union,
 )
+
+from conngraph.graphs import _edge_arrays
 
 import support
 
@@ -223,6 +226,21 @@ def test_from_edge_list_matches_bfs():
             else:
                 with pytest.raises(DisconnectedTemplate):
                     from_edge_list(n, pairs)
+
+
+def test_edge_arrays_match_list_conversion():
+    rng = random.Random(3)
+    graphs = [complete(1), complete(2), complete(30), complete_minus_cycle(7), SampledGraph(complete(5), frozenset())]
+    for n in (3, 12, 60):
+        parent = from_edge_list(n, support.random_connected_graph(rng, n, rng.randrange(0, n)))
+        graphs += [parent, SampledGraph(parent, frozenset(e for e in parent.edges if rng.random() < 0.5))]
+    for g in graphs:
+        edges = g.edges if isinstance(g, UnderlyingGraph) else g.present
+        want = np.asarray(list(edges), dtype=np.intp).reshape(-1, 2)
+        ei, ej = _edge_arrays(g)
+        assert ei.dtype == ej.dtype == np.intp
+        assert ei.shape == ej.shape == (len(edges),)
+        assert ei.tolist() == want[:, 0].tolist() and ej.tolist() == want[:, 1].tolist()
 
 
 def test_kernel_degenerate_graphs():

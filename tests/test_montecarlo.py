@@ -358,6 +358,27 @@ def test_estimators_reject_bad_seed_and_trials(name):
     estimate(g, np.int64(10), np.uint64(2**63))  # numpy integers are integers
 
 
+def test_confidence_checked_before_any_trial(monkeypatch):
+    def sampled(*args):
+        raise AssertionError("a trial was drawn before confidence was checked")
+
+    monkeypatch.setattr("conngraph.montecarlo._connected_rows", sampled)
+    g = complete(60)
+    for confidence in (1.5, 0.0, 1.0, -0.1, math.nan):
+        message = f"confidence must lie in (0, 1), got {confidence}"
+        with pytest.raises(InvalidParameter) as info:
+            empirical_connectivity(g, 0.1, trials=20_000, confidence=confidence)
+        assert str(info.value) == message
+        with pytest.raises(InvalidParameter) as info:
+            coupled_monotonicity_check(g, 0.1, 0.2, 20_000, confidence=confidence)
+        assert str(info.value) == message
+    # of two faults the trial count comes first, then the seed, then confidence
+    with pytest.raises(InvalidParameter, match="need at least one trial"):
+        empirical_connectivity(g, 0.1, trials=0, seed=-1, confidence=1.5)
+    with pytest.raises(InvalidParameter, match="seed must be a non-negative integer"):
+        coupled_monotonicity_check(g, 0.1, 0.2, 10, seed=-1, confidence=1.5)
+
+
 def test_block_plan_covers_trials():
     rng = random.Random(3)
     for _ in range(30):
