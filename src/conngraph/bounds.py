@@ -7,7 +7,12 @@ have closed forms:
 
     mu      = 2 m p / (n - 1)
     sigma^2 = S^2 / (n - 1)^2,
-    S^2     = 2 m p (n - 1)(2 - p) + p^2 (n - 1) sum(d_i^2) - 4 m^2 p^2
+    S^2     = p (p A0 + q 4m(n-1)),   A0 = (n-1)(2m + sum(d_i^2)) - 4 m^2,
+
+with q = 1 - p.  Over the template's n-1 nontrivial Laplacian eigenvalues,
+sum = 2m and sum of squares = 2m + sum d^2, so by Cauchy-Schwarz A0 =
+(n-1) sum(lambda^2) - (sum lambda)^2 >= 0 and S^2 sums nonnegative terms.
+Statistics with A0 < 0 describe no graph and raise InvalidParameter.
 
 An order-statistic argument turns these into a lower bound on the expected
 algebraic connectivity, a trace argument gives an upper bound on its second
@@ -47,11 +52,11 @@ chunks, many cells at once.
 
 The bound does not fall as p rises, hence not as T rises.  At fixed N and
 q = 1 - p, the general ratio is (2m - g S/p)_+^2 / ((n-1) E/p^2), where
-S/p = sqrt(4m(n-1)/p - A1) (S^2 = p (A0 + q A1), A0 + A1 = 4m(n-1)) and
-E/p^2 = 2m(2-p)/p + sum d^2 both fall in p.  The complete ratio is
-(a - g b)_+^2 / ((n-1) E), where a^2/E = n(n-1)p / (2q + np) rises in p and
-b^2/E = 2(n-1)q / (2q + np) falls.  The maximum of such ratios over the
-fixed range 2 <= N <= n_cap, clamped at 1, cannot fall either.
+S/p = sqrt(A0 + 4m(n-1) q/p) and E/p^2 = 2m(2-p)/p + sum d^2 both fall in
+p.  The complete ratio is (a - g b)_+^2 / ((n-1) E), where
+a^2/E = n(n-1)p / (2q + np) rises in p and b^2/E = 2(n-1)q / (2q + np)
+falls.  The maximum of such ratios over the fixed range 2 <= N <= n_cap,
+clamped at 1, cannot fall either.
 """
 
 from __future__ import annotations
@@ -62,13 +67,12 @@ from functools import partial
 
 import numpy as np
 
-from .errors import InvalidParameter, NegativeRadicand, TStarNotFound
+from .errors import InvalidParameter, TStarNotFound
 from .graphs import UnderlyingGraph, sum_degree_squares
 
 DEFAULT_N_CAP = 10**6
 DEFAULT_T_MAX = 10**5
 
-_RADICAND_FLOOR = -1e-9
 # root of e^y = 1 + 2y: the minimum of g in y = (N-1) L (module docstring)
 _Y_STAR = 1.2564312086261697
 # tau / (a + b g_min): a generous bound on the rounding error of one ratio
@@ -197,22 +201,23 @@ def ell_mean(params: ModelParams) -> float:
     return 2.0 * params.m * params.p / (params.n - 1)
 
 
-def _checked_radicand(radicand: float) -> float:
-    if radicand < _RADICAND_FLOOR:
-        raise NegativeRadicand(f"variance radicand {radicand} is below the rounding floor")
-    return max(radicand, 0.0)
+def _check_size(n: int) -> None:
+    # past 2**53 the draw counts N, up to about n, are no longer exact floats
+    if n > 2**53:
+        raise InvalidParameter(f"bounds need n <= 2**53 = {2**53} vertices, got {n}")
 
 
 def _general_terms(n: int, m: int, deg_sq: int, p, q):
     """(a, S^2, E) of the general route; p and q may be floats or arrays of horizons.
 
-    S^2 = p (A0 + q A1) with exact integers A0, A1, and E = 2mp(1 + q) + p^2 sum(d^2):
-    sums of nonnegative pieces, not cancellations, so they stay accurate as p
-    nears 1 (union horizons push it there).  S^2 is not checked here.
+    S^2 = p (p A0 + q 4m(n-1)) and E = 2mp(1 + q) + p^2 sum(d^2), with A0 an
+    exact integer: sums of nonnegative pieces, so they stay accurate at every
+    p.  A0 < 0 describes no graph (module docstring) and raises InvalidParameter.
     """
     a0 = (n - 1) * (2 * m + deg_sq) - 4 * m * m
-    a1 = (n - 1) * (2 * m - deg_sq) + 4 * m * m
-    return 2.0 * m * p, p * (float(a0) + q * float(a1)), 2.0 * m * p * (1.0 + q) + p * p * float(deg_sq)
+    if a0 < 0:
+        raise InvalidParameter(f"statistics n={n}, m={m}, deg_sq={deg_sq} describe no graph: (n-1)(2m + deg_sq) < 4m^2")
+    return 2.0 * m * p, p * (p * float(a0) + q * float(4 * m * (n - 1))), 2.0 * m * p * (1.0 + q) + p * p * float(deg_sq)
 
 
 def _complete_terms(n: int, p, q):
@@ -221,16 +226,15 @@ def _complete_terms(n: int, p, q):
 
 
 def _model_terms(params: ModelParams) -> tuple[float, float, float]:
-    """(a, S^2, E) of a model, with S^2 checked against the rounding floor."""
-    a, s_sq, energy = _general_terms(params.n, params.m, sum_degree_squares(params.graph), params.p, 1.0 - params.p)
-    return a, _checked_radicand(s_sq), energy
+    """(a, S^2, E) of a model."""
+    return _general_terms(params.n, params.m, sum_degree_squares(params.graph), params.p, 1.0 - params.p)
 
 
 def s_value(params: ModelParams) -> float:
-    """Square root of 2mp(n-1)(2-p) + p^2(n-1)sum(d_i^2) - 4m^2p^2.
+    """Square root of S^2 = 2mp(n-1)(2-p) + p^2(n-1)sum(d_i^2) - 4m^2p^2.
 
-    A radicand between -1e-9 and 0 is treated as rounding noise and clamped
-    to zero; anything more negative raises NegativeRadicand.
+    Evaluated as the nonnegative terms p (p A0 + q 4m(n-1)) of the module
+    docstring; statistics of no graph (A0 < 0) raise InvalidParameter.
     """
     return math.sqrt(_model_terms(params)[1])
 
@@ -408,13 +412,13 @@ def _maximize_rows(a: np.ndarray, b: np.ndarray, energy: np.ndarray, n: int, n_c
 
 def _bound_result(a: float, b: float, energy: float, n: int, n_cap: int, **ell) -> BoundResult:
     """Maximize one cell and report it with the ell statistics of its model."""
+    _check_size(n)
     best_n, n_hi, num, den, val = _maximize(a, b, energy, n, n_cap)
     return BoundResult(val, best_n, n_hi, num, den, **ell)
 
 
 def _general_bound_result(n: int, m: int, deg_sq: int, p: float, q: float, n_cap: int) -> BoundResult:
     a, s_sq, energy = _general_terms(n, m, deg_sq, p, q)
-    s_sq = _checked_radicand(s_sq)
     s = math.sqrt(s_sq)
     return _bound_result(a, s, energy, n, n_cap, s_value=s, mu=a / (n - 1), sigma_squared=s_sq / (n - 1) ** 2)
 
@@ -508,7 +512,8 @@ def _t_star_scan(terms, n: int, p: float, epsilon: float, t_max: int, n_cap: int
     # is evaluated because the trace reports each one.  The scan stops at
     # the first horizon that meets the target, and after the first whose
     # complement underflows to zero, since every later horizon evaluates on
-    # identical inputs.  A negative radicand raises only if it comes first.
+    # identical inputs.
+    _check_size(n)
     target = 1.0 - epsilon
     log_q = math.log1p(-p)
     trace: list[tuple[int, float]] = []
@@ -520,9 +525,9 @@ def _t_star_scan(terms, n: int, p: float, epsilon: float, t_max: int, n_cap: int
         q_hat = np.fromiter(map(math.exp, exponents), float, len(exponents))
         p_hat = -np.fromiter(map(math.expm1, exponents), float, len(exponents))
         a, s_sq, energy = terms(p_hat, q_hat)
-        halts = np.flatnonzero((q_hat == 0.0) | (s_sq < _RADICAND_FLOOR))
+        halts = np.flatnonzero(q_hat == 0.0)
         last = int(halts[0]) if len(halts) else len(horizons) - 1
-        a, b, energy = a[: last + 1], np.sqrt(np.maximum(s_sq[: last + 1], 0.0)), energy[: last + 1]
+        a, b, energy = a[: last + 1], np.sqrt(s_sq[: last + 1]), energy[: last + 1]
         vals, pending = _maximize_rows(a, b, energy, n, n_cap)
         met = np.flatnonzero(vals >= target)
         end = int(met[0]) if len(met) else last
@@ -531,7 +536,6 @@ def _t_star_scan(terms, n: int, p: float, epsilon: float, t_max: int, n_cap: int
             if vals[i] >= target:
                 end = int(i)
                 break
-        _checked_radicand(float(s_sq[end]))  # raises if the stop is a negative radicand
         trace += zip(horizons[: end + 1], vals[: end + 1].tolist())
         if vals[end] >= target:
             return TStarResult(horizons[end], epsilon, float(vals[end]), tuple(trace))

@@ -11,7 +11,6 @@ __all__ = [
     "EmptyUnion",
     "NotSymmetric",
     "NoConvergence",
-    "NegativeRadicand",
     "TooManyEdges",
     "TStarNotFound",
 ]
@@ -47,10 +46,6 @@ class NotSymmetric(ConnGraphError):
 
 class NoConvergence(ConnGraphError):
     """The eigensolver did not reach its tolerance within the sweep budget."""
-
-
-class NegativeRadicand(ConnGraphError):
-    """A variance radicand came out more negative than rounding can explain."""
 
 
 class TooManyEdges(ConnGraphError):

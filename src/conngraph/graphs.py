@@ -120,8 +120,9 @@ def from_edge_list(n: int, pairs) -> UnderlyingGraph:
         raise InvalidParameter(f"vertex count must be a positive integer, got {n!r}")
     n = int(n)
     edges = _normalize_edges(n, pairs)
-    g = UnderlyingGraph(n, edges, len(edges), _degrees(n, edges))
-    if not is_connected(g):
+    # fewer than n - 1 edges cannot connect n vertices: raise before allocating for n
+    g = None if len(edges) < n - 1 else UnderlyingGraph(n, edges, len(edges), _degrees(n, edges))
+    if g is None or not is_connected(g):
         raise DisconnectedTemplate(f"template on {n} vertices with {len(edges)} edges is not connected")
     return g
 

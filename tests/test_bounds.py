@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ import pytest
 from conngraph import (
     InvalidParameter,
     ModelParams,
-    NegativeRadicand,
     TStarNotFound,
+    UnderlyingGraph,
     complete,
     complete_minus_cycle,
     complete_minus_cycle_stats,
@@ -34,10 +35,8 @@ from conngraph import (
 )
 from conngraph.bounds import (
     DEFAULT_N_CAP,
-    _checked_radicand,
     _complete_bound_result,
     _general_bound_result,
-    _general_terms,
     _maximize,
     _maximize_rows,
 )
@@ -215,16 +214,77 @@ def test_n_search_max_honors_cap():
 
 
 def test_negative_radicand_on_impossible_stats():
-    # sum of squared degrees far below (2m)^2 / n cannot come from any graph
-    with pytest.raises(NegativeRadicand):
-        connectivity_bound_from_stats(3, 3, 1, 0.99)
+    # sum of squared degrees far below (2m)^2 / n cannot come from any graph:
+    # (n, m, deg_sq) = (3, 3, 1) gives A0 = 2 * 7 - 36 < 0, which every general
+    # entry point rejects before forming the variance; the graph is hand-made to match
+    fake = UnderlyingGraph(3, ((0, 1),), 3, (1, 0, 0))
+    message = "statistics n=3, m=3, deg_sq=1 describe no graph: (n-1)(2m + deg_sq) < 4m^2"
+    for p in (0.001, 0.5, 0.99):
+        params = ModelParams(fake, p)
+        calls = [
+            lambda: s_value(params),
+            lambda: ell_variance(params),
+            lambda: ell_first_order_lower(params, 2),
+            lambda: lambda2_mean_lower(params, 2),
+            lambda: lambda2_sq_mean_upper(params),
+            lambda: connectivity_bound_at_N(params, 2),
+            lambda: n_search_max(params),
+            lambda: connectivity_bound(params),
+            lambda: connectivity_bound_from_stats(3, 3, 1, p),
+            lambda: t_star(fake, p, 0.01),
+            lambda: t_star_from_stats(3, 3, 1, p, 0.01),
+            lambda: _general_bound_result(3, 3, 1, p, 1.0 - p, DEFAULT_N_CAP),
+        ]
+        for i, call in enumerate(calls):
+            with pytest.raises(InvalidParameter) as info:
+                call()
+            assert str(info.value) == message, (p, i)
 
 
-def test_radicand_clamp_boundary():
-    # a0 = 0 for these stats; a tiny negative complement lands in the clamp window
-    assert _checked_radicand(_general_terms(3, 5, 40, 1e-3, -1e-12)[1]) == 0.0
-    with pytest.raises(NegativeRadicand):
-        _checked_radicand(_general_terms(3, 5, 40, 1e-3, -1.0)[1])
+def _exact_s_squared(n: int, m: int, deg_sq: int, p: float) -> Fraction:
+    p = Fraction(p)
+    return 2 * m * p * (n - 1) * (2 - p) + p * p * (n - 1) * deg_sq - 4 * m * m * p * p
+
+
+def _star(n):
+    return n - 1, n * (n - 1)
+
+
+def _path(n):
+    return n - 1, 4 * n - 6
+
+
+def _hub_and_leaf(n):
+    # n // 50 hubs, each joined to every leaf: K(h, n - h)
+    hubs = max(1, n // 50)
+    return hubs * (n - hubs), hubs * (n - hubs) * n
+
+
+@pytest.mark.parametrize("family", [_star, _path, _hub_and_leaf])
+def test_sigma_squared_matches_exact_fraction(family):
+    # stars and hubs make S^2's expanded form cancel; the evaluated form must not
+    for n in (10, 1000, 10**5, 10**7, 10**9):
+        m, deg_sq = family(n)
+        for p in (1e-9, 1e-6, 1e-3, 0.5, 1 - 1e-9):
+            got = connectivity_bound_from_stats(n, m, deg_sq, p).sigma_squared
+            want = _exact_s_squared(n, m, deg_sq, p) / (n - 1) ** 2
+            assert abs(Fraction(got) - want) <= Fraction(1e-14) * want, (n, p)
+
+
+def test_n_above_2_53_rejected():
+    big = 2**53 + 1
+    calls = [
+        lambda: connectivity_bound_from_stats(big, big - 1, 4 * big - 6, 0.5),
+        lambda: connectivity_bound_complete(big, 0.5),
+        lambda: connectivity_bound_complete(10**16, 1 - 1e-9, n_cap=10**16),
+        lambda: t_star_from_stats(big, big - 1, 4 * big - 6, 0.5, 0.1),
+        lambda: t_star_complete(big, 0.5, 0.1),
+    ]
+    for i, call in enumerate(calls):
+        with pytest.raises(InvalidParameter) as info:
+            call()
+        assert str(info.value).startswith(f"bounds need n <= 2**53 = {2**53} vertices, got "), i
+    assert connectivity_bound_complete(2**53, 0.5).probability_lower_bound == 0.0
 
 
 def test_union_edge_probability():
@@ -511,9 +571,10 @@ def test_t_star_stops_where_the_complement_underflows():
 
 
 def test_t_star_negative_radicand_only_when_reached():
-    # impossible stats: the radicand turns negative from horizon 8 on
-    assert t_star_from_stats(3, 3, 1, 0.1, 0.5).t_star == 7
-    with pytest.raises(TStarNotFound):
+    # impossible stats are rejected before the first horizon, whatever the target or budget
+    with pytest.raises(InvalidParameter):
+        t_star_from_stats(3, 3, 1, 0.1, 0.5)
+    with pytest.raises(InvalidParameter):
         t_star_from_stats(3, 3, 1, 0.1, 0.01, t_max=7)
-    with pytest.raises(NegativeRadicand):
+    with pytest.raises(InvalidParameter):
         t_star_from_stats(3, 3, 1, 0.1, 0.01)

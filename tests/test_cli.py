@@ -206,6 +206,27 @@ def test_disconnected_template_exit_code(capsys, tmp_path):
     assert code == 3
     code, _, _ = run_cli(capsys, "bound", "--complete-minus-cycle", "4", "--p", "0.5")
     assert code == 3
+    # a declared vertex count far above the edge count fails before anything is built
+    huge = tmp_path / "huge.txt"
+    huge.write_text("1000000000000\n0 1\n")
+    code, _, err = run_cli(capsys, "bound", "--edge-list", str(huge), "--p", "0.5")
+    assert code == 3 and "not connected" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bound", "--complete", "9007199254740993", "--p", "0.5"],
+        ["bound", "--complete-minus-cycle", "9007199254740993", "--p", "0.5", "--json"],
+        ["tstar", "--complete", "9007199254740993", "--p", "0.5", "--epsilon", "0.1"],
+        ["tstar", "--complete-minus-cycle", "9007199254740993", "--p", "0.5", "--epsilon", "0.1"],
+        ["sweep", "--family", "complete", "--n-values", "10,9007199254740993", "--p-values", "0.5"],
+    ],
+)
+def test_n_above_2_53_is_a_usage_error(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "bounds need n <= 2**53" in err
 
 
 def test_usage_errors(capsys):

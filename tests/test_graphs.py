@@ -76,6 +76,12 @@ def test_from_edge_list_rejects_disconnected():
         from_edge_list(3, [(0, 1)])
 
 
+def test_from_edge_list_too_few_edges_raises_before_allocating():
+    # a list of n degrees here would need terabytes; fewer than n - 1 edges never connect
+    with pytest.raises(DisconnectedTemplate, match="template on 1000000000000 vertices with 1 edges is not connected"):
+        from_edge_list(10**12, [(0, 1)])
+
+
 def test_complete_minus_cycle_basics():
     g = complete_minus_cycle(5)
     assert g.n == 5

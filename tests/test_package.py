@@ -12,7 +12,7 @@ PUBLIC_NAMES = [
     "BoundResult", "ConnGraphError", "CoupledCheck", "DEFAULT_CONFIDENCE",
     "DEFAULT_ENUMERATION_CAP", "DEFAULT_N_CAP", "DEFAULT_T_MAX", "DisconnectedTemplate",
     "EllMoments", "EmpiricalEstimate", "EmptyUnion", "ExactProbability", "InvalidEdge",
-    "InvalidParameter", "Lambda2Moments", "MismatchedParents", "ModelParams", "NegativeRadicand",
+    "InvalidParameter", "Lambda2Moments", "MismatchedParents", "ModelParams",
     "NoConvergence", "NotSymmetric", "SampledGraph", "Spectrum", "TStarNotFound", "TStarResult",
     "TooManyEdges", "UnderlyingGraph", "__version__", "algebraic_connectivity", "complete",
     "complete_minus_cycle", "complete_minus_cycle_stats", "complete_stats", "connectivity_bound",
