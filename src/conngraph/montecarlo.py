@@ -10,6 +10,11 @@ Every estimator runs one block loop, ``_blocks``, which sizes the blocks of
 trials and hands each its child stream.  Monte Carlo, the coupled check and
 exact enumeration decide connectivity with the package's one kernel,
 ``graphs._connected_rows``, a whole block of edge-presence rows per call.
+
+The exact probability rests on the template's profile of connected edge
+subsets, counted by whichever of two exact methods takes fewer steps: the
+vertex-subset recurrence, about 3^(n-1) steps, for dense templates, and
+enumeration of all 2^m edge subsets for sparse ones.
 """
 
 from __future__ import annotations
@@ -26,7 +31,8 @@ from .graphs import SampledGraph, UnderlyingGraph, _connected_rows, _edge_arrays
 
 DEFAULT_ENUMERATION_CAP = 24
 DEFAULT_CONFIDENCE = 0.95
-_MAX_ENUMERATION_EDGES = 32  # subset ids are uint32
+_MAX_ENUMERATION_EDGES = 32  # subset ids are uint32; the recurrence's int64 needs 3^m < 2^63
+_PAIR_BUDGET = 3**9  # max (S, T) pairs per block of the vertex-subset recurrence
 
 _BLOCK = 8192
 _BLOCK_BUDGET = 1 << 22  # max uniforms drawn per block
@@ -69,9 +75,11 @@ class EmpiricalEstimate:
 
 @dataclass(frozen=True)
 class ExactProbability:
-    """Exact connectivity probability from full edge-subset enumeration.
+    """Exact connectivity probability, from the exact count of connected edge subsets.
 
     ``terms`` counts the connected edge subsets that contribute to the sum.
+    The counts come from the vertex-subset recurrence or from enumerating
+    every edge subset, whichever takes fewer steps; both are exact integers.
     """
 
     value: float
@@ -129,7 +137,11 @@ def wilson_interval(successes: int, trials: int, confidence: float = DEFAULT_CON
 
 
 def _check_probability(p: float) -> float:
-    if not 0.0 <= p <= 1.0:
+    try:
+        inside = 0.0 <= p <= 1.0
+    except TypeError:  # None, a string: not a number at all
+        inside = False
+    if not inside:
         raise InvalidParameter(f"edge probability must lie in [0, 1], got {p}")
     return float(p)
 
@@ -219,7 +231,21 @@ def empirical_connectivity(
 
 @lru_cache(maxsize=64)
 def _connected_profile(parent: UnderlyingGraph) -> tuple[int, ...]:
-    """Count connected edge subsets of each size, by exhaustive enumeration."""
+    """Count connected spanning edge subsets of each size, k = 0 .. m.
+
+    Two exact methods give the same counts; this takes the one with fewer
+    steps.  The vertex-subset recurrence costs about 3^(n-1) steps and
+    enumeration 2^m, so the recurrence is used when 3^(n-1) <= 2^m (every
+    dense template) and enumeration otherwise (trees, cycles and other
+    sparse templates, where n is close to m).
+    """
+    if 3 ** (parent.n - 1) <= 2**parent.m:
+        return _profile_by_recurrence(parent)
+    return _profile_by_enumeration(parent)
+
+
+def _profile_by_enumeration(parent: UnderlyingGraph) -> tuple[int, ...]:
+    """The profile from all 2^m edge subsets, a block of presence rows at a time."""
     m, n = parent.m, parent.n
     ei, ej = _edge_arrays(parent)
     bits = np.uint32(1) << np.arange(m, dtype=np.uint32)
@@ -235,16 +261,130 @@ def _connected_profile(parent: UnderlyingGraph) -> tuple[int, ...]:
     return tuple(int(c) for c in counts)
 
 
-def exact_connectivity(parent: UnderlyingGraph, p: float, cap: int = DEFAULT_ENUMERATION_CAP) -> ExactProbability:
-    """Exact connectivity probability by summing over all 2^m edge subsets.
+def _profile_by_recurrence(parent: UnderlyingGraph) -> tuple[int, ...]:
+    """The profile from the vertex-subset recurrence for connected spanning subgraphs.
 
-    Each connected subset E' contributes p^|E'| (1-p)^(m-|E'|).  Graphs with
+    Gilbert (1959, *Random graphs*); Colbourn (1987, *The Combinatorics of
+    Network Reliability*).  Fix vertex 0.  Every edge subset of the induced
+    subgraph on a vertex set S that holds 0 splits into the component T of
+    vertex 0, no edge between T and S - T, and any edges inside S - T, so
+    with G(X) = (1 + x)^e(X), e(X) the number of template edges inside X,
+    the generating polynomial C(S) of connected spanning subsets of S is
+
+        C(S) = G(S) - sum over 0 in T, T a proper subset of S, of C(T) G(S - T).
+
+    The polynomials are kept in the basis y = 1 + x, where G(X) = y^e(X) and
+    each product is C(T) shifted up by e(S - T).  Sets are taken one size
+    at a time, so every C(T) a set needs is final when the set is reached;
+    C(V) is turned back into powers of x with Python ints at the end.
+
+    Why int64 is exact: any partial sum of C(S) is G(S) minus some of the
+    terms C(T) G(S - T), each of which counts edge subsets of S with
+    nonnegative coefficients that sum, over all T, to at most G(S).  So in
+    the x basis coefficient k of a partial sum lies in [0, C(e, k)], e =
+    e(S), and in the y basis (x = y - 1) each coefficient has magnitude at
+    most sum_k C(e, k) C(k, j) = C(e, j) 2^(e - j) <= 3^e.  With m <= 32 that
+    is below 2^51, and nothing wraps.
+
+    Memory: the coefficient table holds 2^(n-1) rows of m + 1 int64 (6.5 MB
+    at n = 16, m = 24, the largest the default cap sends here).  The (S, T)
+    pairs, about 3^(n-1) of them, are formed in blocks of at most
+    ``_PAIR_BUDGET``: a cached table over the low vertices, offset by each
+    assignment of the remaining high vertices.
+    """
+    n, m = parent.n, parent.m
+    inside = _edges_inside(parent)
+    # sets of the other n - 1 vertices, bit v - 1 for vertex v: e(S) with 0 added, e(R) without
+    e_with0, e_rest = inside[1::2], inside[0::2]
+    width = m + 1
+    sets = 1 << (n - 1)
+    # row S holds the y-coefficients of C({0} | S); a spare row takes the zero
+    # coefficients that the shifts below carry past the last row
+    coef = np.zeros((sets + 1) * width, dtype=np.int64)
+    coef[np.arange(sets) * width + e_with0] = 1
+    low = 0
+    while low < n - 1 and 3 ** (low + 1) <= _PAIR_BUDGET:
+        low += 1
+    s_low, t_low, r_low, low_bounds = _pair_table(low)
+    s_high, t_high, r_high, high_bounds = _pair_table(n - 1 - low)
+    for size in range(1, n):
+        for size_high in range(max(0, size - low), min(size, n - 1 - low) + 1):
+            size_low = size - size_high
+            for h in range(high_bounds[2 * size_high], high_bounds[2 * size_high + 2]):
+                # T = S is not a pair: when R has no high vertex, skip the low triples with R empty
+                start = low_bounds[2 * size_low + int(r_high[h] == 0)]
+                stop = low_bounds[2 * size_low + 2]
+                if start < stop:
+                    s = s_low[start:stop] | (int(s_high[h]) << low)
+                    t = t_low[start:stop] | (int(t_high[h]) << low)
+                    r = r_low[start:stop] | (int(r_high[h]) << low)
+                    _subtract_pairs(coef, width, s, t, e_rest[r], int(e_with0[t].max()) + 1)
+    in_y = [int(c) for c in coef[(sets - 1) * width : sets * width]]
+    return tuple(sum(in_y[k] * math.comb(k, j) for k in range(j, width)) for j in range(width))
+
+
+def _subtract_pairs(coef: np.ndarray, width: int, s: np.ndarray, t: np.ndarray, shift: np.ndarray, span: int) -> None:
+    """C(S) -= C(T) y^shift for each pair, in place, reading coefficients 0 .. span - 1 of C(T).
+
+    ``span`` exceeds every e(T) of the block, and C(T) has no term above
+    y^e(T).  Coefficient j of a pair lands in row S at column shift + j, or
+    in the next row when that passes m; only zero coefficients go that far,
+    because shift + e(T) <= e(S) <= m.
+    """
+    j = np.arange(span)
+    np.subtract.at(coef, ((s * width + shift)[:, None] + j).ravel(), coef[(t * width)[:, None] + j].ravel())
+
+
+def _edges_inside(parent: UnderlyingGraph) -> np.ndarray:
+    """e(X) for all 2^n vertex sets X, bit v for vertex v: template edges with both ends in X."""
+    below = [0] * parent.n  # bit i of below[j] marks an edge (i, j) with i < j
+    for i, j in parent.edges:
+        below[j] |= 1 << i
+    inside = np.zeros(1, dtype=np.int64)
+    for v in range(parent.n):
+        # the sets that add vertex v gain its edges to the lower vertices they hold
+        sets = np.arange(inside.size, dtype=np.int64)
+        inside = np.concatenate((inside, inside + np.bitwise_count(sets & below[v])))
+    return inside
+
+
+@lru_cache(maxsize=16)
+def _pair_table(width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, ...]]:
+    """All (S, T, R) over ``width`` vertices with T, R a split of S, grouped by |S|.
+
+    Each vertex is outside S, in T or in R, so there are 3^width triples.
+    They are sorted by the key 2 |S| + (R nonempty), and ``bounds[key]`` is
+    where a key starts: the triples with |S| = k are
+    ``bounds[2k]:bounds[2k + 2]``, and those with R nonempty start at
+    ``bounds[2k + 1]``.  The table depends only on ``width``.
+    """
+    s = t = np.zeros(1, dtype=np.int64)
+    for b in range(width):
+        bit = 1 << b
+        s = np.concatenate((s, s | bit, s | bit))
+        t = np.concatenate((t, t | bit, t))
+    r = s ^ t
+    key = 2 * np.bitwise_count(s).astype(np.int64) + (r != 0)
+    order = np.argsort(key, kind="stable")
+    bounds = np.searchsorted(key[order], np.arange(2 * width + 3))
+    return s[order], t[order], r[order], tuple(int(b) for b in bounds)
+
+
+def exact_connectivity(parent: UnderlyingGraph, p: float, cap: int = DEFAULT_ENUMERATION_CAP) -> ExactProbability:
+    """Exact connectivity probability, summed over the connected edge subsets.
+
+    Each connected spanning subset E' contributes p^|E'| (1-p)^(m-|E'|).
+    The number of such subsets of each size comes from ``_connected_profile``,
+    which counts them exactly either by the vertex-subset recurrence (dense
+    templates) or by enumerating all 2^m subsets (sparse ones).  Graphs with
     more than ``cap`` edges raise TooManyEdges, and so does any graph with
-    more than 32 edges whatever ``cap`` says: subset ids are uint32.  The
-    subset profile depends only on the template, so repeated calls at
-    different p reuse it.
+    more than 32 edges whatever ``cap`` says.  ``cap`` must be a
+    non-negative integer.  The profile depends only on the template, so
+    repeated calls at different p reuse it.
     """
     p = _check_probability(p)
+    if isinstance(cap, bool) or not isinstance(cap, (int, np.integer)) or cap < 0:
+        raise InvalidParameter(f"enumeration cap must be a non-negative integer, got {cap!r}")
     cap = min(cap, _MAX_ENUMERATION_EDGES)
     if parent.m > cap:
         raise TooManyEdges(f"graph has {parent.m} edges, enumeration cap is {cap}")

@@ -1,10 +1,12 @@
-"""Every pinned bound-grid case, run through the benchmark's own op and check.
+"""Every pinned bound-grid and exact case, run through the benchmark's own ops and checks.
 
-The benchmark under perfbench/ pins the bound core's outputs; running those
-pins here makes a change that the benchmark would reject fail the tests too.
-Nothing under perfbench/ is written: edge-list files go to tmp_path.
+The benchmark under perfbench/ pins the bound core's and the exact oracle's
+outputs; running those pins here makes a change that the benchmark would
+reject fail the tests too.  Nothing under perfbench/ is written: edge-list
+files go to tmp_path.
 """
 
+import random
 import sys
 from pathlib import Path
 
@@ -16,21 +18,40 @@ import support
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import bound_grid  # noqa: E402
+import exact_oracle  # noqa: E402
 from harness import Context, load_pins  # noqa: E402
 
 
-def test_bound_grid_pins_hold(tmp_path):
-    ctx = Context(conngraph, conngraph.cli, support, tmp_path)
-    cases = load_pins(bound_grid.NAME)
+def _failures(ops):
     failures = []
-    for case in cases:
-        op = bound_grid.make_op(ctx, case)
+    for op in ops:
         try:
             out = op.call()
         except Exception as exc:  # noqa: BLE001 - the check decides whether it was expected
             out = exc
         error = op.check(out)
         if error is not None:
-            failures.append((case["slot"], error))
+            failures.append((op.kind, error))
+    return failures
+
+
+def test_bound_grid_pins_hold(tmp_path):
+    ctx = Context(conngraph, conngraph.cli, support, tmp_path)
+    cases = load_pins(bound_grid.NAME)
     assert len(cases) > 600
-    assert failures == []
+    assert _failures(bound_grid.make_op(ctx, case) for case in cases) == []
+
+
+def test_exact_oracle_pins_hold(tmp_path):
+    # each exact case: a cold call on a fresh relabeling, then warm calls at its other p
+    ctx = Context(conngraph, conngraph.cli, support, tmp_path)
+    rng = random.Random(0)
+    ops = []
+    for case in load_pins(exact_oracle.NAME):
+        if case["slot"].startswith("exact."):
+            ops += exact_oracle.exact_group(ctx, case, rng)
+        elif case["slot"] in ("cli.exact", "cli.exact.toomany"):
+            ops.append(exact_oracle.make_op(ctx, case, rng))
+    kinds = [op.kind for op in ops]
+    assert (kinds.count("exact.cold"), kinds.count("exact.warm"), kinds.count("cli.exact.toomany")) == (50, 200, 2)
+    assert _failures(ops) == []

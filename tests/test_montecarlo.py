@@ -7,6 +7,7 @@ import pytest
 from conngraph import (
     InvalidParameter,
     TooManyEdges,
+    UnderlyingGraph,
     complete,
     complete_minus_cycle,
     coupled_monotonicity_check,
@@ -29,6 +30,7 @@ from conngraph import (
 )
 import conngraph.graphs as graphs
 from conngraph.graphs import _connected_rows, _edge_arrays
+import conngraph.montecarlo as mc
 from conngraph.montecarlo import _block_plan, _connected_profile
 
 import support
@@ -115,6 +117,142 @@ def test_exact_enumeration_refuses_more_than_32_edges():
     # subset ids are uint32: a larger cap must not start a 2^36 enumeration
     with pytest.raises(TooManyEdges, match="cap is 32"):
         exact_connectivity(complete(9), 0.5, cap=40)  # m = 36
+
+
+def test_exact_cap_must_be_a_nonnegative_integer():
+    for cap in (None, "x", float("nan"), 2.0, -1, True):
+        with pytest.raises(InvalidParameter, match="cap must be a non-negative integer"):
+            exact_connectivity(complete(3), 0.5, cap=cap)
+    # min(nan, 32) is nan and m > nan is False: nan would start a 2^36 enumeration
+    with pytest.raises(InvalidParameter):
+        exact_connectivity(complete(9), 0.5, cap=float("nan"))
+    assert exact_connectivity(complete(3), 0.5, cap=np.int64(3)).terms == 4
+    with pytest.raises(TooManyEdges, match="cap is 0"):
+        exact_connectivity(complete(2), 0.5, cap=0)
+
+
+def test_non_numeric_probability_is_a_typed_error():
+    g = complete(4)
+    calls = [
+        lambda p: exact_connectivity(g, p),
+        lambda p: empirical_connectivity(g, p, trials=10),
+        lambda p: sample_graph(g, p, np.random.default_rng(0)),
+        lambda p: sample_union(g, p, 2, np.random.default_rng(0)),
+        lambda p: coupled_monotonicity_check(g, p, 0.9, trials=10),
+        lambda p: coupled_monotonicity_check(g, 0.1, p, trials=10),
+        lambda p: empirical_lambda2_moments(g, p, trials=10),
+        lambda p: empirical_ell_moments(g, p, trials=10),
+        lambda p: empirical_ell_min_mean(g, p, 2, trials=10),
+    ]
+    for p in (None, "0.5", [0.5], object()):
+        for call in calls:
+            with pytest.raises(InvalidParameter, match="edge probability"):
+                call(p)
+
+
+def _both_methods(g):
+    """The profile by the recurrence, after checking that enumeration gives the same."""
+    by_recurrence = mc._profile_by_recurrence(g)
+    assert by_recurrence == mc._profile_by_enumeration(g), (g.n, g.edges)
+    return by_recurrence
+
+
+def _path_star_cycle(n):
+    path = [(i, i + 1) for i in range(n - 1)]
+    star = [(0, i) for i in range(1, n)]
+    return [path, star] + ([path + [(0, n - 1)]] if n >= 3 else [])
+
+
+def test_profile_methods_agree_at_every_density():
+    rng = random.Random(41)
+    for n in range(2, 9):
+        # every edge count up to complete for n <= 6; enumeration bounds n = 7, 8 at 16 edges
+        top = n * (n - 1) // 2 if n <= 6 else 16
+        for m in range(n - 1, top + 1):
+            tree = support.random_connected_graph(rng, n, 0)
+            rest = [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in tree]
+            _both_methods(from_edge_list(n, tree + rng.sample(rest, m - n + 1)))
+
+
+def test_profile_methods_agree_on_trees_stars_and_cycles():
+    rng = random.Random(43)
+    for n in range(1, 13):
+        tree = support.random_connected_graph(rng, n, 0)
+        for edges in [tree] + (_path_star_cycle(n) if n >= 2 else []):
+            counts = _both_methods(from_edge_list(n, edges))
+            # a tree's only connected spanning subset is itself; a cycle's are it and its n paths
+            want = [0] * (n - 1) + [1] if len(edges) == n - 1 else [0] * (n - 1) + [n, 1]
+            assert list(counts) == want
+
+
+def test_profile_methods_agree_on_complete_families():
+    for n in range(1, 8):
+        _both_methods(complete(n))
+    for n in range(5, 9):
+        _both_methods(complete_minus_cycle(n))
+
+
+def test_profile_methods_at_no_edges_and_two_vertices():
+    assert _both_methods(complete(1)) == (1,)
+    assert _both_methods(complete(2)) == (0, 1)
+    # two vertices and no edge is disconnected: nothing is counted
+    assert _both_methods(UnderlyingGraph(2, (), 0, (0, 0))) == (0,)
+
+
+def test_profile_methods_match_brute_force():
+    rng = random.Random(47)
+    graphs_ = [complete(5), complete_minus_cycle(6), from_edge_list(10, _path_star_cycle(10)[2])]
+    graphs_ += [from_edge_list(n, support.random_connected_graph(rng, n, extra)) for n, extra in [(6, 6), (8, 3), (9, 3), (7, 5)]]
+    for g in graphs_:
+        assert g.m <= 12
+        want = support.connected_count_by_size(g.n, g.edges)
+        assert list(mc._profile_by_recurrence(g)) == want
+        assert list(mc._profile_by_enumeration(g)) == want
+        p = rng.uniform(0.1, 0.9)
+        value, count = support.brute_force_connectivity(g.n, g.edges, p)
+        got = exact_connectivity(g, p)
+        assert got.value == pytest.approx(value, rel=1e-12)
+        assert got.terms == count
+
+
+def test_complete_totals_match_oeis_a001187():
+    # connected labeled graphs on n nodes, OEIS A001187
+    a001187 = [1, 1, 4, 38, 728, 26704, 1866256, 251548592]
+    assert [sum(_connected_profile(complete(n))) for n in range(1, 9)] == a001187
+    # K8 has 28 edges: 2^28 subsets were out of reach by enumeration alone
+    got = exact_connectivity(complete(8), 0.5, cap=28)
+    assert got.terms == 251548592
+    assert got.value == 251548592 / 2**28
+
+
+def test_profile_rule_takes_the_method_with_fewer_steps(monkeypatch):
+    calls = []
+    for name in ("_profile_by_recurrence", "_profile_by_enumeration"):
+        real = getattr(mc, name)
+        monkeypatch.setattr(mc, name, lambda g, real=real, name=name: calls.append((name, g.n, g.m)) or real(g))
+    cycle = from_edge_list(14, [(i, (i + 1) % 14) for i in range(14)])
+    assert _connected_profile.__wrapped__(cycle) == tuple([0] * 13 + [14, 1])
+    assert sum(_connected_profile.__wrapped__(complete(7))) == 1866256
+    # 3^13 > 2^14 for the 14-cycle; 3^6 <= 2^21 for K7
+    assert calls == [("_profile_by_enumeration", 14, 14), ("_profile_by_recurrence", 7, 21)]
+
+
+def test_recurrence_blocks_stay_within_the_pair_budget(monkeypatch):
+    rng = random.Random(53)
+    small = from_edge_list(9, support.random_connected_graph(rng, 9, 10))
+    large = from_edge_list(12, support.random_connected_graph(rng, 12, 8))
+    want = {g: mc._profile_by_recurrence(g) for g in (small, large)}
+    assert want[small] == mc._profile_by_enumeration(small)
+    blocks = []
+    real = mc._subtract_pairs
+    monkeypatch.setattr(mc, "_subtract_pairs", lambda coef, width, s, *rest: blocks.append(s.size) or real(coef, width, s, *rest))
+    # the default budget splits 12 vertices into blocks; tiny budgets move every seam
+    for g, budget in [(large, mc._PAIR_BUDGET), (small, 1), (small, 3), (small, 9), (small, 81)]:
+        monkeypatch.setattr(mc, "_PAIR_BUDGET", budget)
+        blocks.clear()
+        assert mc._profile_by_recurrence(g) == want[g]
+        assert 0 < max(blocks) <= budget
+        assert sum(blocks) == 3 ** (g.n - 1) - 2 ** (g.n - 1)
 
 
 def test_connected_rows_against_bfs():
