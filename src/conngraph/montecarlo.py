@@ -286,8 +286,10 @@ def _profile_by_recurrence(parent: UnderlyingGraph) -> tuple[int, ...]:
     most sum_k C(e, k) C(k, j) = C(e, j) 2^(e - j) <= 3^e.  With m <= 32 that
     is below 2^51, and nothing wraps.
 
-    Memory: the coefficient table holds 2^(n-1) rows of m + 1 int64 (6.5 MB
-    at n = 16, m = 24, the largest the default cap sends here).  The (S, T)
+    Memory: the coefficient table holds 2^(n-1) rows of m + 1 int64, and
+    the pair budget does not limit it: 6.5 MB at n = 16, m = 24, the largest
+    the default cap sends here, and at worst 277 MB at n = 21, m = 32, the
+    largest the 32-edge clamp allows (3^20 <= 2^32).  The (S, T)
     pairs, about 3^(n-1) of them, are formed in blocks of at most
     ``_PAIR_BUDGET``: a cached table over the low vertices, offset by each
     assignment of the remaining high vertices.
@@ -337,14 +339,17 @@ def _subtract_pairs(coef: np.ndarray, width: int, s: np.ndarray, t: np.ndarray, 
 
 def _edges_inside(parent: UnderlyingGraph) -> np.ndarray:
     """e(X) for all 2^n vertex sets X, bit v for vertex v: template edges with both ends in X."""
-    below = [0] * parent.n  # bit i of below[j] marks an edge (i, j) with i < j
+    below = [0] * parent.n  # bit i of below[j] marks an edge between i and j > i, in either order
     for i, j in parent.edges:
-        below[j] |= 1 << i
-    inside = np.zeros(1, dtype=np.int64)
+        below[max(i, j)] |= 1 << min(i, j)
+    sets = np.arange(1 << parent.n, dtype=np.int64)
+    size = np.zeros(sets.size, dtype=np.int64)  # size[X] = |X|, filled alongside
+    inside = np.zeros(sets.size, dtype=np.int64)
     for v in range(parent.n):
-        # the sets that add vertex v gain its edges to the lower vertices they hold
-        sets = np.arange(inside.size, dtype=np.int64)
-        inside = np.concatenate((inside, inside + np.bitwise_count(sets & below[v])))
+        # the sets whose top vertex is v gain its edges to the lower vertices they hold
+        low = 1 << v
+        size[low : 2 * low] = size[:low] + 1
+        inside[low : 2 * low] = inside[:low] + size[sets[:low] & below[v]]
     return inside
 
 
@@ -358,13 +363,14 @@ def _pair_table(width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[i
     ``bounds[2k]:bounds[2k + 2]``, and those with R nonempty start at
     ``bounds[2k + 1]``.  The table depends only on ``width``.
     """
-    s = t = np.zeros(1, dtype=np.int64)
+    s = t = size = np.zeros(1, dtype=np.int64)
     for b in range(width):
         bit = 1 << b
         s = np.concatenate((s, s | bit, s | bit))
         t = np.concatenate((t, t | bit, t))
+        size = np.concatenate((size, size + 1, size + 1))
     r = s ^ t
-    key = 2 * np.bitwise_count(s).astype(np.int64) + (r != 0)
+    key = 2 * size + (r != 0)
     order = np.argsort(key, kind="stable")
     bounds = np.searchsorted(key[order], np.arange(2 * width + 3))
     return s[order], t[order], r[order], tuple(int(b) for b in bounds)

@@ -190,6 +190,10 @@ def test_profile_methods_agree_on_complete_families():
         _both_methods(complete(n))
     for n in range(5, 9):
         _both_methods(complete_minus_cycle(n))
+    # a hand-built template may store an edge as (j, i) with j > i
+    for g in (complete(6), complete_minus_cycle(7)):
+        flipped = UnderlyingGraph(g.n, tuple((j, i) for i, j in g.edges), g.m, g.degrees)
+        assert _both_methods(flipped) == _both_methods(g)
 
 
 def test_profile_methods_at_no_edges_and_two_vertices():
@@ -197,6 +201,14 @@ def test_profile_methods_at_no_edges_and_two_vertices():
     assert _both_methods(complete(2)) == (0, 1)
     # two vertices and no edge is disconnected: nothing is counted
     assert _both_methods(UnderlyingGraph(2, (), 0, (0, 0))) == (0,)
+
+
+def test_recurrence_needs_no_numpy_2_popcount(monkeypatch):
+    # pyproject allows numpy 1.24, which has no np.bitwise_count
+    monkeypatch.delattr(np, "bitwise_count", raising=False)
+    mc._pair_table.cache_clear()
+    for g in (complete(7), complete_minus_cycle(8)):
+        assert mc._profile_by_recurrence(g) == mc._profile_by_enumeration(g)
 
 
 def test_profile_methods_match_brute_force():
