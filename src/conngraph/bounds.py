@@ -67,7 +67,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import InvalidParameter, TStarNotFound
+from .errors import InvalidParameter, TStarNotFound, _check_count, _check_fraction
 from .graphs import UnderlyingGraph, sum_degree_squares
 
 DEFAULT_N_CAP = 10**6
@@ -124,11 +124,8 @@ class ModelParams:
     p: float
 
     def __post_init__(self):
-        object.__setattr__(self, "p", float(self.p))
-        if not 0.0 < self.p < 1.0:
-            raise InvalidParameter(f"bounds need p strictly inside (0, 1), got {self.p}")
-        if self.graph.n < 3:
-            raise InvalidParameter(f"bounds need n >= 3 vertices, got {self.graph.n}")
+        object.__setattr__(self, "p", _check_fraction(self.p, "p"))
+        _check_count(self.graph.n, "n", 3)
 
     @property
     def n(self) -> int:
@@ -170,19 +167,6 @@ class TStarResult:
     epsilon: float
     bound_at_t_star: float
     trace: tuple[tuple[int, float], ...]
-
-
-def _check_open_probability(p: float) -> float:
-    p = float(p)
-    if not 0.0 < p < 1.0:
-        raise InvalidParameter(f"need p strictly inside (0, 1), got {p}")
-    return p
-
-
-def _check_count(value, name: str, minimum: int) -> int:
-    if not isinstance(value, (int, np.integer)) or value < minimum:
-        raise InvalidParameter(f"{name} must be an integer >= {minimum}, got {value!r}")
-    return int(value)
 
 
 def r_factor(N: int, n: int) -> float:
@@ -463,7 +447,7 @@ def connectivity_bound_from_stats(n: int, m: int, deg_sq: int, p: float, n_cap: 
     m = _check_count(m, "m", 1)
     deg_sq = _check_count(deg_sq, "deg_sq", 1)
     n_cap = _check_count(n_cap, "n_cap", 2)
-    p = _check_open_probability(p)
+    p = _check_fraction(p, "p")
     return _general_bound_result(n, m, deg_sq, p, 1.0 - p, n_cap)
 
 
@@ -483,15 +467,13 @@ def connectivity_bound_complete(n: int, p: float, n_cap: int = DEFAULT_N_CAP) ->
     """
     n = _check_count(n, "n", 3)
     n_cap = _check_count(n_cap, "n_cap", 2)
-    p = _check_open_probability(p)
+    p = _check_fraction(p, "p")
     return _complete_bound_result(n, p, 1.0 - p, n_cap)
 
 
 def union_edge_probability(p: float, T: int) -> float:
     """Collapsed edge probability of a T-fold union: 1 - (1 - p)^T."""
-    p = float(p)
-    if not 0.0 <= p <= 1.0:
-        raise InvalidParameter(f"edge probability must lie in [0, 1], got {p}")
+    p = _check_fraction(p, "p", closed=True)
     T = _check_count(T, "T", 1)
     if p == 1.0:
         return 1.0
@@ -500,10 +482,12 @@ def union_edge_probability(p: float, T: int) -> float:
 
 def _check_search(p: float, epsilon: float, t_max: int, n_cap: int) -> tuple[float, float, int, int]:
     """The checked (p, epsilon, t_max, n_cap) of a union horizon search, in that order."""
-    p = _check_open_probability(p)
-    if not 0.0 < float(epsilon) < 1.0:
-        raise InvalidParameter(f"epsilon must lie in (0, 1), got {epsilon}")
-    return p, float(epsilon), _check_count(t_max, "t_max", 1), _check_count(n_cap, "n_cap", 2)
+    return (
+        _check_fraction(p, "p"),
+        _check_fraction(epsilon, "epsilon"),
+        _check_count(t_max, "t_max", 1),
+        _check_count(n_cap, "n_cap", 2),
+    )
 
 
 def _t_star_scan(terms, n: int, p: float, epsilon: float, t_max: int, n_cap: int) -> TStarResult:
@@ -566,8 +550,7 @@ def t_star(
     horizon seen and the whole trace) when t_max is exhausted.
     """
     search = _check_search(p, epsilon, t_max, n_cap)
-    if graph.n < 3:
-        raise InvalidParameter(f"bounds need n >= 3 vertices, got {graph.n}")
+    _check_count(graph.n, "n", 3)
     return _t_star_scan(partial(_general_terms, graph.n, graph.m, sum_degree_squares(graph)), graph.n, *search)
 
 

@@ -49,6 +49,8 @@ from .errors import (
     InvalidParameter,
     TooManyEdges,
     TStarNotFound,
+    _check_count,
+    _check_fraction,
 )
 from .graphs import (
     UnderlyingGraph,
@@ -64,7 +66,6 @@ from .graphs import (
 )
 from .montecarlo import (
     DEFAULT_CONFIDENCE,
-    _check_confidence,
     empirical_connectivity,
     empirical_lambda2_moments,
     exact_connectivity,
@@ -128,20 +129,18 @@ def _csv_list(cast, kind: str):
 def _check_flags(args) -> None:
     """Reject bad shared flags before a command reads or builds anything."""
     for p in [args.p] if "p" in args else getattr(args, "p_values", []):
-        if not 0.0 < p < 1.0:
-            raise InvalidParameter(f"p must lie strictly inside (0, 1), got {p}")
+        _check_fraction(p, "p")
     for name in ("T", "trials"):
         value = getattr(args, name, None)
-        if value is not None and value < 1:
-            raise InvalidParameter(f"{name} must be >= 1, got {value}")
-    if "n_cap" in args and args.n_cap < 2:
-        # the message the public API gives for the same value
-        raise InvalidParameter(f"n_cap must be an integer >= 2, got {args.n_cap!r}")
+        if value is not None:
+            _check_count(value, name, 1)
+    if "n_cap" in args:
+        _check_count(args.n_cap, "n_cap", 2)
     # --csv - claims stdout for the dataset, so the report is suppressed
     if getattr(args, "csv", None) == "-" and args.json:
         raise InvalidParameter("--json cannot be combined with --csv -")
     if "confidence" in args:
-        _check_confidence(args.confidence)
+        _check_fraction(args.confidence, "confidence")
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +324,6 @@ def _trace_rows(tpl: _TemplateSpec, p: float, trace) -> Iterable[dict]:
 
 def cmd_tstar(args) -> _Report:
     tpl = _resolve_template(args, need_graph=False)
-    if tpl.n <= 2:
-        raise InvalidParameter("horizon search needs a template with n >= 3")
     try:
         if tpl.family == "complete":
             res = t_star_complete(tpl.n, args.p, args.epsilon, args.t_max, args.n_cap)
@@ -361,8 +358,7 @@ def cmd_simulate(args) -> _Report:
     row, res = _cell(tpl, args.p, args.T, args.n_cap)
     est = _mc_columns(row, tpl.graph, args)
 
-    half_width = (est.ci_high - est.ci_low) / 2.0
-    allowance = est.point + 4.0 * half_width
+    allowance = est.point + 4.0 * est.half_width
     sound = row["bound"] <= allowance
     payload = {
         **_row(tpl, args.p, args.T),
@@ -432,8 +428,6 @@ def _monotonicity_notes(rows: list[dict]) -> list[str]:
     notes = []
     groups: dict[tuple, list[dict]] = {}
     for row in rows:
-        if row.get("bound") is None:
-            continue
         groups.setdefault((row["family"], row["n"]), []).append(row)
     for (family, n), cells in groups.items():
         cells = sorted(cells, key=lambda r: r["p"])
@@ -479,8 +473,6 @@ def cmd_sweep(args) -> _Report:
 def cmd_spectrum_check(args) -> _Report:
     tpl = _resolve_template(args, need_graph=True)
     graph = tpl.graph
-    if graph.n < 2:
-        raise InvalidParameter("spectrum check needs at least 2 vertices")
     if graph.m > SPECTRUM_CHECK_EDGE_CAP:
         raise TooManyEdges(
             f"spectrum check enumerates 2^m subgraphs; m={graph.m} exceeds cap "

@@ -1,6 +1,15 @@
-"""Exception types shared across the package."""
+"""Exception types and the argument checks that raise them.
+
+Every public entry point checks its counts with ``_check_count`` and its
+probabilities and confidence levels with ``_check_fraction``, so a bool, a
+non-number or an out-of-range value raises InvalidParameter with one of two
+messages: ``{name} must be an integer >= {minimum}, got {value!r}`` or
+``{name} must lie in (0, 1), got {value!r}`` (``[0, 1]`` where closed).
+"""
 
 from __future__ import annotations
+
+import numpy as np
 
 __all__ = [
     "ConnGraphError",
@@ -67,3 +76,25 @@ class TStarNotFound(ConnGraphError):
         self.best_t = best_t
         self.best_bound = best_bound
         self.trace = trace
+
+
+def _check_count(value, name: str, minimum: int) -> int:
+    """value as an int, if it is an integer (not a bool) of at least minimum."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise InvalidParameter(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
+def _check_fraction(value, name: str, closed: bool = False) -> float:
+    """value as a float, if it is a number (not a bool) in (0, 1), or [0, 1] when closed.
+
+    The comparison comes first: None, a string or a list fails it, and so
+    does NaN, whatever float() would make of them.
+    """
+    try:
+        inside = 0.0 <= value <= 1.0 if closed else 0.0 < value < 1.0
+    except (TypeError, ValueError):
+        inside = False
+    if not inside or isinstance(value, (bool, np.bool_)):
+        raise InvalidParameter(f"{name} must lie in {'[0, 1]' if closed else '(0, 1)'}, got {value!r}")
+    return float(value)

@@ -31,6 +31,7 @@ from .errors import (
     InvalidEdge,
     InvalidParameter,
     MismatchedParents,
+    _check_count,
 )
 
 Edge = tuple[int, int]
@@ -62,12 +63,24 @@ class UnderlyingGraph:
         edges: canonical (min, max) pairs, sorted ascending.
         m: edge count, equal to len(edges).
         degrees: degree of each vertex, length n.
+
+    Fields that disagree (m != len(edges), len(degrees) != n or
+    sum(degrees) != 2m) raise InvalidParameter.
     """
 
     n: int
     edges: tuple[Edge, ...]
     m: int
     degrees: tuple[int, ...]
+
+    def __post_init__(self):
+        _check_count(self.n, "n", 1)
+        _check_count(self.m, "m", 0)
+        if self.m != len(self.edges) or len(self.degrees) != self.n or sum(self.degrees) != 2 * self.m:
+            raise InvalidParameter(
+                f"template fields disagree: n={self.n} and m={self.m}, but {len(self.edges)} edges"
+                f" and {len(self.degrees)} degrees summing to {sum(self.degrees)}"
+            )
 
     def all_present(self) -> "SampledGraph":
         """Realization with every template edge switched on."""
@@ -85,6 +98,10 @@ class SampledGraph:
 def _normalize_edges(n: int, pairs) -> tuple[Edge, ...]:
     """Validate and canonicalize an edge collection; duplicates collapse."""
     seen: set[Edge] = set()
+    try:
+        pairs = iter(pairs)
+    except TypeError:
+        raise InvalidEdge(f"edges must be a collection of vertex pairs, got {pairs!r}")
     for pair in pairs:
         try:
             i, j = pair
@@ -116,9 +133,7 @@ def from_edge_list(n: int, pairs) -> UnderlyingGraph:
     raises InvalidEdge.  The result must be connected (a single vertex
     counts as connected); otherwise DisconnectedTemplate is raised.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise InvalidParameter(f"vertex count must be a positive integer, got {n!r}")
-    n = int(n)
+    n = _check_count(n, "n", 1)
     edges = _normalize_edges(n, pairs)
     # fewer than n - 1 edges cannot connect n vertices: raise before allocating for n
     g = None if len(edges) < n - 1 else UnderlyingGraph(n, edges, len(edges), _degrees(n, edges))
@@ -150,9 +165,7 @@ def complete_minus_cycle(n: int) -> UnderlyingGraph:
 
 def complete_stats(n: int) -> tuple[int, int]:
     """(m, sum of squared degrees) for the complete template, no materialization."""
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise InvalidParameter(f"complete graph needs n >= 1, got {n!r}")
-    n = int(n)
+    n = _check_count(n, "n", 1)
     return n * (n - 1) // 2, n * (n - 1) ** 2
 
 
@@ -161,9 +174,7 @@ def complete_minus_cycle_stats(n: int) -> tuple[int, int]:
 
     Raises what the constructor raises for small n: the constructor calls it.
     """
-    if not isinstance(n, (int, np.integer)) or n < 4:
-        raise InvalidParameter(f"complete-minus-cycle needs n >= 5, got {n!r}")
-    n = int(n)
+    n = _check_count(n, "n", 4)
     if n == 4:
         raise DisconnectedTemplate("removing a 4-cycle from K4 leaves two disjoint edges")
     return n * (n - 3) // 2, n * (n - 3) ** 2

@@ -26,7 +26,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .errors import InvalidParameter, TooManyEdges
+from .errors import InvalidParameter, TooManyEdges, _check_count, _check_fraction
 from .graphs import SampledGraph, UnderlyingGraph, _connected_rows, _edge_arrays
 
 DEFAULT_ENUMERATION_CAP = 24
@@ -116,18 +116,12 @@ class CoupledCheck:
     dominance_violations: int
 
 
-def _check_confidence(confidence: float) -> None:
-    if not 0.0 < confidence < 1.0:
-        raise InvalidParameter(f"confidence must lie in (0, 1), got {confidence}")
-
-
 def wilson_interval(successes: int, trials: int, confidence: float = DEFAULT_CONFIDENCE) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion, clamped to [0, 1]."""
-    if trials < 1:
-        raise InvalidParameter(f"need at least one trial, got {trials}")
-    if not 0 <= successes <= trials:
+    _check_count(trials, "trials", 1)
+    if _check_count(successes, "successes", 0) > trials:
         raise InvalidParameter(f"successes {successes} outside [0, {trials}]")
-    _check_confidence(confidence)
+    _check_fraction(confidence, "confidence")
     z = NormalDist().inv_cdf((1.0 + confidence) / 2.0)
     phat = successes / trials
     denom = 1.0 + z * z / trials
@@ -136,22 +130,9 @@ def wilson_interval(successes: int, trials: int, confidence: float = DEFAULT_CON
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def _check_probability(p: float) -> float:
-    try:
-        inside = 0.0 <= p <= 1.0
-    except TypeError:  # None, a string: not a number at all
-        inside = False
-    if not inside:
-        raise InvalidParameter(f"edge probability must lie in [0, 1], got {p}")
-    return float(p)
-
-
 def _block_plan(trials: int, draws_per_trial: int) -> list[int]:
     """Split trials into fixed-size blocks, shrinking when a trial draws a lot."""
-    if not isinstance(trials, (int, np.integer)):
-        raise InvalidParameter(f"trials must be an integer, got {trials!r}")
-    if trials < 1:
-        raise InvalidParameter(f"need at least one trial, got {trials}")
+    _check_count(trials, "trials", 1)
     per = max(1, draws_per_trial)
     block = max(1, min(_BLOCK, _BLOCK_BUDGET // per))
     sizes = [block] * (trials // block)
@@ -168,8 +149,7 @@ def _blocks(trials: int, draws_per_trial: int, seed: int):
     checked when this is called, before anything is drawn.
     """
     sizes = _block_plan(trials, draws_per_trial)
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise InvalidParameter(f"seed must be a non-negative integer, got {seed!r}")
+    _check_count(seed, "seed", 0)
     children = np.random.SeedSequence(seed).spawn(len(sizes))
     return ((size, np.random.Generator(np.random.PCG64(child))) for size, child in zip(sizes, children))
 
@@ -193,10 +173,8 @@ def sample_graph(parent: UnderlyingGraph, p: float, rng: np.random.Generator) ->
 
 def sample_union(parent: UnderlyingGraph, p: float, T: int, rng: np.random.Generator) -> SampledGraph:
     """Draw the edgewise union of T independent realizations at probability p."""
-    p = _check_probability(p)
-    if not isinstance(T, (int, np.integer)) or T < 1:
-        raise InvalidParameter(f"need T >= 1 layers, got {T!r}")
-    mask = (rng.random((int(T), parent.m)) < p).any(axis=0)
+    p = _check_fraction(p, "p", closed=True)
+    mask = (rng.random((_check_count(T, "T", 1), parent.m)) < p).any(axis=0)
     present = frozenset(e for e, keep in zip(parent.edges, mask) if keep)
     return SampledGraph(parent, present)
 
@@ -215,12 +193,10 @@ def empirical_connectivity(
     as ``sample_union`` does; no collapsed per-edge shortcut is taken, so this
     estimator remains an independent check on the union identity.
     """
-    p = _check_probability(p)
-    if not isinstance(T, (int, np.integer)) or T < 1:
-        raise InvalidParameter(f"need T >= 1 layers, got {T!r}")
-    T = int(T)
+    p = _check_fraction(p, "p", closed=True)
+    T = _check_count(T, "T", 1)
     blocks = _blocks(trials, T * parent.m, seed)
-    _check_confidence(confidence)
+    _check_fraction(confidence, "confidence")
     ei, ej = _edge_arrays(parent)
     successes = 0
     for b, gen in blocks:
@@ -388,10 +364,8 @@ def exact_connectivity(parent: UnderlyingGraph, p: float, cap: int = DEFAULT_ENU
     non-negative integer.  The profile depends only on the template, so
     repeated calls at different p reuse it.
     """
-    p = _check_probability(p)
-    if isinstance(cap, bool) or not isinstance(cap, (int, np.integer)) or cap < 0:
-        raise InvalidParameter(f"enumeration cap must be a non-negative integer, got {cap!r}")
-    cap = min(cap, _MAX_ENUMERATION_EDGES)
+    p = _check_fraction(p, "p", closed=True)
+    cap = min(_check_count(cap, "cap", 0), _MAX_ENUMERATION_EDGES)
     if parent.m > cap:
         raise TooManyEdges(f"graph has {parent.m} edges, enumeration cap is {cap}")
     profile = np.asarray(_connected_profile(parent), dtype=float)
@@ -425,9 +399,8 @@ def empirical_lambda2_moments(parent: UnderlyingGraph, p: float, trials: int, se
     Spectra of the sampled Laplacians are computed in batches with LAPACK;
     the Jacobi solver is cross-checked against the same quantity elsewhere.
     """
-    p = _check_probability(p)
-    if parent.n < 2:
-        raise InvalidParameter("algebraic connectivity needs at least 2 vertices")
+    p = _check_fraction(p, "p", closed=True)
+    _check_count(parent.n, "n", 2)
     ei, ej = _edge_arrays(parent)
     s1 = s2 = s4 = 0.0
     for b, gen in _blocks(trials, parent.m + parent.n * parent.n, seed):
@@ -447,9 +420,8 @@ def empirical_ell_moments(parent: UnderlyingGraph, p: float, trials: int, seed: 
     Each trial is a fresh (subgraph, index) pair: edge uniforms are drawn
     first, then one sorted-spectrum index uniform over {1, ..., n - 1}.
     """
-    p = _check_probability(p)
-    if parent.n < 2:
-        raise InvalidParameter("ell is undefined below 2 vertices")
+    p = _check_fraction(p, "p", closed=True)
+    _check_count(parent.n, "n", 2)
     ei, ej = _edge_arrays(parent)
     s1 = s2 = 0.0
     for b, gen in _blocks(trials, parent.m + parent.n * parent.n, seed):
@@ -473,12 +445,9 @@ def empirical_ell_min_mean(
     Default reading: one subgraph per trial, N indices from its spectrum.
     ``independent_graphs=True`` draws N subgraphs per trial instead.
     """
-    p = _check_probability(p)
-    if parent.n < 2:
-        raise InvalidParameter("ell is undefined below 2 vertices")
-    if not isinstance(N, (int, np.integer)) or N < 1:
-        raise InvalidParameter(f"need N >= 1 draws, got {N!r}")
-    N = int(N)
+    p = _check_fraction(p, "p", closed=True)
+    _check_count(parent.n, "n", 2)
+    N = _check_count(N, "N", 1)
     n = parent.n
     ei, ej = _edge_arrays(parent)
     graphs_per_trial = N if independent_graphs else 1
@@ -513,12 +482,12 @@ def coupled_monotonicity_check(
     and connectivity at p_low implies connectivity at p_high trial by trial.
     The dominance count is checked per trial, never just in aggregate.
     """
-    p_low = _check_probability(p_low)
-    p_high = _check_probability(p_high)
+    p_low = _check_fraction(p_low, "p_low", closed=True)
+    p_high = _check_fraction(p_high, "p_high", closed=True)
     if p_low > p_high:
         raise InvalidParameter(f"p_low {p_low} exceeds p_high {p_high}")
     blocks = _blocks(trials, parent.m, seed)
-    _check_confidence(confidence)
+    _check_fraction(confidence, "confidence")
     ei, ej = _edge_arrays(parent)
     s_low = s_high = violations = 0
     for b, gen in blocks:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameter, NoConvergence, NotSymmetric
+from .errors import InvalidParameter, NoConvergence, NotSymmetric, _check_count
 from .graphs import SampledGraph, UnderlyingGraph, laplacian
 from .montecarlo import sample_graph
 
@@ -83,17 +83,27 @@ def _jacobi_sweep(a: np.ndarray) -> None:
 def eigenvalues_symmetric(matrix) -> Spectrum:
     """All eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
 
-    The input must be square and symmetric within 1e-12 elementwise, else
-    NotSymmetric.  Sweeps run until the off-diagonal Frobenius norm drops
-    below 1e-10 times the input's Frobenius norm (floored at 1.0); more than
-    100 sweeps raises NoConvergence.
+    The input must hold finite real numbers, else InvalidParameter, and be
+    square and symmetric within 1e-12 elementwise, else NotSymmetric.
+    Sweeps run until the off-diagonal Frobenius norm drops below 1e-10 times
+    the input's Frobenius norm (floored at 1.0); more than 100 sweeps raises
+    NoConvergence.
     """
-    a = np.asarray(matrix, dtype=float)
+    try:
+        a = np.asarray(matrix)
+        if a.dtype.kind in "iufO":  # not strings, bools or complex numbers
+            a = a.astype(float, copy=False)
+    except (TypeError, ValueError):  # ragged rows, or an object that is no number
+        a = None
+    if a is None or a.dtype != float:
+        raise InvalidParameter("matrix entries must be real numbers")
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NotSymmetric(f"expected a square matrix, got shape {a.shape}")
     n = a.shape[0]
     if n == 0:
         raise InvalidParameter("empty matrix has no spectrum")
+    if not np.isfinite(a).all():
+        raise InvalidParameter("matrix entries must be finite")
     if n > 1 and float(np.abs(a - a.T).max()) > SYMMETRY_TOL:
         raise NotSymmetric("matrix is not symmetric within 1e-12")
     work = (a + a.T) / 2.0
@@ -110,6 +120,7 @@ def eigenvalues_symmetric(matrix) -> Spectrum:
 
 def zero_threshold(n: int) -> float:
     """Size-scaled cutoff below which a computed eigenvalue counts as zero."""
+    _check_count(n, "n", 1)
     return 1e-8 * n
 
 
@@ -118,9 +129,7 @@ def algebraic_connectivity(g: UnderlyingGraph | SampledGraph) -> float:
 
     Callers classify connectivity by comparing against ``zero_threshold(n)``.
     """
-    n = g.n if isinstance(g, UnderlyingGraph) else g.parent.n
-    if n < 2:
-        raise InvalidParameter("algebraic connectivity needs at least 2 vertices")
+    _check_count(g.n if isinstance(g, UnderlyingGraph) else g.parent.n, "n", 2)
     return float(eigenvalues_symmetric(laplacian(g)).eigenvalues[1])
 
 
@@ -130,9 +139,7 @@ def sample_ell(g: SampledGraph, rng: np.random.Generator) -> float:
     Computes the spectrum once and picks sorted index i, i uniform over
     {1, ..., n - 1} (0-based; index 0 is the trivial zero eigenvalue).
     """
-    n = g.parent.n
-    if n < 2:
-        raise InvalidParameter("ell is undefined below 2 vertices")
+    n = _check_count(g.parent.n, "n", 2)
     w = eigenvalues_symmetric(laplacian(g)).eigenvalues
     return float(w[int(rng.integers(1, n))])
 
@@ -151,11 +158,8 @@ def sample_ell_first_order_statistic(
     draws uses a freshly sampled subgraph instead; the two readings share
     marginals, so both have the same mean and variance per draw.
     """
-    if parent.n < 2:
-        raise InvalidParameter("ell is undefined below 2 vertices")
-    if not isinstance(N, (int, np.integer)) or N < 1:
-        raise InvalidParameter(f"need N >= 1 draws, got {N!r}")
-    N = int(N)
+    _check_count(parent.n, "n", 2)
+    N = _check_count(N, "N", 1)
     if independent_graphs:
         return min(sample_ell(sample_graph(parent, p, rng), rng) for _ in range(N))
     g = sample_graph(parent, p, rng)

@@ -1,0 +1,340 @@
+"""Malformed arguments at every public entry point raise a typed error.
+
+One table row per public callable of ``conngraph`` (several for some),
+with a call that succeeds and the names of its numeric parameters.  Each
+malformed value in turn replaces one of them, and the call must raise a
+ConnGraphError subclass: never a bare TypeError or ValueError, and never a
+result.  A completeness check keeps the table in step with ``__all__``.
+"""
+
+import inspect
+import math
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import conngraph
+from conngraph import (
+    ConnGraphError,
+    InvalidEdge,
+    InvalidParameter,
+    ModelParams,
+    UnderlyingGraph,
+    algebraic_connectivity,
+    complete,
+    complete_minus_cycle,
+    complete_minus_cycle_stats,
+    complete_stats,
+    connectivity_bound,
+    connectivity_bound_at_N,
+    connectivity_bound_complete,
+    connectivity_bound_from_stats,
+    coupled_monotonicity_check,
+    eigenvalues_symmetric,
+    ell_first_order_lower,
+    empirical_connectivity,
+    empirical_ell_min_mean,
+    empirical_ell_moments,
+    empirical_lambda2_moments,
+    exact_connectivity,
+    from_edge_list,
+    lambda2_mean_lower,
+    n_search_max,
+    r_factor,
+    read_edge_list,
+    sample_ell,
+    sample_ell_first_order_statistic,
+    sample_graph,
+    sample_union,
+    t_star,
+    t_star_complete,
+    t_star_from_stats,
+    union_edge_probability,
+    wilson_interval,
+    zero_threshold,
+)
+from conngraph.cli import main
+
+MALFORMED = (None, "0.5", True, math.nan, math.inf, 2.5, -1)
+# (row, parameter): the values of MALFORMED that the parameter accepts
+ACCEPTED = {
+    # any finite real number is a matrix entry
+    ("eigenvalues_symmetric", "entry"): (2.5, -1),
+    # an edge endpoint is checked as a vertex id, and True is the vertex 1
+    ("from_edge_list", "endpoint"): (True,),
+}
+
+K4 = complete(4)
+PARAMS = ModelParams(K4, 0.5)
+
+
+def _rng():
+    return np.random.default_rng(0)
+
+
+def _read_edge_list(count, endpoint):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "template.txt"
+        path.write_text(f"{count}\n0 1\n1 {endpoint}\n")
+        return read_edge_list(path)
+
+
+# (public name, call, keyword arguments of a call that succeeds, numeric parameters)
+ROWS = [
+    ("UnderlyingGraph", UnderlyingGraph, dict(n=2, edges=((0, 1),), m=1, degrees=(1, 1)), ("n", "m")),
+    ("from_edge_list", from_edge_list, dict(n=3, pairs=[(0, 1), (1, 2)]), ("n", "pairs")),
+    (
+        "from_edge_list",
+        lambda edge, endpoint: from_edge_list(3, [(0, 1), edge, (0, endpoint)]),
+        dict(edge=(1, 2), endpoint=2),
+        ("edge", "endpoint"),
+    ),
+    ("read_edge_list", _read_edge_list, dict(count=3, endpoint=2), ("count", "endpoint")),
+    ("complete", complete, dict(n=3), ("n",)),
+    ("complete_minus_cycle", complete_minus_cycle, dict(n=5), ("n",)),
+    ("complete_stats", complete_stats, dict(n=3), ("n",)),
+    ("complete_minus_cycle_stats", complete_minus_cycle_stats, dict(n=5), ("n",)),
+    ("ModelParams", ModelParams, dict(graph=K4, p=0.5), ("p",)),
+    ("r_factor", r_factor, dict(N=2, n=4), ("N", "n")),
+    ("ell_first_order_lower", ell_first_order_lower, dict(params=PARAMS, N=2), ("N",)),
+    ("lambda2_mean_lower", lambda2_mean_lower, dict(params=PARAMS, N=2), ("N",)),
+    ("connectivity_bound_at_N", connectivity_bound_at_N, dict(params=PARAMS, N=2), ("N",)),
+    ("n_search_max", n_search_max, dict(params=PARAMS, n_cap=10), ("n_cap",)),
+    ("connectivity_bound", connectivity_bound, dict(params=PARAMS, n_cap=10), ("n_cap",)),
+    (
+        "connectivity_bound_from_stats",
+        connectivity_bound_from_stats,
+        dict(n=4, m=6, deg_sq=36, p=0.5, n_cap=10),
+        ("n", "m", "deg_sq", "p", "n_cap"),
+    ),
+    ("connectivity_bound_complete", connectivity_bound_complete, dict(n=4, p=0.5, n_cap=10), ("n", "p", "n_cap")),
+    ("union_edge_probability", union_edge_probability, dict(p=0.5, T=2), ("p", "T")),
+    (
+        "t_star",
+        t_star,
+        dict(graph=K4, p=0.5, epsilon=0.5, t_max=100, n_cap=10),
+        ("p", "epsilon", "t_max", "n_cap"),
+    ),
+    (
+        "t_star_from_stats",
+        t_star_from_stats,
+        dict(n=4, m=6, deg_sq=36, p=0.5, epsilon=0.5, t_max=100, n_cap=10),
+        ("n", "m", "deg_sq", "p", "epsilon", "t_max", "n_cap"),
+    ),
+    (
+        "t_star_complete",
+        t_star_complete,
+        dict(n=4, p=0.5, epsilon=0.5, t_max=100, n_cap=10),
+        ("n", "p", "epsilon", "t_max", "n_cap"),
+    ),
+    ("wilson_interval", wilson_interval, dict(successes=1, trials=2, confidence=0.9), ("successes", "trials", "confidence")),
+    ("sample_graph", lambda p: sample_graph(K4, p, _rng()), dict(p=0.5), ("p",)),
+    ("sample_union", lambda p, T: sample_union(K4, p, T, _rng()), dict(p=0.5, T=2), ("p", "T")),
+    (
+        "empirical_connectivity",
+        empirical_connectivity,
+        dict(parent=K4, p=0.5, T=1, trials=5, seed=0, confidence=0.9),
+        ("p", "T", "trials", "seed", "confidence"),
+    ),
+    ("exact_connectivity", exact_connectivity, dict(parent=K4, p=0.5, cap=10), ("p", "cap")),
+    (
+        "empirical_lambda2_moments",
+        empirical_lambda2_moments,
+        dict(parent=K4, p=0.5, trials=5, seed=0),
+        ("p", "trials", "seed"),
+    ),
+    ("empirical_ell_moments", empirical_ell_moments, dict(parent=K4, p=0.5, trials=5, seed=0), ("p", "trials", "seed")),
+    (
+        "empirical_ell_min_mean",
+        empirical_ell_min_mean,
+        dict(parent=K4, p=0.5, N=2, trials=5, seed=0),
+        ("p", "N", "trials", "seed"),
+    ),
+    (
+        "coupled_monotonicity_check",
+        coupled_monotonicity_check,
+        dict(parent=K4, p_low=0.2, p_high=0.8, trials=5, seed=0, confidence=0.9),
+        ("p_low", "p_high", "trials", "seed", "confidence"),
+    ),
+    # numpy reads a bool among numbers as 0 or 1, so the matrix is 1 x 1: a matrix of bools is refused
+    ("eigenvalues_symmetric", lambda entry: eigenvalues_symmetric([[entry]]), dict(entry=2.0), ("entry",)),
+    ("zero_threshold", zero_threshold, dict(n=4), ("n",)),
+    (
+        "sample_ell_first_order_statistic",
+        lambda p, N: sample_ell_first_order_statistic(K4, p, N, _rng()),
+        dict(p=0.5, N=2),
+        ("p", "N"),
+    ),
+]
+
+# Public callables with no numeric parameter of their own, and why.
+NO_NUMERIC_PARAMETER = {
+    **{name: "exception type" for name in conngraph.errors.__all__},
+    **{
+        name: "result record, built by the package from checked values"
+        for name in (
+            "BoundResult", "TStarResult", "EmpiricalEstimate", "ExactProbability",
+            "Lambda2Moments", "EllMoments", "CoupledCheck", "Spectrum",
+        )
+    },
+    "SampledGraph": "a template and a set of its edges",
+    "is_connected": "takes a graph",
+    "union": "takes sampled graphs",
+    "laplacian": "takes a graph",
+    "sum_degree_squares": "takes a template",
+    "ell_mean": "takes a ModelParams, checked when it is built",
+    "s_value": "takes a ModelParams, checked when it is built",
+    "ell_variance": "takes a ModelParams, checked when it is built",
+    "lambda2_sq_mean_upper": "takes a ModelParams, checked when it is built",
+    "algebraic_connectivity": "takes a graph; its vertex count is in TOO_SMALL",
+    "sample_ell": "takes a sampled graph; its vertex count is in TOO_SMALL",
+}
+
+
+def _cases():
+    for name, call, valid, numeric in ROWS:
+        for param in numeric:
+            for bad in MALFORMED:
+                if bad in ACCEPTED.get((name, param), ()):
+                    continue
+                yield pytest.param(call, valid, param, bad, id=f"{name}-{param}-{bad!r}")
+
+
+def test_every_public_callable_has_a_row():
+    public = {name for name in conngraph.__all__ if callable(getattr(conngraph, name))}
+    rows = {name for name, *_ in ROWS}
+    assert not rows & set(NO_NUMERIC_PARAMETER)
+    assert rows | set(NO_NUMERIC_PARAMETER) == public
+
+
+@pytest.mark.parametrize("name, call, valid, numeric", ROWS, ids=[f"{row[0]}-{i}" for i, row in enumerate(ROWS)])
+def test_rows_name_real_parameters_and_succeed(name, call, valid, numeric):
+    # the row calls the public callable itself when it can, so its names are the real ones
+    if call is getattr(conngraph, name):
+        assert set(numeric) <= set(inspect.signature(call).parameters)
+    call(**valid)
+
+
+@pytest.mark.parametrize("call, valid, param, bad", _cases())
+def test_malformed_argument_raises_a_typed_error(call, valid, param, bad):
+    with pytest.raises(ConnGraphError):
+        call(**{**valid, param: bad})
+
+
+def test_argument_messages():
+    # the two formats, with the parameter's own name
+    cases = [
+        (lambda: union_edge_probability(0.5, True), "T must be an integer >= 1, got True"),
+        (lambda: connectivity_bound_from_stats(10, 20, 100, None), "p must lie in (0, 1), got None"),
+        (lambda: t_star_complete(5, 0.5, "x"), "epsilon must lie in (0, 1), got 'x'"),
+        (lambda: empirical_connectivity(K4, 0.5, trials=True), "trials must be an integer >= 1, got True"),
+        (lambda: wilson_interval(1, 2.5), "trials must be an integer >= 1, got 2.5"),
+        (lambda: connectivity_bound_complete(5, "0.5"), "p must lie in (0, 1), got '0.5'"),
+        (lambda: exact_connectivity(K4, "0.5"), "p must lie in [0, 1], got '0.5'"),
+        (lambda: coupled_monotonicity_check(K4, 0.2, math.nan, 5), "p_high must lie in [0, 1], got nan"),
+        (lambda: sample_union(K4, 0.5, 0, _rng()), "T must be an integer >= 1, got 0"),
+        (lambda: from_edge_list(0, []), "n must be an integer >= 1, got 0"),
+        (lambda: complete_minus_cycle(3), "n must be an integer >= 4, got 3"),
+    ]
+    for i, (call, message) in enumerate(cases):
+        with pytest.raises(InvalidParameter) as info:
+            call()
+        assert str(info.value) == message, i
+
+
+TOO_SMALL = [
+    (lambda: ModelParams(complete(2), 0.5), 3, 2),
+    (lambda: t_star(complete(2), 0.5, 0.1), 3, 2),
+    (lambda: algebraic_connectivity(complete(1)), 2, 1),
+    (lambda: sample_ell(complete(1).all_present(), _rng()), 2, 1),
+    (lambda: sample_ell_first_order_statistic(complete(1), 0.5, 2, _rng()), 2, 1),
+    (lambda: empirical_lambda2_moments(complete(1), 0.5, 5), 2, 1),
+    (lambda: empirical_ell_moments(complete(1), 0.5, 5), 2, 1),
+    (lambda: empirical_ell_min_mean(complete(1), 0.5, 2, 5), 2, 1),
+]
+
+
+@pytest.mark.parametrize("call, minimum, n", TOO_SMALL)
+def test_too_small_templates(call, minimum, n):
+    with pytest.raises(InvalidParameter) as info:
+        call()
+    assert str(info.value) == f"n must be an integer >= {minimum}, got {n}"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["tstar", "--complete", "2", "--p", "0.5", "--epsilon", "0.1"], "n must be an integer >= 3, got 2"),
+        (["spectrum-check", "--complete", "1"], "n must be an integer >= 2, got 1"),
+    ],
+)
+def test_cli_too_small_templates(capsys, argv, message):
+    # the library's own check, with no pre-check of the command's
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_edge_errors():
+    for pairs, message in [
+        (None, "edges must be a collection of vertex pairs, got None"),
+        ([(0, 1), (1, 2, 0)], "edge (1, 2, 0) is not a vertex pair"),
+        ([(0, 1), (1, 2.0)], "edge (1, 2.0) has non-integer endpoints"),
+    ]:
+        with pytest.raises(InvalidEdge) as info:
+            from_edge_list(3, pairs)
+        assert str(info.value) == message
+    with pytest.raises(InvalidEdge, match="edge line must be two integers, got '1 x'"):
+        _read_edge_list(3, "x")
+
+
+# Each command with a valid argument list, and the flags that take a number.
+CLI_ROWS = {
+    "bound": (["--complete", "4", "--p", "0.5"], ("--complete", "--p", "--T", "--n-cap")),
+    "tstar": (["--complete", "4", "--p", "0.5", "--epsilon", "0.5"], ("--complete", "--p", "--epsilon", "--t-max", "--n-cap")),
+    "simulate": (
+        ["--complete", "4", "--p", "0.5", "--trials", "5"],
+        ("--complete", "--p", "--T", "--trials", "--seed", "--confidence", "--n-cap"),
+    ),
+    "exact": (["--complete", "4", "--p", "0.5"], ("--complete", "--p", "--T")),
+    "sweep": (
+        ["--family", "complete", "--n-values", "4", "--p-values", "0.5", "--simulate", "--trials", "5"],
+        ("--n-values", "--p-values", "--T", "--trials", "--seed", "--confidence", "--n-cap"),
+    ),
+    "spectrum-check": (["--complete", "3"], ("--complete",)),
+}
+# every value here is wrong for every flag: 0.5 would be a valid probability
+CLI_MALFORMED = ("None", "True", "nan", "inf", "2.5", "-1", "x")
+# the flags that take a comma-separated list also reject an empty one
+CLI_LIST_MALFORMED = CLI_MALFORMED + (",", "4,x")
+
+
+def _set_flag(argv, flag, value):
+    if flag in argv:
+        argv = list(argv)
+        argv[argv.index(flag) + 1] = value
+        return argv
+    return [*argv, flag, value]
+
+
+def _cli_cases():
+    for command, (argv, flags) in CLI_ROWS.items():
+        for flag in flags:
+            bad_values = CLI_LIST_MALFORMED if flag in ("--n-values", "--p-values") else CLI_MALFORMED
+            for bad in bad_values:
+                yield pytest.param([command, *_set_flag(argv, flag, bad)], id=f"{command}{flag}={bad}")
+
+
+def test_cli_rows_succeed(capsys):
+    for command, (argv, _) in CLI_ROWS.items():
+        assert main([command, *argv]) == 0, command
+        capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", _cli_cases())
+def test_cli_malformed_flag_is_a_usage_error(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, ""), captured.err
+    assert captured.err

@@ -35,8 +35,10 @@ from conngraph import (
 )
 from conngraph.bounds import (
     DEFAULT_N_CAP,
+    _band,
     _complete_bound_result,
     _general_bound_result,
+    _general_terms,
     _maximize,
     _maximize_rows,
 )
@@ -214,11 +216,12 @@ def test_n_search_max_honors_cap():
 
 
 def test_negative_radicand_on_impossible_stats():
-    # sum of squared degrees far below (2m)^2 / n cannot come from any graph:
-    # (n, m, deg_sq) = (3, 3, 1) gives A0 = 2 * 7 - 36 < 0, which every general
-    # entry point rejects before forming the variance; the graph is hand-made to match
-    fake = UnderlyingGraph(3, ((0, 1),), 3, (1, 0, 0))
-    message = "statistics n=3, m=3, deg_sq=1 describe no graph: (n-1)(2m + deg_sq) < 4m^2"
+    # sum of squared degrees below (2m)^2 / (n-1) - 2m cannot come from any simple
+    # graph: (n, m, deg_sq) = (3, 4, 22) gives A0 = 2 * 30 - 64 < 0, which every
+    # general entry point rejects before forming the variance; the template is
+    # hand-made to match, its fields consistent but one edge doubled
+    fake = UnderlyingGraph(3, ((0, 1), (0, 1), (0, 2), (1, 2)), 4, (3, 3, 2))
+    message = "statistics n=3, m=4, deg_sq=22 describe no graph: (n-1)(2m + deg_sq) < 4m^2"
     for p in (0.001, 0.5, 0.99):
         params = ModelParams(fake, p)
         calls = [
@@ -230,10 +233,10 @@ def test_negative_radicand_on_impossible_stats():
             lambda: connectivity_bound_at_N(params, 2),
             lambda: n_search_max(params),
             lambda: connectivity_bound(params),
-            lambda: connectivity_bound_from_stats(3, 3, 1, p),
+            lambda: connectivity_bound_from_stats(3, 4, 22, p),
             lambda: t_star(fake, p, 0.01),
-            lambda: t_star_from_stats(3, 3, 1, p, 0.01),
-            lambda: _general_bound_result(3, 3, 1, p, 1.0 - p, DEFAULT_N_CAP),
+            lambda: t_star_from_stats(3, 4, 22, p, 0.01),
+            lambda: _general_bound_result(3, 4, 22, p, 1.0 - p, DEFAULT_N_CAP),
         ]
         for i, call in enumerate(calls):
             with pytest.raises(InvalidParameter) as info:
@@ -364,10 +367,23 @@ def test_t_star_variants_agree():
     assert from_graph.value.best_t == from_stats.value.best_t
 
 
+def test_vacuous_band_reports_two():
+    # K10's stats at this p give a rounding band (11, 13) in which every ratio
+    # rounds to 0, so N = 2 is reported, as a scan of all of [2, n_hi] would
+    p = 0.8066088410016683
+    a, s_sq, energy = _general_terms(10, 45, 810, p, 1.0 - p)
+    assert _band(a, math.sqrt(s_sq), 10, 21) == (11, 13)
+    res = connectivity_bound_from_stats(10, 45, 810, p)
+    assert (res.probability_lower_bound, res.maximizing_n, res.n_search_max) == (0.0, 2, 21)
+    # a neighbouring p where the band holds a positive ratio
+    res = connectivity_bound_from_stats(10, 45, 810, 0.80661)
+    assert (res.probability_lower_bound, res.maximizing_n) == (1.316939121875806e-11, 12)
+
+
 def test_t_star_validation():
     # the exact message of each single fault, then which of two faults is reported
     k3, k2 = complete(3), complete(2)
-    p_msg = "need p strictly inside (0, 1), got 1.0"
+    p_msg = "p must lie in (0, 1), got 1.0"
     eps_msg = "epsilon must lie in (0, 1), got 0.0"
     t_max_msg = "t_max must be an integer >= 1, got 0"
     n_cap_msg = "n_cap must be an integer >= 2, got 1"
@@ -378,7 +394,7 @@ def test_t_star_validation():
         (lambda: t_star(k3, 0.5, 1.0), "epsilon must lie in (0, 1), got 1.0"),
         (lambda: t_star(k3, 0.5, 0.1, t_max=0), t_max_msg),
         (lambda: t_star(k3, 0.5, 0.1, n_cap=1), n_cap_msg),
-        (lambda: t_star(k2, 0.5, 0.1), "bounds need n >= 3 vertices, got 2"),
+        (lambda: t_star(k2, 0.5, 0.1), n_msg),
         (lambda: t_star(k2, 1.0, 0.1), p_msg),
         (lambda: t_star_from_stats(3, 3, 12, 1.0, 0.1), p_msg),
         (lambda: t_star_from_stats(3, 3, 12, 0.5, 0.0), eps_msg),
@@ -395,8 +411,8 @@ def test_t_star_validation():
         (lambda: t_star_complete(2, 0.5, 0.1), n_msg),
         (lambda: t_star_complete(2, 1.0, 0.1, t_max=0), n_msg),
         (lambda: connectivity_bound(K3_HALF, n_cap=1), n_cap_msg),
-        (lambda: connectivity_bound(ModelParams(k3, 1.0)), "bounds need p strictly inside (0, 1), got 1.0"),
-        (lambda: connectivity_bound(ModelParams(k2, 0.5)), "bounds need n >= 3 vertices, got 2"),
+        (lambda: connectivity_bound(ModelParams(k3, 1.0)), p_msg),
+        (lambda: connectivity_bound(ModelParams(k2, 0.5)), n_msg),
         (lambda: connectivity_bound_from_stats(3, 3, 12, 1.0), p_msg),
         (lambda: connectivity_bound_from_stats(3, 3, 12, 0.5, n_cap=1), n_cap_msg),
         (lambda: connectivity_bound_from_stats(2, 3, 12, 0.5), n_msg),

@@ -137,7 +137,7 @@ def test_simulate_lambda2_one_vertex_is_a_usage_error(capsys, tmp_path, render):
     render = tuple(str(tmp_path / "rows.csv") if r == "PATH" else r for r in render)
     argv = ("simulate", "--complete", "1", "--p", "0.5", "--lambda2-moments", *render)
     code, out, err = run_cli(capsys, *argv)
-    assert (code, out, err) == (2, "", "error: algebraic connectivity needs at least 2 vertices\n")
+    assert (code, out, err) == (2, "", "error: n must be an integer >= 2, got 1\n")
     assert not (tmp_path / "rows.csv").exists()
 
 
@@ -180,7 +180,7 @@ def test_negative_seed_is_a_typed_usage_error(capsys):
     ):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
-        assert err == "error: seed must be a non-negative integer, got -1\n"
+        assert err == "error: seed must be an integer >= 0, got -1\n"
 
 
 def test_bad_confidence_is_a_usage_error_before_sampling(capsys, monkeypatch):

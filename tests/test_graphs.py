@@ -61,6 +61,23 @@ def test_from_edge_list_rejects_self_loop():
         from_edge_list(3, [(0, 1), (1, 1), (1, 2)])
 
 
+def test_template_fields_must_agree():
+    # K4's m and degrees with a single edge: the bound would read the stated
+    # fields and report K4's bound for a graph that is not K4
+    with pytest.raises(InvalidParameter) as info:
+        UnderlyingGraph(4, ((0, 1),), 6, (3, 3, 3, 3))
+    assert str(info.value) == "template fields disagree: n=4 and m=6, but 1 edges and 4 degrees summing to 12"
+    for n, edges, m, degrees in [
+        (3, ((0, 1),), 1, (1, 1)),  # too few degrees
+        (2, ((0, 1),), 1, (1, 2)),  # degrees sum past 2m
+        (2, ((0, 1),), True, (1, 1)),  # a bool edge count
+        (0, (), 0, ()),  # no vertex
+    ]:
+        with pytest.raises(InvalidParameter):
+            UnderlyingGraph(n, edges, m, degrees)
+    assert UnderlyingGraph(2, ((0, 1),), 1, (1, 1)) == from_edge_list(2, [(0, 1)])
+
+
 def test_from_edge_list_rejects_out_of_range():
     with pytest.raises(InvalidEdge):
         from_edge_list(3, [(0, 1), (1, 3)])

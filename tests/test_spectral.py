@@ -1,3 +1,4 @@
+import math
 import random
 import warnings
 
@@ -111,6 +112,15 @@ def test_rejects_non_square_and_empty():
         eigenvalues_symmetric(np.zeros((2, 3)))
     with pytest.raises(InvalidParameter):
         eigenvalues_symmetric(np.zeros((0, 0)))
+
+
+def test_rejects_non_numeric_and_non_finite_matrices():
+    # typed before the symmetry check, which would warn on inf - inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for matrix in ([["a"]], [[1j]], [[math.inf, 1.0], [1.0, 1.0]], [[math.nan]], [[1.0, -math.inf], [-math.inf, 1.0]]):
+            with pytest.raises(InvalidParameter):
+                eigenvalues_symmetric(matrix)
 
 
 def test_large_matrix_converges():
