@@ -19,6 +19,7 @@ MB whatever the size of the caller's block.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -107,7 +108,7 @@ def _normalize_edges(n: int, pairs) -> tuple[Edge, ...]:
             i, j = pair
         except (TypeError, ValueError):
             raise InvalidEdge(f"edge {pair!r} is not a vertex pair")
-        if not (isinstance(i, (int, np.integer)) and isinstance(j, (int, np.integer))):
+        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in (i, j)):
             raise InvalidEdge(f"edge {pair!r} has non-integer endpoints")
         i, j = int(i), int(j)
         if i == j:
@@ -188,6 +189,8 @@ def read_edge_list(path) -> UnderlyingGraph:
     Lines whose first non-blank character is '#' are comments.  Both LF and
     CRLF line endings are accepted.
     """
+    if not isinstance(path, (str, os.PathLike)):
+        raise InvalidParameter(f"path must be a str or os.PathLike, got {path!r}")
     text = Path(path).read_text(encoding="utf-8")
     lines = []
     for raw in text.splitlines():
@@ -230,9 +233,15 @@ def union(gs) -> SampledGraph:
     Raises EmptyUnion for an empty collection and MismatchedParents when the
     realizations come from different templates.
     """
-    gs = list(gs)
+    try:
+        gs = list(gs)
+    except TypeError:
+        raise InvalidParameter(f"gs must be a collection of SampledGraph realizations, got {gs!r}")
     if not gs:
         raise EmptyUnion("union of zero sampled graphs")
+    for g in gs:
+        if not isinstance(g, SampledGraph):
+            raise InvalidParameter(f"gs must hold SampledGraph realizations, got {g!r}")
     parent = gs[0].parent
     merged: set[Edge] = set()
     for g in gs:
@@ -263,7 +272,9 @@ def _vertices_and_edges(g: UnderlyingGraph | SampledGraph) -> tuple[int, tuple[E
     """Vertex count and edges of a template, or of a realization's present edges."""
     if isinstance(g, UnderlyingGraph):
         return g.n, g.edges
-    return g.parent.n, g.present
+    if isinstance(g, SampledGraph):
+        return g.parent.n, g.present
+    raise InvalidParameter(f"g must be an UnderlyingGraph or a SampledGraph, got {g!r}")
 
 
 def _edge_arrays(g: UnderlyingGraph | SampledGraph) -> tuple[np.ndarray, np.ndarray]:

@@ -40,7 +40,9 @@ from conngraph import (
     empirical_lambda2_moments,
     exact_connectivity,
     from_edge_list,
+    is_connected,
     lambda2_mean_lower,
+    laplacian,
     n_search_max,
     r_factor,
     read_edge_list,
@@ -51,6 +53,7 @@ from conngraph import (
     t_star,
     t_star_complete,
     t_star_from_stats,
+    union,
     union_edge_probability,
     wilson_interval,
     zero_threshold,
@@ -62,8 +65,6 @@ MALFORMED = (None, "0.5", True, math.nan, math.inf, 2.5, -1)
 ACCEPTED = {
     # any finite real number is a matrix entry
     ("eigenvalues_symmetric", "entry"): (2.5, -1),
-    # an edge endpoint is checked as a vertex id, and True is the vertex 1
-    ("from_edge_list", "endpoint"): (True,),
 }
 
 K4 = complete(4)
@@ -158,8 +159,13 @@ ROWS = [
         dict(parent=K4, p_low=0.2, p_high=0.8, trials=5, seed=0, confidence=0.9),
         ("p_low", "p_high", "trials", "seed", "confidence"),
     ),
-    # numpy reads a bool among numbers as 0 or 1, so the matrix is 1 x 1: a matrix of bools is refused
-    ("eigenvalues_symmetric", lambda entry: eigenvalues_symmetric([[entry]]), dict(entry=2.0), ("entry",)),
+    # the entry sits among numbers, which numpy would read a bool beside as 0 or 1
+    (
+        "eigenvalues_symmetric",
+        lambda entry: eigenvalues_symmetric([[entry, 0.0], [0.0, 1.0]]),
+        dict(entry=2.0),
+        ("entry",),
+    ),
     ("zero_threshold", zero_threshold, dict(n=4), ("n",)),
     (
         "sample_ell_first_order_statistic",
@@ -281,12 +287,28 @@ def test_edge_errors():
         (None, "edges must be a collection of vertex pairs, got None"),
         ([(0, 1), (1, 2, 0)], "edge (1, 2, 0) is not a vertex pair"),
         ([(0, 1), (1, 2.0)], "edge (1, 2.0) has non-integer endpoints"),
+        ([(0, 1), (1, True)], "edge (1, True) has non-integer endpoints"),
     ]:
         with pytest.raises(InvalidEdge) as info:
             from_edge_list(3, pairs)
         assert str(info.value) == message
     with pytest.raises(InvalidEdge, match="edge line must be two integers, got '1 x'"):
         _read_edge_list(3, "x")
+
+
+def test_graph_and_path_arguments():
+    for call, message in [
+        (lambda: read_edge_list(None), "path must be a str or os.PathLike, got None"),
+        (lambda: union(None), "gs must be a collection of SampledGraph realizations, got None"),
+        (lambda: union([None]), "gs must hold SampledGraph realizations, got None"),
+        (lambda: union([K4.all_present(), K4]), f"gs must hold SampledGraph realizations, got {K4!r}"),
+        (lambda: laplacian(None), "g must be an UnderlyingGraph or a SampledGraph, got None"),
+        (lambda: is_connected(None), "g must be an UnderlyingGraph or a SampledGraph, got None"),
+        (lambda: is_connected("K4"), "g must be an UnderlyingGraph or a SampledGraph, got 'K4'"),
+    ]:
+        with pytest.raises(InvalidParameter) as info:
+            call()
+        assert str(info.value) == message
 
 
 # Each command with a valid argument list, and the flags that take a number.

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import warnings
@@ -12,13 +13,17 @@ from conngraph import (
     SampledGraph,
     algebraic_connectivity,
     complete,
+    complete_minus_cycle,
     from_edge_list,
+    is_connected,
     laplacian,
     sample_ell,
     sample_ell_first_order_statistic,
     zero_threshold,
 )
-from conngraph.spectral import eigenvalues_symmetric
+from conngraph import spectral
+from conngraph.cli import main
+from conngraph.spectral import _jacobi_eigenvalues, eigenvalues_symmetric
 
 import support
 
@@ -121,6 +126,92 @@ def test_rejects_non_numeric_and_non_finite_matrices():
         for matrix in ([["a"]], [[1j]], [[math.inf, 1.0], [1.0, 1.0]], [[math.nan]], [[1.0, -math.inf], [-math.inf, 1.0]]):
             with pytest.raises(InvalidParameter):
                 eigenvalues_symmetric(matrix)
+
+
+def test_bool_among_numbers_is_refused():
+    # numpy would read True as 1.0 beside floats, and as 1 beside ints
+    for matrix in ([[True]], [[True, 0.0], [0.0, 1.0]], [[1, False], [False, 1]], np.array([[True, 0.0]], dtype=object)):
+        with pytest.raises(InvalidParameter) as info:
+            eigenvalues_symmetric(matrix)
+        assert str(info.value) == "matrix entries must be real numbers"
+
+
+def _random_symmetric(rng, count, n):
+    raw = rng.normal(size=(count, n, n))
+    return (raw + raw.transpose(0, 2, 1)) / 2.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 10, 17, 24, 39, 40])
+def test_batched_solver_matches_lapack(n):
+    stack = _random_symmetric(np.random.default_rng(n), 6, n)
+    got = _jacobi_eigenvalues(stack)
+    want = np.linalg.eigvalsh(stack)
+    for row, expected, matrix in zip(got, want, stack):
+        assert np.max(np.abs(row - expected)) <= 1e-8 * np.linalg.norm(matrix)
+
+
+def test_batched_rows_equal_solo_solves():
+    # matrices that converge at once or need no rotation share a stack with
+    # ones that need many sweeps; each row is that matrix's own spectrum
+    rng = np.random.default_rng(8)
+    huge_theta = np.zeros((6, 6))
+    huge_theta[:3, :3] = [[1.0, 1e-170, 1.0], [1e-170, 2.0, 0.0], [1.0, 0.0, 3.0]]
+    huge_theta[3:, 3:] = _random_symmetric(rng, 1, 3)[0]
+    subnormal = np.diag([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+    subnormal[0, 1] = subnormal[1, 0] = 1e-320  # theta = (a_qq - a_pp) / (2 a_pq) overflows
+    subnormal[2, 5] = subnormal[5, 2] = 1.0
+    stack = np.stack([
+        np.diag([3.0, -1.0, 2.0, 2.0, 0.0, 7.0]),
+        np.zeros((6, 6)),
+        huge_theta,
+        subnormal,
+        laplacian(complete(6)),
+        *_random_symmetric(rng, 4, 6),
+    ])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _jacobi_eigenvalues(stack)
+        for row, matrix in zip(got, stack):
+            alone = _jacobi_eigenvalues(matrix[None])[0]
+            assert np.max(np.abs(row - alone)) <= 1e-12 * max(np.linalg.norm(matrix), 1.0)
+            assert np.max(np.abs(row - np.linalg.eigvalsh(matrix))) <= 1e-12 * max(np.linalg.norm(matrix), 1.0)
+    assert np.array_equal(got[0], [-1.0, 0.0, 2.0, 2.0, 3.0, 7.0])
+    assert np.array_equal(got[1], np.zeros(6))
+
+
+def test_no_convergence_within_the_sweep_budget(monkeypatch):
+    monkeypatch.setattr(spectral, "JACOBI_MAX_SWEEPS", 1)
+    matrix = _random_symmetric(np.random.default_rng(4), 1, 8)[0]
+    with pytest.raises(NoConvergence):
+        eigenvalues_symmetric(matrix)
+    # one matrix left over fails the whole stack, even beside one that converged
+    with pytest.raises(NoConvergence):
+        _jacobi_eigenvalues(np.stack([np.eye(8), matrix]))
+    monkeypatch.undo()
+    assert eigenvalues_symmetric(matrix).eigenvalues.shape == (8,)
+
+
+@pytest.mark.parametrize(
+    "family, build, n", [("complete", complete, 4), ("complete", complete, 5), ("complete-minus-cycle", complete_minus_cycle, 5)]
+)
+def test_spectrum_check_matches_per_subgraph_loop(capsys, family, build, n):
+    graph = build(n)
+    threshold = zero_threshold(n)
+    mismatches = 0
+    for mask in range(1 << graph.m):
+        sub = SampledGraph(graph, frozenset(e for i, e in enumerate(graph.edges) if mask >> i & 1))
+        if (algebraic_connectivity(sub) > threshold) != is_connected(sub):
+            mismatches += 1
+    assert main(["spectrum-check", f"--{family}", str(n), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "command": "spectrum-check",
+        "family": family,
+        "n": n,
+        "subgraphs": 1 << graph.m,
+        "mismatches": mismatches,
+        "threshold": threshold,
+        "ok": mismatches == 0,
+    }
 
 
 def test_large_matrix_converges():
