@@ -2,7 +2,7 @@
 
 Keeping each edge with probability p and unioning T independent rounds is
 the same as a single round with p_hat = 1 - (1-p)^T.  The horizon search
-walks T upward until the lower bound clears 1 - epsilon.  On a sparse
+finds the first T at which the lower bound clears 1 - epsilon.  On a sparse
 template the bound can plateau strictly below 1, in which case the search
 reports the best horizon it saw instead of pretending one exists.
 """
@@ -17,7 +17,7 @@ def show_search(name, graph, p, epsilon):
         res = cg.t_star(graph, p, epsilon)
     except TStarNotFound as exc:
         print(f"  no horizon found: best bound {exc.best_bound:.6f} at T={exc.best_t}")
-        print(f"  (scan stopped after {len(exc.trace)} rounds)")
+        print(f"  (search stopped at T={len(exc.trace)})")
         print()
         return
     for t, val in res.trace:

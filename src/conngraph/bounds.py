@@ -47,8 +47,8 @@ a - b g_min < -tau is vacuous: every ratio rounds to 0 and N = 2 is reported.
 For unions of T independent samples of the same template, connectivity of
 the union equals connectivity of a single sample with the collapsed edge
 probability p_hat(T) = 1 - (1 - p)^T, so every bound extends to unions by
-substitution.  The union horizon search evaluates horizons in growing
-chunks, many cells at once.
+substitution.  The bound is monotone in T (below), so the union horizon
+search gallops over T in doubling steps and bisects, one cell per horizon.
 
 The bound does not fall as p rises, hence not as T rises.  At fixed N and
 q = 1 - p, the general ratio is (2m - g S/p)_+^2 / ((n-1) E/p^2), where
@@ -62,13 +62,14 @@ clamped at 1, cannot fall either.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from .errors import InvalidParameter, TStarNotFound, _check_count, _check_fraction
-from .graphs import UnderlyingGraph, sum_degree_squares
+from .graphs import UnderlyingGraph, _check_graph, sum_degree_squares
 
 DEFAULT_N_CAP = 10**6
 DEFAULT_T_MAX = 10**5
@@ -81,11 +82,6 @@ _ROUNDING = 64 * np.finfo(float).eps
 _SATURATION = 40.0
 # draw counts per evaluation of a wide band, which bounds its memory
 _BAND_CHUNK = 4096
-# draw counts evaluated together for every horizon of a union search
-_WINDOW = 6
-# horizons in the first chunk of a union search, and in the largest
-_FIRST_HORIZONS = 16
-_MAX_HORIZONS = 1024
 
 __all__ = [
     "DEFAULT_N_CAP",
@@ -125,7 +121,7 @@ class ModelParams:
 
     def __post_init__(self):
         object.__setattr__(self, "p", _check_fraction(self.p, "p"))
-        _check_count(self.graph.n, "n", 3)
+        _check_count(_check_graph(self.graph, "graph").n, "n", 3)
 
     @property
     def n(self) -> int:
@@ -161,12 +157,15 @@ class BoundResult:
 
 @dataclass(frozen=True)
 class TStarResult:
-    """Smallest union horizon whose bound reaches the requested target."""
+    """Smallest union horizon whose bound reaches the requested target.
+
+    trace: the (T, bound) pairs for T = 1 .. t_star, each evaluated when read.
+    """
 
     t_star: int
     epsilon: float
     bound_at_t_star: float
-    trace: tuple[tuple[int, float], ...]
+    trace: Sequence[tuple[int, float]]
 
 
 def r_factor(N: int, n: int) -> float:
@@ -191,8 +190,8 @@ def _check_size(n: int) -> None:
         raise InvalidParameter(f"bounds need n <= 2**53 = {2**53} vertices, got {n}")
 
 
-def _general_terms(n: int, m: int, deg_sq: int, p, q):
-    """(a, S^2, E) of the general route; p and q may be floats or arrays of horizons.
+def _general_terms(n: int, m: int, deg_sq: int, p: float, q: float):
+    """(a, S^2, E) of the general route.
 
     S^2 = p (p A0 + q 4m(n-1)) and E = 2mp(1 + q) + p^2 sum(d^2), with A0 an
     exact integer: sums of nonnegative pieces, so they stay accurate at every
@@ -204,9 +203,9 @@ def _general_terms(n: int, m: int, deg_sq: int, p, q):
     return 2.0 * m * p, p * (p * float(a0) + q * float(4 * m * (n - 1))), 2.0 * m * p * (1.0 + q) + p * p * float(deg_sq)
 
 
-def _complete_terms(n: int, p, q):
+def _complete_terms(n: int, p: float, q: float):
     """(a, b^2, E) of the complete template's reduced parameterization."""
-    return np.sqrt(n * (n - 1) * p), 2.0 * (n - 1) * q, 2.0 * q + n * p
+    return math.sqrt(n * (n - 1) * p), 2.0 * (n - 1) * q, 2.0 * q + n * p
 
 
 def _model_terms(params: ModelParams) -> tuple[float, float, float]:
@@ -273,12 +272,11 @@ def _range_limit(a: float, b: float, n_cap: int) -> int:
     return max(2, int(math.floor(ratio)))
 
 
-def _ratio_terms(a, b, energy, n: int, ns: np.ndarray):
-    """Numerator, denominator and clamped bound ratio at the draw counts ns.
+def _ratio_terms(a: float, b: float, energy: float, n: int, ns: np.ndarray):
+    """Numerator, denominator and clamped bound ratio of one cell at the draw counts ns.
 
-    Every reported ratio comes from this one expression, so a cell and the
-    same cell inside a union search agree to the bit.  a, b and energy
-    broadcast against ns: scalars for one cell, columns for many.
+    Every reported ratio comes from this one expression, so a horizon of a
+    union search and the same cell evaluated alone agree to the bit.
     """
     r = -np.expm1((ns - 1.0) * math.log1p(-1.0 / (n - 1)))
     raw = a * r - b * np.sqrt(ns - 1.0)
@@ -293,23 +291,23 @@ def _g(N: int, log_decay: float) -> float:
     return math.sqrt(N - 1.0) / -math.expm1((N - 1) * log_decay)
 
 
-def _reach(g, limit: float, start: int, stop: int) -> int:
-    """Farthest N from start towards stop with g(N) <= limit.
+def _reach(beyond, start: int, stop: int) -> int:
+    """Farthest N from start towards stop at which beyond(N) is false.
 
-    Needs g(start) <= limit and g monotone from start to stop: gallops out,
-    then bisects the last step.
+    Needs beyond(start) false and beyond monotone from start to stop (false,
+    then true): gallops out, then bisects the last step.
     """
     step = 1 if stop >= start else -1
     inside, jump = start, 1
     while inside != stop:
         probe = stop if (stop - inside) * step <= jump else inside + step * jump
-        if g(probe) > limit:
+        if beyond(probe):
             while abs(probe - inside) > 1:
                 mid = (inside + probe) // 2
-                if g(mid) <= limit:
-                    inside = mid
-                else:
+                if beyond(mid):
                     probe = mid
+                else:
+                    inside = mid
             return inside
         inside, jump = probe, 2 * jump
     return inside
@@ -332,8 +330,11 @@ def _band(a: float, b: float, n: int, n_hi: int) -> tuple[int, int] | None:
     # once R(N) rounds to exactly 1 the computed ratio can only fall with N
     top = min(n_hi, 2 + int(_SATURATION * spread))
     limit = g_min + 2.0 * tau / b if b > 0.0 else math.inf
-    g = partial(_g, log_decay=log_decay)
-    return max(2, _reach(g, limit, best, 2) - 1), min(top, _reach(g, limit, best, top) + 1)
+
+    def beyond(N):
+        return _g(N, log_decay) > limit
+
+    return max(2, _reach(beyond, best, 2) - 1), min(top, _reach(beyond, best, top) + 1)
 
 
 def _best_in(a: float, b: float, energy: float, n: int, lo: int, hi: int) -> tuple[int, float, float, float]:
@@ -366,34 +367,6 @@ def _maximize(a: float, b: float, energy: float, n: int, n_cap: int) -> tuple[in
     return best_n, n_hi, num, den, val
 
 
-def _maximize_rows(a: np.ndarray, b: np.ndarray, energy: np.ndarray, n: int, n_cap: int) -> tuple[np.ndarray, np.ndarray]:
-    """Best ratio of each row of cells sharing n, as _maximize reports it.
-
-    Each row's rounding band is tested against one window of _WINDOW draw
-    counts around N_c (the same for every row, since N_c depends on n only);
-    rows whose band fits are evaluated together on the window and vacuous
-    rows are 0.  The rest are left NaN and returned as pending, for
-    _maximize to take one at a time, in order, as far as the caller needs.
-    """
-    log_decay = math.log1p(-1.0 / (n - 1))
-    first = max(2, int(1.0 + _Y_STAR / -log_decay) + 1 - _WINDOW // 2)
-    cols = np.arange(first, first + _WINDOW, dtype=float)
-    g = np.sqrt(cols - 1.0) / -np.expm1((cols - 1.0) * log_decay)
-    g_min = g.min()
-    tau = _ROUNDING * (a + b * g_min)
-    vacuous = a - b * g_min < -tau
-    with np.errstate(divide="ignore", invalid="ignore"):
-        room = 1.0 + (a * a) / (b * b)
-    fits = (room >= cols[-1]) & (b * (g[-1] - g_min) > 2.0 * tau) & (n_cap >= cols[-1])
-    if first > 2:
-        fits &= b * (g[0] - g_min) > 2.0 * tau
-    vals = np.where(vacuous, 0.0, np.nan)
-    rows = fits & ~vacuous
-    if rows.any():
-        vals[rows] = _ratio_terms(a[rows, None], b[rows, None], energy[rows, None], n, cols)[2].max(axis=1)
-    return vals, np.flatnonzero(np.isnan(vals))
-
-
 def _bound_result(a: float, b: float, energy: float, n: int, n_cap: int, **ell) -> BoundResult:
     """Maximize one cell and report it with the ell statistics of its model."""
     _check_size(n)
@@ -410,7 +383,7 @@ def _general_bound_result(n: int, m: int, deg_sq: int, p: float, q: float, n_cap
 def _complete_bound_result(n: int, p: float, q: float, n_cap: int) -> BoundResult:
     a, b_sq, energy = _complete_terms(n, p, q)
     sigma_sq = 2.0 * n * p * q
-    return _bound_result(float(a), math.sqrt(b_sq), energy, n, n_cap, s_value=(n - 1) * math.sqrt(sigma_sq), mu=n * p, sigma_squared=sigma_sq)
+    return _bound_result(a, math.sqrt(b_sq), energy, n, n_cap, s_value=(n - 1) * math.sqrt(sigma_sq), mu=n * p, sigma_squared=sigma_sq)
 
 
 def connectivity_bound_at_N(params: ModelParams, N: int) -> float:
@@ -490,49 +463,66 @@ def _check_search(p: float, epsilon: float, t_max: int, n_cap: int) -> tuple[flo
     )
 
 
-def _t_star_scan(terms, n: int, p: float, epsilon: float, t_max: int, n_cap: int) -> TStarResult:
-    # Ascending scan, in chunks of horizons that double in size.  The bound
-    # does not decrease in T (module docstring), but every horizon up to T*
-    # is evaluated because the trace reports each one.  The scan stops at
-    # the first horizon that meets the target, and after the first whose
-    # complement underflows to zero, since every later horizon evaluates on
-    # identical inputs.
-    _check_size(n)
+def _horizon_bound(cell, log_q: float, n_cap: int, T: int) -> float:
+    """The bound at horizon T, with p_hat and q_hat as union_edge_probability gives them."""
+    return cell(-math.expm1(T * log_q), math.exp(T * log_q), n_cap).probability_lower_bound
+
+
+class _Trace(Sequence):
+    """The (T, bound) pairs of horizons 1 .. length, each evaluated on access.
+
+    The pair comes from the cell the search reads, so it is the value an
+    ascending scan would see, bit for bit; nothing is cached.  A slice is a
+    tuple, and the trace equals the tuple of pairs it stands for.
+    """
+
+    __slots__ = ("_bound", "_horizons")
+
+    def __init__(self, bound, length: int):
+        self._bound, self._horizons = bound, range(1, length + 1)
+
+    def __len__(self) -> int:
+        return len(self._horizons)
+
+    def __getitem__(self, index):
+        horizons = self._horizons[index]  # range checks the index and takes slices
+        if isinstance(horizons, range):
+            return tuple((T, self._bound(T)) for T in horizons)
+        return horizons, self._bound(horizons)
+
+    def __eq__(self, other):
+        if not isinstance(other, (_Trace, tuple, list)):
+            return NotImplemented
+        return len(self) == len(other) and all(mine == theirs for mine, theirs in zip(self, other))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"<trace of {len(self)} horizons>"
+
+
+def _t_star_scan(cell, p: float, epsilon: float, t_max: int, n_cap: int) -> TStarResult:
+    # The bound does not fall as T rises (module docstring), so each _reach
+    # below gallops and bisects from horizon 0, which meets nothing, to the
+    # last horizon short of its value.  The search ends at t_max, or at the
+    # first horizon whose complement underflows to zero, since every later
+    # one evaluates on identical inputs.  Then best_t is the first horizon
+    # to reach the last one's bound.
     target = 1.0 - epsilon
     log_q = math.log1p(-p)
-    trace: list[tuple[int, float]] = []
-    start, size = 1, _FIRST_HORIZONS
-    while start <= t_max:
-        horizons = range(start, min(t_max, start + size - 1) + 1)
-        # the complement by math, not numpy, exactly as union_edge_probability
-        exponents = (np.arange(horizons.start, horizons.stop) * log_q).tolist()
-        q_hat = np.fromiter(map(math.exp, exponents), float, len(exponents))
-        p_hat = -np.fromiter(map(math.expm1, exponents), float, len(exponents))
-        a, s_sq, energy = terms(p_hat, q_hat)
-        halts = np.flatnonzero(q_hat == 0.0)
-        last = int(halts[0]) if len(halts) else len(horizons) - 1
-        a, b, energy = a[: last + 1], np.sqrt(s_sq[: last + 1]), energy[: last + 1]
-        vals, pending = _maximize_rows(a, b, energy, n, n_cap)
-        met = np.flatnonzero(vals >= target)
-        end = int(met[0]) if len(met) else last
-        for i in pending[pending <= end]:  # in order, and none past the stop
-            vals[i] = _maximize(float(a[i]), float(b[i]), float(energy[i]), n, n_cap)[4]
-            if vals[i] >= target:
-                end = int(i)
-                break
-        trace += zip(horizons[: end + 1], vals[: end + 1].tolist())
-        if vals[end] >= target:
-            return TStarResult(horizons[end], epsilon, float(vals[end]), tuple(trace))
-        if len(halts):
-            break
-        start += size
-        size = min(2 * size, _MAX_HORIZONS)
-    best_t, best_bound = max(trace, key=lambda entry: entry[1])
+    bound = partial(_horizon_bound, cell, log_q, n_cap)
+    last = min(t_max, _reach(lambda T: math.exp(T * log_q) == 0.0, 0, t_max) + 1)
+    t = _reach(lambda T: bound(T) >= target, 0, last) + 1
+    if t <= last:
+        return TStarResult(t, epsilon, bound(t), _Trace(bound, t))
+    best_bound = bound(last)
+    best_t = _reach(lambda T: bound(T) >= best_bound, 0, last) + 1
     raise TStarNotFound(
         f"no horizon up to {t_max} reaches bound {target} (best {best_bound} at T={best_t})",
         best_t,
         best_bound,
-        trace,
+        _Trace(bound, last),
     )
 
 
@@ -545,13 +535,14 @@ def t_star(
 ) -> TStarResult:
     """Smallest union horizon T with connectivity bound at least 1 - epsilon.
 
-    Scans T = 1, 2, ... upward, evaluating the maximized bound at the
-    collapsed probability p_hat(T); raises TStarNotFound (carrying the best
-    horizon seen and the whole trace) when t_max is exhausted.
+    Gallops over T in doubling steps and bisects, evaluating the maximized
+    bound at the collapsed probability p_hat(T); raises TStarNotFound
+    (carrying the best horizon and the trace) when t_max, or a complement
+    that underflows to zero, is reached first.
     """
     search = _check_search(p, epsilon, t_max, n_cap)
-    _check_count(graph.n, "n", 3)
-    return _t_star_scan(partial(_general_terms, graph.n, graph.m, sum_degree_squares(graph)), graph.n, *search)
+    _check_count(_check_graph(graph, "graph").n, "n", 3)
+    return _t_star_scan(partial(_general_bound_result, graph.n, graph.m, sum_degree_squares(graph)), *search)
 
 
 def t_star_from_stats(
@@ -567,7 +558,7 @@ def t_star_from_stats(
     n = _check_count(n, "n", 3)
     m = _check_count(m, "m", 1)
     deg_sq = _check_count(deg_sq, "deg_sq", 1)
-    return _t_star_scan(partial(_general_terms, n, m, deg_sq), n, *_check_search(p, epsilon, t_max, n_cap))
+    return _t_star_scan(partial(_general_bound_result, n, m, deg_sq), *_check_search(p, epsilon, t_max, n_cap))
 
 
 def t_star_complete(
@@ -579,4 +570,4 @@ def t_star_complete(
 ) -> TStarResult:
     """Union horizon search for the complete template via its simplified bound."""
     n = _check_count(n, "n", 3)
-    return _t_star_scan(partial(_complete_terms, n), n, *_check_search(p, epsilon, t_max, n_cap))
+    return _t_star_scan(partial(_complete_bound_result, n), *_check_search(p, epsilon, t_max, n_cap))

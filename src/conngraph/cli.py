@@ -320,7 +320,7 @@ def cmd_bound(args) -> _Report:
 
 
 def _trace_rows(tpl: _TemplateSpec, p: float, trace) -> Iterable[dict]:
-    # lazy: a trace can hold t_max horizons, and most reports never write it
+    # lazy: each trace pair is a bound cell evaluated when read, and most reports never write them
     return (_row(tpl, p, T, bound=value) for T, value in trace)
 
 
@@ -334,7 +334,7 @@ def cmd_tstar(args) -> _Report:
                 tpl.n, tpl.m, tpl.deg_sq, args.p, args.epsilon, args.t_max, args.n_cap
             )
     except TStarNotFound as exc:
-        # still emit the full scan trace; the search itself is complete
+        # still emit the trace of every horizon up to where the search stopped
         return _Report(None, _trace_rows(tpl, args.p, exc.trace), None, [f"error: {exc}"], _exit_code(exc))
 
     payload = {

@@ -9,6 +9,8 @@ messages: ``{name} must be an integer >= {minimum}, got {value!r}`` or
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 __all__ = [
@@ -65,13 +67,13 @@ class TStarNotFound(ConnGraphError):
     """No union horizon within the scan budget meets the requested target.
 
     Attributes:
-        best_t: scanned horizon with the largest bound seen.
+        best_t: first horizon with the largest bound up to the last searched.
         best_bound: that largest bound.
-        trace: list of (T, bound) pairs for every scanned horizon.
+        trace: the (T, bound) pairs up to the last horizon, each evaluated when read.
     """
 
     def __init__(self, message: str, best_t: int, best_bound: float,
-                 trace: list[tuple[int, float]]):
+                 trace: Sequence[tuple[int, float]]):
         super().__init__(message)
         self.best_t = best_t
         self.best_bound = best_bound

@@ -265,16 +265,22 @@ def laplacian(g: UnderlyingGraph | SampledGraph) -> np.ndarray:
 
 def sum_degree_squares(g: UnderlyingGraph) -> int:
     """Sum of squared template degrees."""
-    return sum(d * d for d in g.degrees)
+    return sum(d * d for d in _check_graph(g, "g").degrees)
+
+
+def _check_graph(g, name: str, kinds: tuple[type, ...] = (UnderlyingGraph,)):
+    """g, if it is an instance of one of kinds; else InvalidParameter naming it."""
+    if not isinstance(g, kinds):
+        wanted = " or ".join({UnderlyingGraph: "an UnderlyingGraph", SampledGraph: "a SampledGraph"}[k] for k in kinds)
+        raise InvalidParameter(f"{name} must be {wanted}, got {g!r}")
+    return g
 
 
 def _vertices_and_edges(g: UnderlyingGraph | SampledGraph) -> tuple[int, tuple[Edge, ...] | frozenset[Edge]]:
     """Vertex count and edges of a template, or of a realization's present edges."""
-    if isinstance(g, UnderlyingGraph):
+    if isinstance(_check_graph(g, "g", (UnderlyingGraph, SampledGraph)), UnderlyingGraph):
         return g.n, g.edges
-    if isinstance(g, SampledGraph):
-        return g.parent.n, g.present
-    raise InvalidParameter(f"g must be an UnderlyingGraph or a SampledGraph, got {g!r}")
+    return g.parent.n, g.present
 
 
 def _edge_arrays(g: UnderlyingGraph | SampledGraph) -> tuple[np.ndarray, np.ndarray]:

@@ -27,7 +27,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .errors import InvalidParameter, TooManyEdges, _check_count, _check_fraction
-from .graphs import SampledGraph, UnderlyingGraph, _connected_rows, _edge_arrays
+from .graphs import SampledGraph, UnderlyingGraph, _check_graph, _connected_rows, _edge_arrays
 
 DEFAULT_ENUMERATION_CAP = 24
 DEFAULT_CONFIDENCE = 0.95
@@ -174,7 +174,7 @@ def sample_graph(parent: UnderlyingGraph, p: float, rng: np.random.Generator) ->
 def sample_union(parent: UnderlyingGraph, p: float, T: int, rng: np.random.Generator) -> SampledGraph:
     """Draw the edgewise union of T independent realizations at probability p."""
     p = _check_fraction(p, "p", closed=True)
-    mask = (rng.random((_check_count(T, "T", 1), parent.m)) < p).any(axis=0)
+    mask = (rng.random((_check_count(T, "T", 1), _check_graph(parent, "parent").m)) < p).any(axis=0)
     present = frozenset(e for e, keep in zip(parent.edges, mask) if keep)
     return SampledGraph(parent, present)
 
@@ -195,7 +195,7 @@ def empirical_connectivity(
     """
     p = _check_fraction(p, "p", closed=True)
     T = _check_count(T, "T", 1)
-    blocks = _blocks(trials, T * parent.m, seed)
+    blocks = _blocks(trials, T * _check_graph(parent, "parent").m, seed)
     _check_fraction(confidence, "confidence")
     ei, ej = _edge_arrays(parent)
     successes = 0
@@ -366,7 +366,7 @@ def exact_connectivity(parent: UnderlyingGraph, p: float, cap: int = DEFAULT_ENU
     """
     p = _check_fraction(p, "p", closed=True)
     cap = min(_check_count(cap, "cap", 0), _MAX_ENUMERATION_EDGES)
-    if parent.m > cap:
+    if _check_graph(parent, "parent").m > cap:
         raise TooManyEdges(f"graph has {parent.m} edges, enumeration cap is {cap}")
     profile = np.asarray(_connected_profile(parent), dtype=float)
     ks = np.arange(parent.m + 1, dtype=float)
@@ -400,7 +400,7 @@ def empirical_lambda2_moments(parent: UnderlyingGraph, p: float, trials: int, se
     the Jacobi solver is cross-checked against the same quantity elsewhere.
     """
     p = _check_fraction(p, "p", closed=True)
-    _check_count(parent.n, "n", 2)
+    _check_count(_check_graph(parent, "parent").n, "n", 2)
     ei, ej = _edge_arrays(parent)
     s1 = s2 = s4 = 0.0
     for b, gen in _blocks(trials, parent.m + parent.n * parent.n, seed):
@@ -421,7 +421,7 @@ def empirical_ell_moments(parent: UnderlyingGraph, p: float, trials: int, seed: 
     first, then one sorted-spectrum index uniform over {1, ..., n - 1}.
     """
     p = _check_fraction(p, "p", closed=True)
-    _check_count(parent.n, "n", 2)
+    _check_count(_check_graph(parent, "parent").n, "n", 2)
     ei, ej = _edge_arrays(parent)
     s1 = s2 = 0.0
     for b, gen in _blocks(trials, parent.m + parent.n * parent.n, seed):
@@ -446,7 +446,7 @@ def empirical_ell_min_mean(
     ``independent_graphs=True`` draws N subgraphs per trial instead.
     """
     p = _check_fraction(p, "p", closed=True)
-    _check_count(parent.n, "n", 2)
+    _check_count(_check_graph(parent, "parent").n, "n", 2)
     N = _check_count(N, "N", 1)
     n = parent.n
     ei, ej = _edge_arrays(parent)
@@ -486,7 +486,7 @@ def coupled_monotonicity_check(
     p_high = _check_fraction(p_high, "p_high", closed=True)
     if p_low > p_high:
         raise InvalidParameter(f"p_low {p_low} exceeds p_high {p_high}")
-    blocks = _blocks(trials, parent.m, seed)
+    blocks = _blocks(trials, _check_graph(parent, "parent").m, seed)
     _check_fraction(confidence, "confidence")
     ei, ej = _edge_arrays(parent)
     s_low = s_high = violations = 0

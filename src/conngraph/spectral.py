@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameter, NoConvergence, NotSymmetric, _check_count
-from .graphs import SampledGraph, UnderlyingGraph, laplacian
+from .graphs import SampledGraph, UnderlyingGraph, _check_graph, _vertices_and_edges, laplacian
 from .montecarlo import sample_graph
 
 JACOBI_MAX_SWEEPS = 100
@@ -189,7 +189,7 @@ def algebraic_connectivity(g: UnderlyingGraph | SampledGraph) -> float:
 
     Callers classify connectivity by comparing against ``zero_threshold(n)``.
     """
-    _check_count(g.n if isinstance(g, UnderlyingGraph) else g.parent.n, "n", 2)
+    _check_count(_vertices_and_edges(g)[0], "n", 2)
     return float(eigenvalues_symmetric(laplacian(g)).eigenvalues[1])
 
 
@@ -199,7 +199,7 @@ def sample_ell(g: SampledGraph, rng: np.random.Generator) -> float:
     Computes the spectrum once and picks sorted index i, i uniform over
     {1, ..., n - 1} (0-based; index 0 is the trivial zero eigenvalue).
     """
-    n = _check_count(g.parent.n, "n", 2)
+    n = _check_count(_check_graph(g, "g", (SampledGraph,)).parent.n, "n", 2)
     w = eigenvalues_symmetric(laplacian(g)).eigenvalues
     return float(w[int(rng.integers(1, n))])
 
@@ -218,7 +218,7 @@ def sample_ell_first_order_statistic(
     draws uses a freshly sampled subgraph instead; the two readings share
     marginals, so both have the same mean and variance per draw.
     """
-    _check_count(parent.n, "n", 2)
+    _check_count(_check_graph(parent, "parent").n, "n", 2)
     N = _check_count(N, "N", 1)
     if independent_graphs:
         return min(sample_ell(sample_graph(parent, p, rng), rng) for _ in range(N))

@@ -5,7 +5,9 @@ breadth-first connectivity, brute-force subset enumeration, and a direct
 transcription of the bound formulas with a naive full scan.  The one numpy
 routine is the package's former Monte Carlo connectivity kernel, min-label
 propagation, kept as a second oracle for the hook-and-shortcut kernel that
-replaced it.  Slow is fine; independent is the point.
+replaced it.  The union horizon reference is a plain ascending scan over the
+package's own one-cell bound, since what it checks is the search, not the
+cell.  Slow is fine; independent is the point.
 """
 
 import itertools
@@ -113,6 +115,32 @@ def reference_bound(n, m, deg_sq, p, n_cap=10**6):
         if val > best:
             best, best_n = val, N
     return best, best_n
+
+
+def reference_t_star(cell, p, epsilon, t_max):
+    """The union horizon search as a linear scan: every horizon from T = 1 upward.
+
+    cell(p_hat, q_hat) is the package's one-cell BoundResult at one horizon,
+    ``_general_bound_result`` or ``_complete_bound_result`` with the
+    template's other arguments bound.  The scan stops at the first horizon
+    whose bound reaches 1 - epsilon, at t_max, or after the first horizon
+    whose complement (1 - p)^T underflows to zero.  Returns (found, T,
+    value, trace): T* and its bound when found, and otherwise the first
+    horizon with the largest bound and that bound.
+    """
+    target = 1.0 - epsilon
+    log_q = math.log1p(-p)
+    trace = []
+    for T in range(1, t_max + 1):
+        q_hat = math.exp(T * log_q)
+        value = cell(-math.expm1(T * log_q), q_hat).probability_lower_bound
+        trace.append((T, value))
+        if value >= target:
+            return True, T, value, tuple(trace)
+        if q_hat == 0.0:
+            break
+    best_t, best = max(trace, key=lambda entry: entry[1])
+    return False, best_t, best, tuple(trace)
 
 
 def reference_ratio(n, m, deg_sq, p, N):

@@ -1,10 +1,11 @@
 """Malformed arguments at every public entry point raise a typed error.
 
 One table row per public callable of ``conngraph`` (several for some),
-with a call that succeeds and the names of its numeric parameters.  Each
-malformed value in turn replaces one of them, and the call must raise a
-ConnGraphError subclass: never a bare TypeError or ValueError, and never a
-result.  A completeness check keeps the table in step with ``__all__``.
+with a call that succeeds and the names of its numeric and graph
+parameters.  Each malformed value in turn replaces one of them, and the
+call must raise a ConnGraphError subclass: never a bare TypeError or
+ValueError, and never a result.  A completeness check keeps the table in
+step with ``__all__``.
 """
 
 import inspect
@@ -50,6 +51,7 @@ from conngraph import (
     sample_ell_first_order_statistic,
     sample_graph,
     sample_union,
+    sum_degree_squares,
     t_star,
     t_star_complete,
     t_star_from_stats,
@@ -97,7 +99,7 @@ ROWS = [
     ("complete_minus_cycle", complete_minus_cycle, dict(n=5), ("n",)),
     ("complete_stats", complete_stats, dict(n=3), ("n",)),
     ("complete_minus_cycle_stats", complete_minus_cycle_stats, dict(n=5), ("n",)),
-    ("ModelParams", ModelParams, dict(graph=K4, p=0.5), ("p",)),
+    ("ModelParams", ModelParams, dict(graph=K4, p=0.5), ("graph", "p")),
     ("r_factor", r_factor, dict(N=2, n=4), ("N", "n")),
     ("ell_first_order_lower", ell_first_order_lower, dict(params=PARAMS, N=2), ("N",)),
     ("lambda2_mean_lower", lambda2_mean_lower, dict(params=PARAMS, N=2), ("N",)),
@@ -116,7 +118,7 @@ ROWS = [
         "t_star",
         t_star,
         dict(graph=K4, p=0.5, epsilon=0.5, t_max=100, n_cap=10),
-        ("p", "epsilon", "t_max", "n_cap"),
+        ("graph", "p", "epsilon", "t_max", "n_cap"),
     ),
     (
         "t_star_from_stats",
@@ -131,33 +133,43 @@ ROWS = [
         ("n", "p", "epsilon", "t_max", "n_cap"),
     ),
     ("wilson_interval", wilson_interval, dict(successes=1, trials=2, confidence=0.9), ("successes", "trials", "confidence")),
-    ("sample_graph", lambda p: sample_graph(K4, p, _rng()), dict(p=0.5), ("p",)),
-    ("sample_union", lambda p, T: sample_union(K4, p, T, _rng()), dict(p=0.5, T=2), ("p", "T")),
+    ("sample_graph", lambda parent, p: sample_graph(parent, p, _rng()), dict(parent=K4, p=0.5), ("parent", "p")),
+    (
+        "sample_union",
+        lambda parent, p, T: sample_union(parent, p, T, _rng()),
+        dict(parent=K4, p=0.5, T=2),
+        ("parent", "p", "T"),
+    ),
     (
         "empirical_connectivity",
         empirical_connectivity,
         dict(parent=K4, p=0.5, T=1, trials=5, seed=0, confidence=0.9),
-        ("p", "T", "trials", "seed", "confidence"),
+        ("parent", "p", "T", "trials", "seed", "confidence"),
     ),
-    ("exact_connectivity", exact_connectivity, dict(parent=K4, p=0.5, cap=10), ("p", "cap")),
+    ("exact_connectivity", exact_connectivity, dict(parent=K4, p=0.5, cap=10), ("parent", "p", "cap")),
     (
         "empirical_lambda2_moments",
         empirical_lambda2_moments,
         dict(parent=K4, p=0.5, trials=5, seed=0),
-        ("p", "trials", "seed"),
+        ("parent", "p", "trials", "seed"),
     ),
-    ("empirical_ell_moments", empirical_ell_moments, dict(parent=K4, p=0.5, trials=5, seed=0), ("p", "trials", "seed")),
+    (
+        "empirical_ell_moments",
+        empirical_ell_moments,
+        dict(parent=K4, p=0.5, trials=5, seed=0),
+        ("parent", "p", "trials", "seed"),
+    ),
     (
         "empirical_ell_min_mean",
         empirical_ell_min_mean,
         dict(parent=K4, p=0.5, N=2, trials=5, seed=0),
-        ("p", "N", "trials", "seed"),
+        ("parent", "p", "N", "trials", "seed"),
     ),
     (
         "coupled_monotonicity_check",
         coupled_monotonicity_check,
         dict(parent=K4, p_low=0.2, p_high=0.8, trials=5, seed=0, confidence=0.9),
-        ("p_low", "p_high", "trials", "seed", "confidence"),
+        ("parent", "p_low", "p_high", "trials", "seed", "confidence"),
     ),
     # the entry sits among numbers, which numpy would read a bool beside as 0 or 1
     (
@@ -169,13 +181,20 @@ ROWS = [
     ("zero_threshold", zero_threshold, dict(n=4), ("n",)),
     (
         "sample_ell_first_order_statistic",
-        lambda p, N: sample_ell_first_order_statistic(K4, p, N, _rng()),
-        dict(p=0.5, N=2),
-        ("p", "N"),
+        lambda parent, p, N: sample_ell_first_order_statistic(parent, p, N, _rng()),
+        dict(parent=K4, p=0.5, N=2),
+        ("parent", "p", "N"),
     ),
+    # graph arguments alone
+    ("is_connected", is_connected, dict(g=K4), ("g",)),
+    ("union", union, dict(gs=[K4.all_present()]), ("gs",)),
+    ("laplacian", laplacian, dict(g=K4), ("g",)),
+    ("sum_degree_squares", sum_degree_squares, dict(g=K4), ("g",)),
+    ("algebraic_connectivity", algebraic_connectivity, dict(g=K4.all_present()), ("g",)),
+    ("sample_ell", lambda g: sample_ell(g, _rng()), dict(g=K4.all_present()), ("g",)),
 ]
 
-# Public callables with no numeric parameter of their own, and why.
+# Public callables with no numeric or graph parameter of their own, and why.
 NO_NUMERIC_PARAMETER = {
     **{name: "exception type" for name in conngraph.errors.__all__},
     **{
@@ -186,16 +205,10 @@ NO_NUMERIC_PARAMETER = {
         )
     },
     "SampledGraph": "a template and a set of its edges",
-    "is_connected": "takes a graph",
-    "union": "takes sampled graphs",
-    "laplacian": "takes a graph",
-    "sum_degree_squares": "takes a template",
     "ell_mean": "takes a ModelParams, checked when it is built",
     "s_value": "takes a ModelParams, checked when it is built",
     "ell_variance": "takes a ModelParams, checked when it is built",
     "lambda2_sq_mean_upper": "takes a ModelParams, checked when it is built",
-    "algebraic_connectivity": "takes a graph; its vertex count is in TOO_SMALL",
-    "sample_ell": "takes a sampled graph; its vertex count is in TOO_SMALL",
 }
 
 
@@ -305,6 +318,14 @@ def test_graph_and_path_arguments():
         (lambda: laplacian(None), "g must be an UnderlyingGraph or a SampledGraph, got None"),
         (lambda: is_connected(None), "g must be an UnderlyingGraph or a SampledGraph, got None"),
         (lambda: is_connected("K4"), "g must be an UnderlyingGraph or a SampledGraph, got 'K4'"),
+        (lambda: algebraic_connectivity(None), "g must be an UnderlyingGraph or a SampledGraph, got None"),
+        (lambda: sample_ell(K4, _rng()), f"g must be a SampledGraph, got {K4!r}"),
+        (lambda: sum_degree_squares(K4.all_present()), f"g must be an UnderlyingGraph, got {K4.all_present()!r}"),
+        (lambda: ModelParams(None, 0.5), "graph must be an UnderlyingGraph, got None"),
+        (lambda: t_star(None, 0.5, 0.1), "graph must be an UnderlyingGraph, got None"),
+        (lambda: sample_graph(None, 0.5, _rng()), "parent must be an UnderlyingGraph, got None"),
+        (lambda: exact_connectivity(K4.all_present(), 0.5), f"parent must be an UnderlyingGraph, got {K4.all_present()!r}"),
+        (lambda: empirical_connectivity("K4", 0.5), "parent must be an UnderlyingGraph, got 'K4'"),
     ]:
         with pytest.raises(InvalidParameter) as info:
             call()

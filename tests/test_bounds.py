@@ -1,8 +1,9 @@
+import collections
 import math
 import random
 from fractions import Fraction
+from functools import partial
 
-import numpy as np
 import pytest
 
 from conngraph import (
@@ -39,8 +40,6 @@ from conngraph.bounds import (
     _complete_bound_result,
     _general_bound_result,
     _general_terms,
-    _maximize,
-    _maximize_rows,
 )
 
 import support
@@ -528,24 +527,6 @@ def test_maximizer_degenerate_cells():
     assert res.probability_lower_bound > 0.0
 
 
-def test_maximizer_rows_agree_with_single_cells():
-    # the union search's many-row path against the one-cell path, on rows
-    # built to have every band width: b from a down to 1e-25 a, and a^2 / ((n-1) E)
-    # on both sides of the clamp at 1
-    rng = random.Random(6)
-    for _ in range(24):
-        n = int(10 ** rng.uniform(math.log10(3), 3.5))
-        a = np.array([10 ** rng.uniform(0, 3) for _ in range(16)])
-        b = a * np.array([10 ** -rng.uniform(0, 25) for _ in range(16)])
-        energy = a * a / ((n - 1) * np.array([rng.uniform(0.3, 1.2) for _ in range(16)]))
-        vals, pending = _maximize_rows(a, b, energy, n, DEFAULT_N_CAP)
-        cells = [_maximize(float(x), float(y), float(z), n, DEFAULT_N_CAP)[4] for x, y, z in zip(a, b, energy)]
-        assert np.isnan(vals).tolist() == [i in pending for i in range(16)]
-        assert [v for i, v in enumerate(vals.tolist()) if i not in pending] == [
-            v for i, v in enumerate(cells) if i not in pending
-        ]
-
-
 def _assert_trace_is_cells(trace, p, cell):
     """Each horizon's trace value is, bit for bit, the cell at its (p_hat, q_hat)."""
     log_q = math.log1p(-p)
@@ -594,3 +575,99 @@ def test_t_star_negative_radicand_only_when_reached():
         t_star_from_stats(3, 3, 1, 0.1, 0.01, t_max=7)
     with pytest.raises(InvalidParameter):
         t_star_from_stats(3, 3, 1, 0.1, 0.01)
+
+
+def _t_star_corpus(rng):
+    """Seeded union searches: (the cell they scan, p, epsilon, t_max, n_cap, entry points).
+
+    Random templates (trees with chords, complete graphs, complete minus a
+    cycle) go to every entry point that takes them; p, epsilon, t_max and
+    n_cap are drawn so the corpus holds searches that succeed, that run out
+    of t_max, that stop where the complement underflows, and that run under
+    a small n_cap.
+    """
+    for _ in range(48):
+        if rng.random() < 0.5:
+            p, t_max = 10 ** rng.uniform(-2, math.log10(0.5)), int(10 ** rng.uniform(1, 3))
+        else:  # the complement (1 - p)^T underflows at T = 324 to 1075, often within t_max
+            p, t_max = rng.uniform(0.5, 0.9), rng.randint(300, 3000)
+        epsilon = 10 ** rng.uniform(-6, math.log10(0.5))
+        n_cap = rng.choice([DEFAULT_N_CAP, rng.randint(2, 30)])
+        family = rng.choice(["graph", "complete", "complete-minus-cycle"])
+        if family == "complete":
+            n = int(10 ** rng.uniform(math.log10(3), 5))
+            cell = partial(_complete_bound_result, n, n_cap=n_cap)
+            yield cell, p, epsilon, t_max, n_cap, {"t_star_complete": partial(t_star_complete, n)}
+            if n > 40:
+                continue
+            g = complete(n)  # and through the general route
+        elif family == "complete-minus-cycle":
+            g = complete_minus_cycle(rng.randint(5, 40))
+        else:
+            n = rng.randint(3, 40)
+            g = from_edge_list(n, support.random_connected_graph(rng, n, rng.randint(0, n * (n - 1) // 2)))
+        m, deg_sq = g.m, sum_degree_squares(g)
+        cell = partial(_general_bound_result, g.n, m, deg_sq, n_cap=n_cap)
+        searches = {"t_star": partial(t_star, g), "t_star_from_stats": partial(t_star_from_stats, g.n, m, deg_sq)}
+        yield cell, p, epsilon, t_max, n_cap, searches
+
+
+def test_t_star_matches_linear_scan_on_a_corpus():
+    # every entry point against an ascending scan of every horizon: the same
+    # T*, best horizon and bounds bit for bit, the same message and trace
+    outcomes = collections.Counter()
+    for cell, p, epsilon, t_max, n_cap, searches in _t_star_corpus(random.Random(12)):
+        found, want_t, want_bound, want_trace = support.reference_t_star(cell, p, epsilon, t_max)
+        for name, search in searches.items():
+            case = (name, p, epsilon, t_max, n_cap)
+            if found:
+                res = search(p, epsilon, t_max=t_max, n_cap=n_cap)
+                assert (res.t_star, res.bound_at_t_star) == (want_t, want_bound), case
+                trace = res.trace
+            else:
+                with pytest.raises(TStarNotFound) as info:
+                    search(p, epsilon, t_max=t_max, n_cap=n_cap)
+                exc = info.value
+                assert (exc.best_t, exc.best_bound) == (want_t, want_bound), case
+                message = f"no horizon up to {t_max} reaches bound {1.0 - epsilon} (best {want_bound} at T={want_t})"
+                assert str(exc) == message, case
+                trace = exc.trace
+            assert len(trace) == len(want_trace), case
+            assert tuple(trace) == want_trace, case
+        outcomes["found" if found else "underflow" if len(want_trace) < t_max else "t_max"] += 1
+        outcomes["small n_cap"] += n_cap < DEFAULT_N_CAP
+    assert min(outcomes.values()) >= 5, outcomes
+
+
+def test_trace_is_a_lazy_sequence():
+    res = t_star_complete(30, 0.1, 0.05)
+    pairs = tuple(res.trace)
+    assert len(pairs) == res.t_star and [T for T, _ in pairs] == list(range(1, res.t_star + 1))
+    assert res.trace == pairs and res.trace == list(pairs) and res.trace != pairs[:-1]
+    assert res.trace == t_star_complete(30, 0.1, 0.05).trace and hash(res.trace) == hash(pairs)
+    assert res.trace[-1] == pairs[-1] == (res.t_star, res.bound_at_t_star)
+    assert res.trace[2:7:2] == pairs[2:7:2] and res.trace[::-1] == pairs[::-1] and res.trace[5:2] == ()
+    assert res.trace.index(pairs[3]) == 3 and pairs[4] in res.trace
+    for index in (res.t_star, -res.t_star - 1):
+        with pytest.raises(IndexError):
+            res.trace[index]
+    with pytest.raises(TypeError):
+        res.trace[0] = (1, 0.0)
+    # it holds its cell and its length, and no store of values it has read
+    assert not hasattr(res.trace, "__dict__")
+
+
+@pytest.mark.parametrize(
+    "n, p, epsilon, want",
+    [(1000, 1e-6, 0.1, 7_529_970), (100, 1e-6, 1e-3, 16_777_618)],
+)
+def test_t_star_long_horizons(n, p, epsilon, want):
+    # millions of horizons, found in O(log T*) cells; the trace is read at
+    # its two last entries only, never iterated
+    res = t_star_complete(n, p, epsilon, t_max=10**8)
+    assert res.t_star == want
+    assert len(res.trace) == want
+    assert res.trace[-1] == (want, res.bound_at_t_star)
+    assert res.bound_at_t_star >= 1.0 - epsilon
+    T, value = res.trace[-2]
+    assert T == want - 1 and value < 1.0 - epsilon
