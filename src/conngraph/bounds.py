@@ -179,8 +179,16 @@ def r_factor(N: int, n: int) -> float:
     return -math.expm1((N - 1) * math.log1p(-1.0 / (n - 1)))
 
 
+def _check_params(params) -> ModelParams:
+    """params, if it is a ModelParams; else InvalidParameter naming it."""
+    if not isinstance(params, ModelParams):
+        raise InvalidParameter(f"params must be a ModelParams, got {params!r}")
+    return params
+
+
 def ell_mean(params: ModelParams) -> float:
     """Mean of the random nontrivial eigenvalue: 2 m p / (n - 1)."""
+    params = _check_params(params)
     return 2.0 * params.m * params.p / (params.n - 1)
 
 
@@ -209,7 +217,8 @@ def _complete_terms(n: int, p: float, q: float):
 
 
 def _model_terms(params: ModelParams) -> tuple[float, float, float]:
-    """(a, S^2, E) of a model."""
+    """(a, S^2, E) of a model, after checking that it is one."""
+    params = _check_params(params)
     return _general_terms(params.n, params.m, sum_degree_squares(params.graph), params.p, 1.0 - params.p)
 
 
@@ -244,8 +253,8 @@ def lambda2_mean_lower(params: ModelParams, N: int) -> float:
     Needs N >= 2; at N = 1 the factor R vanishes and nothing is learned.
     """
     N = _check_count(N, "N", 2)
-    r = r_factor(N, params.n)
     s = s_value(params)
+    r = r_factor(N, params.n)
     raw = 2.0 * params.m * params.p * r - s * math.sqrt(N - 1.0)
     return max(0.0, raw / ((params.n - 1) * r))
 
@@ -427,6 +436,7 @@ def connectivity_bound_from_stats(n: int, m: int, deg_sq: int, p: float, n_cap: 
 def connectivity_bound(params: ModelParams, n_cap: int = DEFAULT_N_CAP) -> BoundResult:
     """Best connectivity lower bound over all admissible draw counts N."""
     n_cap = _check_count(n_cap, "n_cap", 2)
+    params = _check_params(params)
     return _general_bound_result(params.n, params.m, sum_degree_squares(params.graph), params.p, 1.0 - params.p, n_cap)
 
 

@@ -17,12 +17,18 @@ template, 4 horizon target not reached, 5 enumeration cap exceeded, 141
 stdout closed by its reader.  Defaults for trials, confidence, t_max, and
 N_cap can be overridden by CONNGRAPH_TRIALS, CONNGRAPH_CONFIDENCE,
 CONNGRAPH_T_MAX, and CONNGRAPH_N_CAP.
+
+`main` can be called any number of times in one process.  It reads and
+checks the four variables on every call, so a changed or malformed value
+takes effect on the next call; the parser itself is built once for each set
+of defaults they give.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -70,7 +76,7 @@ from .montecarlo import (
     empirical_lambda2_moments,
     exact_connectivity,
 )
-from .spectral import _jacobi_eigenvalues, zero_threshold
+from .spectral import _STACK_CELLS, _jacobi_eigenvalues, zero_threshold
 
 EXIT_OK = 0
 EXIT_SPECTRUM_MISMATCH = 1
@@ -95,8 +101,6 @@ DEFAULT_TRIALS = 10_000
 MC_SWEEP_N_CAP = 1000
 # spectrum-check walks 2^m subgraphs through the dense eigensolver
 SPECTRUM_CHECK_EDGE_CAP = 15
-# matrix entries per batch of subgraph Laplacians: 512 KB per copy
-_SPECTRUM_CHECK_CELLS = 1 << 16
 
 
 def _exit_code(exc: Exception) -> int:
@@ -488,7 +492,7 @@ def cmd_spectrum_check(args) -> _Report:
     present = (np.arange(total)[:, None] >> np.arange(graph.m) & 1).astype(bool)
     connected = _connected_rows(graph.n, *edges, present)
     mismatches = 0
-    step = max(1, _SPECTRUM_CHECK_CELLS // (graph.n * graph.n))
+    step = max(1, _STACK_CELLS // (graph.n * graph.n))
     for start in range(0, total, step):
         laplacians = _laplacian_stack(graph.n, *edges, present[start : start + step])
         spectral = _jacobi_eigenvalues(laplacians)[:, 1] > threshold
@@ -527,6 +531,9 @@ def _add_template_group(sub, required: bool = True) -> None:
     group.add_argument("--edge-list", metavar="PATH", dest="edge_list", help="template from an edge-list file")
 
 
+# One parser per set of environment defaults: `main` reads the environment on
+# every call and rebuilding the argparse tree would cost more than most commands.
+@functools.lru_cache(maxsize=8)
 def _build_parser(trials_default: int, confidence_default: float, t_max_default: int, n_cap_default: int):
     parser = argparse.ArgumentParser(
         prog="conngraph",

@@ -79,6 +79,10 @@ class TStarNotFound(ConnGraphError):
         self.best_bound = best_bound
         self.trace = trace
 
+    def __reduce__(self):
+        # args holds only the message, so pickle needs the whole constructor call
+        return type(self), (str(self), self.best_t, self.best_bound, self.trace)
+
 
 def _check_count(value, name: str, minimum: int) -> int:
     """value as an int, if it is an integer (not a bool) of at least minimum."""

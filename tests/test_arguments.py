@@ -1,7 +1,7 @@
 """Malformed arguments at every public entry point raise a typed error.
 
 One table row per public callable of ``conngraph`` (several for some),
-with a call that succeeds and the names of its numeric and graph
+with a call that succeeds and the names of its numeric, graph and model
 parameters.  Each malformed value in turn replaces one of them, and the
 call must raise a ConnGraphError subclass: never a bare TypeError or
 ValueError, and never a result.  A completeness check keeps the table in
@@ -35,6 +35,8 @@ from conngraph import (
     coupled_monotonicity_check,
     eigenvalues_symmetric,
     ell_first_order_lower,
+    ell_mean,
+    ell_variance,
     empirical_connectivity,
     empirical_ell_min_mean,
     empirical_ell_moments,
@@ -43,10 +45,12 @@ from conngraph import (
     from_edge_list,
     is_connected,
     lambda2_mean_lower,
+    lambda2_sq_mean_upper,
     laplacian,
     n_search_max,
     r_factor,
     read_edge_list,
+    s_value,
     sample_ell,
     sample_ell_first_order_statistic,
     sample_graph,
@@ -101,11 +105,15 @@ ROWS = [
     ("complete_minus_cycle_stats", complete_minus_cycle_stats, dict(n=5), ("n",)),
     ("ModelParams", ModelParams, dict(graph=K4, p=0.5), ("graph", "p")),
     ("r_factor", r_factor, dict(N=2, n=4), ("N", "n")),
-    ("ell_first_order_lower", ell_first_order_lower, dict(params=PARAMS, N=2), ("N",)),
-    ("lambda2_mean_lower", lambda2_mean_lower, dict(params=PARAMS, N=2), ("N",)),
-    ("connectivity_bound_at_N", connectivity_bound_at_N, dict(params=PARAMS, N=2), ("N",)),
-    ("n_search_max", n_search_max, dict(params=PARAMS, n_cap=10), ("n_cap",)),
-    ("connectivity_bound", connectivity_bound, dict(params=PARAMS, n_cap=10), ("n_cap",)),
+    ("ell_mean", ell_mean, dict(params=PARAMS), ("params",)),
+    ("s_value", s_value, dict(params=PARAMS), ("params",)),
+    ("ell_variance", ell_variance, dict(params=PARAMS), ("params",)),
+    ("lambda2_sq_mean_upper", lambda2_sq_mean_upper, dict(params=PARAMS), ("params",)),
+    ("ell_first_order_lower", ell_first_order_lower, dict(params=PARAMS, N=2), ("params", "N")),
+    ("lambda2_mean_lower", lambda2_mean_lower, dict(params=PARAMS, N=2), ("params", "N")),
+    ("connectivity_bound_at_N", connectivity_bound_at_N, dict(params=PARAMS, N=2), ("params", "N")),
+    ("n_search_max", n_search_max, dict(params=PARAMS, n_cap=10), ("params", "n_cap")),
+    ("connectivity_bound", connectivity_bound, dict(params=PARAMS, n_cap=10), ("params", "n_cap")),
     (
         "connectivity_bound_from_stats",
         connectivity_bound_from_stats,
@@ -194,7 +202,7 @@ ROWS = [
     ("sample_ell", lambda g: sample_ell(g, _rng()), dict(g=K4.all_present()), ("g",)),
 ]
 
-# Public callables with no numeric or graph parameter of their own, and why.
+# Public callables with no numeric, graph or model parameter of their own, and why.
 NO_NUMERIC_PARAMETER = {
     **{name: "exception type" for name in conngraph.errors.__all__},
     **{
@@ -205,10 +213,6 @@ NO_NUMERIC_PARAMETER = {
         )
     },
     "SampledGraph": "a template and a set of its edges",
-    "ell_mean": "takes a ModelParams, checked when it is built",
-    "s_value": "takes a ModelParams, checked when it is built",
-    "ell_variance": "takes a ModelParams, checked when it is built",
-    "lambda2_sq_mean_upper": "takes a ModelParams, checked when it is built",
 }
 
 
@@ -326,6 +330,10 @@ def test_graph_and_path_arguments():
         (lambda: sample_graph(None, 0.5, _rng()), "parent must be an UnderlyingGraph, got None"),
         (lambda: exact_connectivity(K4.all_present(), 0.5), f"parent must be an UnderlyingGraph, got {K4.all_present()!r}"),
         (lambda: empirical_connectivity("K4", 0.5), "parent must be an UnderlyingGraph, got 'K4'"),
+        (lambda: ell_mean(None), "params must be a ModelParams, got None"),
+        (lambda: connectivity_bound(None), "params must be a ModelParams, got None"),
+        (lambda: n_search_max("x"), "params must be a ModelParams, got 'x'"),
+        (lambda: lambda2_mean_lower(K4, 2), f"params must be a ModelParams, got {K4!r}"),
     ]:
         with pytest.raises(InvalidParameter) as info:
             call()

@@ -394,16 +394,34 @@ def test_spectrum_check_edge_cap(capsys):
 
 
 def test_env_overrides(capsys, monkeypatch):
-    monkeypatch.setenv("CONNGRAPH_TRIALS", "123")
-    payload = run_json(capsys, "simulate", "--complete", "3", "--p", "0.5", "--json")
-    assert payload["trials"] == 123
+    # read on every call: a changed value is the next call's default
+    for trials in (123, 45):
+        monkeypatch.setenv("CONNGRAPH_TRIALS", str(trials))
+        payload = run_json(capsys, "simulate", "--complete", "3", "--p", "0.5", "--json")
+        assert payload["trials"] == trials
 
 
 def test_env_override_invalid(capsys, monkeypatch):
     monkeypatch.setenv("CONNGRAPH_T_MAX", "soon")
-    code, _, err = run_cli(capsys, "bound", "--complete", "3", "--p", "0.5")
-    assert code == 2
-    assert "CONNGRAPH_T_MAX" in err
+    for _ in range(2):
+        code, _, err = run_cli(capsys, "bound", "--complete", "3", "--p", "0.5")
+        assert code == 2
+        assert "CONNGRAPH_T_MAX" in err
+    monkeypatch.delenv("CONNGRAPH_T_MAX")
+    assert run_cli(capsys, "bound", "--complete", "3", "--p", "0.5")[0] == 0
+
+
+def test_repeated_calls_match_fresh_processes(capsys):
+    # one process runs them in turn; no flag, default or rewrite carries over
+    # from one call to the next, so each prints what a new process prints
+    for argv in [
+        ["bound", "--complete", "7", "--p", "0.4", "--T", "3", "--json"],
+        ["bound", "--complete", "7", "--p", "0.4"],
+        ["sweep", "--family", "complete", "--n-values", "5,9", "--p-values", "0.3,0.8"],
+        ["bound", "--complete-minus-cycle", "8", "--p", "0.6"],
+    ]:
+        fresh = subprocess.run([sys.executable, "-m", "conngraph", *argv], capture_output=True, text=True)
+        assert run_cli(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
 
 
 N_CAP_COMMANDS = {

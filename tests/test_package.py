@@ -1,3 +1,4 @@
+import pickle
 import runpy
 from pathlib import Path
 
@@ -34,6 +35,22 @@ def test_public_api_snapshot():
     namespace = {}
     exec("from conngraph import *", namespace)
     assert sorted(k for k in namespace if k != "__builtins__") == PUBLIC_NAMES
+
+
+def test_every_error_round_trips_through_pickle():
+    # a worker process hands its exception back pickled, attributes and all
+    for name in conngraph.errors.__all__:
+        kind = getattr(conngraph, name)
+        if kind is conngraph.TStarNotFound:
+            with pytest.raises(kind) as info:
+                conngraph.t_star_complete(50, 0.01, 1e-9, t_max=5)
+            exc = info.value
+        else:
+            exc = kind(f"{name} message")
+        copy = pickle.loads(pickle.dumps(exc))
+        assert type(copy) is kind
+        assert str(copy) == str(exc)
+        assert vars(copy) == vars(exc), name
 
 
 # eigensolver_checks.py runs the pure-Python Jacobi solver for about 11 s

@@ -19,6 +19,7 @@ from conngraph import (
     laplacian,
     sample_ell,
     sample_ell_first_order_statistic,
+    sample_graph,
     zero_threshold,
 )
 from conngraph import spectral
@@ -275,7 +276,30 @@ def test_ell_first_order_statistic_n_one_is_plain_draw():
     rng1 = np.random.default_rng(12)
     rng2 = np.random.default_rng(12)
     a = sample_ell_first_order_statistic(complete(5), 0.6, 1, rng1)
-    from conngraph import sample_graph
-
     b = sample_ell(sample_graph(complete(5), 0.6, rng2), rng2)
     assert a == pytest.approx(b, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "parent",
+    [complete(3), complete(6), complete_minus_cycle(7), from_edge_list(9, [(i, i + 1) for i in range(8)] + [(0, 5), (2, 7)])],
+    ids=["K3", "K6", "K7-C7", "path9+2"],
+)
+def test_independent_graphs_equal_one_sample_ell_per_draw(parent):
+    # one stacked solve gives the minimum of N separate sample_ell calls on the same stream
+    for seed in range(6):
+        for N, p in [(1, 0.5), (2, 0.3), (5, 0.9), (13, 0.1)]:
+            got = sample_ell_first_order_statistic(parent, p, N, np.random.default_rng(seed), independent_graphs=True)
+            rng = np.random.default_rng(seed)
+            want = min(sample_ell(sample_graph(parent, p, rng), rng) for _ in range(N))
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), (seed, N, p)
+
+
+def test_independent_graphs_span_several_stacks(monkeypatch):
+    # two K5 Laplacians per stack, so 7 draws take four solves
+    monkeypatch.setattr(spectral, "_STACK_CELLS", 50)
+    parent = complete_minus_cycle(5)
+    for seed in range(4):
+        got = sample_ell_first_order_statistic(parent, 0.7, 7, np.random.default_rng(seed), independent_graphs=True)
+        rng = np.random.default_rng(seed)
+        assert got == min(sample_ell(sample_graph(parent, 0.7, rng), rng) for _ in range(7))
