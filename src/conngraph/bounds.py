@@ -44,11 +44,20 @@ It holds 2-4 draw counts in well-conditioned cells and grows towards
 computed ratio can only fall, which ends the band there.  A cell with
 a - b g_min < -tau is vacuous: every ratio rounds to 0 and N = 2 is reported.
 
+The expression has two shapes that round every operation alike.  A band of
+at most 16 draw counts, which is nearly every band, is evaluated one N at a
+time on Python floats, where numpy's fixed cost per call would dominate; 16
+is where the two shapes cost the same.  A wider band, up to 10^6 draw counts
+as b vanishes, is evaluated in numpy arrays.  Both take R(N) from np.expm1,
+never math.expm1: numpy's vectorized expm1 and the C library's can differ in
+the last bit, and the two shapes, hence every pinned maximizing N, must agree.
+
 For unions of T independent samples of the same template, connectivity of
 the union equals connectivity of a single sample with the collapsed edge
 probability p_hat(T) = 1 - (1 - p)^T, so every bound extends to unions by
 substitution.  The bound is monotone in T (below), so the union horizon
 search gallops over T in doubling steps and bisects, one cell per horizon.
+A horizon reads only the cell's maximized ratio, not its BoundResult.
 
 The bound does not fall as p rises, hence not as T rises.  At fixed N and
 q = 1 - p, the general ratio is (2m - g S/p)_+^2 / ((n-1) E/p^2), where
@@ -80,8 +89,14 @@ _Y_STAR = 1.2564312086261697
 _ROUNDING = 64 * np.finfo(float).eps
 # (N-1) L past which R(N) = 1 - e^-((N-1) L) rounds to exactly 1
 _SATURATION = 40.0
-# draw counts per evaluation of a wide band, which bounds its memory
+# widest band evaluated one draw count at a time on Python floats; wider
+# bands go to numpy, whose fixed cost per call pays from here on (module docstring)
+_SCALAR_BAND = 16
+# draw counts per array evaluation of a wide band, which bounds its memory
 _BAND_CHUNK = 4096
+# the smallest positive float: a ratio's denominator that underflowed to 0
+# divides as this one, so that a zero numerator gives 0 and not NaN
+_TINIEST = 5e-324
 
 __all__ = [
     "DEFAULT_N_CAP",
@@ -174,8 +189,8 @@ def r_factor(N: int, n: int) -> float:
     Equals 1 - ((n-2)/(n-1))^(N-1), computed in log space so large n and N
     lose no precision.  Zero at N = 1.
     """
-    N = _check_count(N, "N", 1)
-    n = _check_count(n, "n", 3)
+    N = _check_size(_check_count(N, "N", 1), "N", "draws")
+    n = _check_size(_check_count(n, "n", 3), "n", "vertices")
     return -math.expm1((N - 1) * math.log1p(-1.0 / (n - 1)))
 
 
@@ -192,10 +207,16 @@ def ell_mean(params: ModelParams) -> float:
     return 2.0 * params.m * params.p / (params.n - 1)
 
 
-def _check_size(n: int) -> None:
-    # past 2**53 the draw counts N, up to about n, are no longer exact floats
-    if n > 2**53:
-        raise InvalidParameter(f"bounds need n <= 2**53 = {2**53} vertices, got {n}")
+def _check_size(value: int, name: str, unit: str) -> int:
+    """value, if it is at most 2**53; else InvalidParameter naming it.
+
+    The bounds use n and the draw counts N, up to about n, as floats, and
+    past 2**53 floats no longer hold every integer.  Checked before any term
+    is formed, since a count past the largest float cannot become one.
+    """
+    if value > 2**53:
+        raise InvalidParameter(f"bounds need {name} <= 2**53 = {2**53} {unit}, got {value}")
+    return value
 
 
 def _general_terms(n: int, m: int, deg_sq: int, p: float, q: float):
@@ -241,7 +262,7 @@ def ell_first_order_lower(params: ModelParams, N: int) -> float:
 
     max(0, (2mp - S sqrt(N-1)) / (n-1)); at N = 1 it reduces to the mean.
     """
-    N = _check_count(N, "N", 1)
+    N = _check_size(_check_count(N, "N", 1), "N", "draws")
     s = s_value(params)
     return max(0.0, (2.0 * params.m * params.p - s * math.sqrt(N - 1.0)) / (params.n - 1))
 
@@ -252,7 +273,7 @@ def lambda2_mean_lower(params: ModelParams, N: int) -> float:
     max(0, (2mp R - S sqrt(N-1)) / ((n-1) R)) with R = r_factor(N, n).
     Needs N >= 2; at N = 1 the factor R vanishes and nothing is learned.
     """
-    N = _check_count(N, "N", 2)
+    N = _check_size(_check_count(N, "N", 2), "N", "draws")
     s = s_value(params)
     r = r_factor(N, params.n)
     raw = 2.0 * params.m * params.p * r - s * math.sqrt(N - 1.0)
@@ -284,15 +305,30 @@ def _range_limit(a: float, b: float, n_cap: int) -> int:
 def _ratio_terms(a: float, b: float, energy: float, n: int, ns: np.ndarray):
     """Numerator, denominator and clamped bound ratio of one cell at the draw counts ns.
 
-    Every reported ratio comes from this one expression, so a horizon of a
-    union search and the same cell evaluated alone agree to the bit.
+    The array shape of the one ratio expression; _ratio_at is its scalar
+    shape, which rounds every operation the same way, so a cell, a horizon
+    of a union search and connectivity_bound_at_N agree to the bit whichever
+    shape evaluates them.
     """
     r = -np.expm1((ns - 1.0) * math.log1p(-1.0 / (n - 1)))
     raw = a * r - b * np.sqrt(ns - 1.0)
     np.clip(raw, 0.0, None, out=raw)
     num = raw * raw
     den = (n - 1) * r * r * energy
-    return num, den, np.minimum(num / den, 1.0)
+    return num, den, np.minimum(num / np.maximum(den, _TINIEST), 1.0)
+
+
+def _ratio_at(a: float, b: float, energy: float, n: int, N: int) -> tuple[float, float, float]:
+    """_ratio_terms at the one draw count N, on Python floats.
+
+    R(N) still comes from np.expm1: where numpy's vectorized expm1 and the
+    C library's differ in the last bit, math.expm1 would part the two shapes.
+    """
+    r = -float(np.expm1((N - 1.0) * math.log1p(-1.0 / (n - 1))))
+    raw = max(a * r - b * math.sqrt(N - 1.0), 0.0)
+    num = raw * raw
+    den = (n - 1) * r * r * energy
+    return num, den, min(num / max(den, _TINIEST), 1.0)
 
 
 def _g(N: int, log_decay: float) -> float:
@@ -349,23 +385,38 @@ def _band(a: float, b: float, n: int, n_hi: int) -> tuple[int, int] | None:
 def _best_in(a: float, b: float, energy: float, n: int, lo: int, hi: int) -> tuple[int, float, float, float]:
     """(N, numerator, denominator, ratio) at the first N in [lo, hi] with the largest ratio.
 
-    Evaluated in ascending chunks so that a wide band stays small in memory,
-    stopping at the first ratio that reaches the clamp at 1.  When
-    every ratio rounds to 0, N = 2 is reported, as a scan of all of
-    [2, n_hi] would.
+    The one maximiser over both shapes of _candidates: a later candidate
+    wins only with a larger ratio, and the scan stops at the first ratio
+    that reaches the clamp at 1.  When every ratio rounds to 0, N = 2 is
+    reported, as a scan of all of [2, n_hi] would.
     """
     best = None
-    for start in range(lo, hi + 1, _BAND_CHUNK):
-        ns = np.arange(start, min(hi, start + _BAND_CHUNK - 1) + 1, dtype=float)
-        num, den, val = _ratio_terms(a, b, energy, n, ns)
-        i = int(np.argmax(val))
-        if best is None or val[i] > best[3]:
-            best = (start + i, float(num[i]), float(den[i]), float(val[i]))
+    for candidate in _candidates(a, b, energy, n, lo, hi):
+        if best is None or candidate[3] > best[3]:
+            best = candidate
         if best[3] == 1.0:  # the clamp: no later N can do better
             break
     if best[3] == 0.0 and best[0] != 2:
         return _best_in(a, b, energy, n, 2, 2)
     return best
+
+
+def _candidates(a: float, b: float, energy: float, n: int, lo: int, hi: int):
+    """Ascending (N, numerator, denominator, ratio) over [lo, hi].
+
+    A band of at most _SCALAR_BAND draw counts yields every N from the
+    scalar shape; a wider one yields the first best N of each array chunk,
+    so that it stays small in memory.
+    """
+    if hi - lo < _SCALAR_BAND:
+        for N in range(lo, hi + 1):
+            yield (N, *_ratio_at(a, b, energy, n, N))
+        return
+    for start in range(lo, hi + 1, _BAND_CHUNK):
+        ns = np.arange(start, min(hi, start + _BAND_CHUNK - 1) + 1, dtype=float)
+        num, den, val = _ratio_terms(a, b, energy, n, ns)
+        i = int(np.argmax(val))
+        yield start + i, float(num[i]), float(den[i]), float(val[i])
 
 
 def _maximize(a: float, b: float, energy: float, n: int, n_cap: int) -> tuple[int, int, float, float, float]:
@@ -378,19 +429,18 @@ def _maximize(a: float, b: float, energy: float, n: int, n_cap: int) -> tuple[in
 
 def _bound_result(a: float, b: float, energy: float, n: int, n_cap: int, **ell) -> BoundResult:
     """Maximize one cell and report it with the ell statistics of its model."""
-    _check_size(n)
     best_n, n_hi, num, den, val = _maximize(a, b, energy, n, n_cap)
     return BoundResult(val, best_n, n_hi, num, den, **ell)
 
 
 def _general_bound_result(n: int, m: int, deg_sq: int, p: float, q: float, n_cap: int) -> BoundResult:
-    a, s_sq, energy = _general_terms(n, m, deg_sq, p, q)
+    a, s_sq, energy = _general_terms(_check_size(n, "n", "vertices"), m, deg_sq, p, q)
     s = math.sqrt(s_sq)
     return _bound_result(a, s, energy, n, n_cap, s_value=s, mu=a / (n - 1), sigma_squared=s_sq / (n - 1) ** 2)
 
 
 def _complete_bound_result(n: int, p: float, q: float, n_cap: int) -> BoundResult:
-    a, b_sq, energy = _complete_terms(n, p, q)
+    a, b_sq, energy = _complete_terms(_check_size(n, "n", "vertices"), p, q)
     sigma_sq = 2.0 * n * p * q
     return _bound_result(a, math.sqrt(b_sq), energy, n, n_cap, s_value=(n - 1) * math.sqrt(sigma_sq), mu=n * p, sigma_squared=sigma_sq)
 
@@ -401,9 +451,9 @@ def connectivity_bound_at_N(params: ModelParams, N: int) -> float:
     max(0, 2mp R - S sqrt(N-1))^2 / ((n-1) R^2 (4mp - 2mp^2 + p^2 sum d^2)),
     clamped into [0, 1].
     """
-    N = _check_count(N, "N", 2)
+    N = _check_size(_check_count(N, "N", 2), "N", "draws")
     a, s_sq, energy = _model_terms(params)
-    return float(_ratio_terms(a, math.sqrt(s_sq), energy, params.n, np.array([float(N)]))[2][0])
+    return _ratio_at(a, math.sqrt(s_sq), energy, params.n, N)[2]
 
 
 def n_search_max(params: ModelParams, n_cap: int = DEFAULT_N_CAP) -> int:
@@ -458,9 +508,24 @@ def union_edge_probability(p: float, T: int) -> float:
     """Collapsed edge probability of a T-fold union: 1 - (1 - p)^T."""
     p = _check_fraction(p, "p", closed=True)
     T = _check_count(T, "T", 1)
-    if p == 1.0:
-        return 1.0
-    return -math.expm1(T * math.log1p(-p))
+    if p in (0.0, 1.0):
+        return p
+    return _union_probabilities(math.log1p(-p), T)[0]
+
+
+def _union_probabilities(log_q: float, T: int) -> tuple[float, float]:
+    """(p_hat, q_hat) = (1 - (1-p)^T, (1-p)^T) of a T-fold union, from log_q = log(1 - p).
+
+    A horizon past the largest float cannot become one, so there T log_q is
+    formed from log_q's exact ratio of integers, floored at -2048, far below
+    the -745 at which q_hat is already 0.
+    """
+    try:
+        x = T * log_q
+    except OverflowError:
+        num, den = log_q.as_integer_ratio()
+        x = max(T * num, -2048 * den) / den
+    return -math.expm1(x), math.exp(x)
 
 
 def _check_search(p: float, epsilon: float, t_max: int, n_cap: int) -> tuple[float, float, int, int]:
@@ -473,17 +538,22 @@ def _check_search(p: float, epsilon: float, t_max: int, n_cap: int) -> tuple[flo
     )
 
 
-def _horizon_bound(cell, log_q: float, n_cap: int, T: int) -> float:
-    """The bound at horizon T, with p_hat and q_hat as union_edge_probability gives them."""
-    return cell(-math.expm1(T * log_q), math.exp(T * log_q), n_cap).probability_lower_bound
+def _horizon_bound(terms, n: int, log_q: float, n_cap: int, T: int) -> float:
+    """The bound at horizon T: the maximized ratio of the cell whose terms(p_hat, q_hat) are (a, b^2, E).
+
+    The same value as the cell's BoundResult, which a search does not need.
+    """
+    a, b_sq, energy = terms(*_union_probabilities(log_q, T))
+    return _maximize(a, math.sqrt(b_sq), energy, n, n_cap)[4]
 
 
 class _Trace(Sequence):
     """The (T, bound) pairs of horizons 1 .. length, each evaluated on access.
 
-    The pair comes from the cell the search reads, so it is the value an
-    ascending scan would see, bit for bit; nothing is cached.  A slice is a
-    tuple, and the trace equals the tuple of pairs it stands for.
+    The pair comes from the horizon bound the search reads, so it is the
+    value an ascending scan of cells would see, bit for bit; nothing is
+    cached.  A slice is a tuple, and the trace equals the tuple of pairs it
+    stands for.
     """
 
     __slots__ = ("_bound", "_horizons")
@@ -512,7 +582,7 @@ class _Trace(Sequence):
         return f"<trace of {len(self)} horizons>"
 
 
-def _t_star_scan(cell, p: float, epsilon: float, t_max: int, n_cap: int) -> TStarResult:
+def _t_star_scan(terms, n: int, p: float, epsilon: float, t_max: int, n_cap: int) -> TStarResult:
     # The bound does not fall as T rises (module docstring), so each _reach
     # below gallops and bisects from horizon 0, which meets nothing, to the
     # last horizon short of its value.  The search ends at t_max, or at the
@@ -521,8 +591,8 @@ def _t_star_scan(cell, p: float, epsilon: float, t_max: int, n_cap: int) -> TSta
     # to reach the last one's bound.
     target = 1.0 - epsilon
     log_q = math.log1p(-p)
-    bound = partial(_horizon_bound, cell, log_q, n_cap)
-    last = min(t_max, _reach(lambda T: math.exp(T * log_q) == 0.0, 0, t_max) + 1)
+    bound = partial(_horizon_bound, terms, n, log_q, n_cap)
+    last = min(t_max, _reach(lambda T: _union_probabilities(log_q, T)[1] == 0.0, 0, t_max) + 1)
     t = _reach(lambda T: bound(T) >= target, 0, last) + 1
     if t <= last:
         return TStarResult(t, epsilon, bound(t), _Trace(bound, t))
@@ -551,8 +621,8 @@ def t_star(
     that underflows to zero, is reached first.
     """
     search = _check_search(p, epsilon, t_max, n_cap)
-    _check_count(_check_graph(graph, "graph").n, "n", 3)
-    return _t_star_scan(partial(_general_bound_result, graph.n, graph.m, sum_degree_squares(graph)), *search)
+    n = _check_count(_check_graph(graph, "graph").n, "n", 3)
+    return _t_star_scan(partial(_general_terms, n, graph.m, sum_degree_squares(graph)), n, *search)
 
 
 def t_star_from_stats(
@@ -565,10 +635,10 @@ def t_star_from_stats(
     n_cap: int = DEFAULT_N_CAP,
 ) -> TStarResult:
     """Union horizon search from summary statistics alone."""
-    n = _check_count(n, "n", 3)
+    n = _check_size(_check_count(n, "n", 3), "n", "vertices")
     m = _check_count(m, "m", 1)
     deg_sq = _check_count(deg_sq, "deg_sq", 1)
-    return _t_star_scan(partial(_general_bound_result, n, m, deg_sq), *_check_search(p, epsilon, t_max, n_cap))
+    return _t_star_scan(partial(_general_terms, n, m, deg_sq), n, *_check_search(p, epsilon, t_max, n_cap))
 
 
 def t_star_complete(
@@ -579,5 +649,5 @@ def t_star_complete(
     n_cap: int = DEFAULT_N_CAP,
 ) -> TStarResult:
     """Union horizon search for the complete template via its simplified bound."""
-    n = _check_count(n, "n", 3)
-    return _t_star_scan(partial(_complete_bound_result, n), *_check_search(p, epsilon, t_max, n_cap))
+    n = _check_size(_check_count(n, "n", 3), "n", "vertices")
+    return _t_star_scan(partial(_complete_terms, n), n, *_check_search(p, epsilon, t_max, n_cap))

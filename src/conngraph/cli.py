@@ -48,7 +48,7 @@ from .bounds import (
 )
 # The internal cores take the exact complement q_hat = exp(T log(1-p)), which
 # the public API (p only) cannot carry once p_hat rounds to 1.0.
-from .bounds import _complete_bound_result, _general_bound_result
+from .bounds import _complete_bound_result, _general_bound_result, _union_probabilities
 from .errors import (
     ConnGraphError,
     DisconnectedTemplate,
@@ -190,8 +190,7 @@ def _collapse(p: float, T: int | None) -> tuple[float, float]:
     """
     if T is None:
         return p, 1.0 - p
-    log_q = math.log1p(-p)
-    return -math.expm1(T * log_q), math.exp(T * log_q)
+    return _union_probabilities(math.log1p(-p), T)
 
 
 def _row(tpl: _TemplateSpec, p: float, T: int | None, **values) -> dict:

@@ -9,6 +9,7 @@ step with ``__all__``.
 """
 
 import inspect
+import json
 import math
 import tempfile
 from pathlib import Path
@@ -297,6 +298,62 @@ def test_cli_too_small_templates(capsys, argv, message):
     # the library's own check, with no pre-check of the command's
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+BIG = 2**1100  # past the largest float, which a count cannot be converted to
+HUGE_N = 10**160
+
+OVERSIZED = [
+    (lambda: connectivity_bound_complete(HUGE_N, 0.5), "n", HUGE_N, "vertices"),
+    (lambda: connectivity_bound_from_stats(HUGE_N, HUGE_N - 1, 4 * HUGE_N - 6, 0.5), "n", HUGE_N, "vertices"),
+    (lambda: t_star_complete(HUGE_N, 0.5, 0.1), "n", HUGE_N, "vertices"),
+    (lambda: t_star_from_stats(HUGE_N, HUGE_N - 1, 4 * HUGE_N - 6, 0.5, 0.1), "n", HUGE_N, "vertices"),
+    (lambda: r_factor(2, BIG), "n", BIG, "vertices"),
+    (lambda: r_factor(BIG, 4), "N", BIG, "draws"),
+    (lambda: r_factor(2**53 + 1, 4), "N", 2**53 + 1, "draws"),
+    (lambda: ell_first_order_lower(PARAMS, BIG), "N", BIG, "draws"),
+    (lambda: lambda2_mean_lower(PARAMS, BIG), "N", BIG, "draws"),
+    (lambda: connectivity_bound_at_N(PARAMS, BIG), "N", BIG, "draws"),
+    (lambda: connectivity_bound_at_N(PARAMS, 2**53 + 1), "N", 2**53 + 1, "draws"),
+]
+
+
+@pytest.mark.parametrize("call, name, value, unit", OVERSIZED)
+def test_oversized_counts(call, name, value, unit):
+    # refused before a float is formed from them: past 2**53 floats skip
+    # integers, and past about 1.8e308 the conversion overflows
+    with pytest.raises(InvalidParameter) as info:
+        call()
+    assert str(info.value) == f"bounds need {name} <= 2**53 = {2**53} {unit}, got {value}"
+
+
+def test_horizon_past_the_largest_float():
+    # T log(1 - p) is formed without converting T to a float
+    assert union_edge_probability(0.1, BIG) == 1.0
+    assert union_edge_probability(0.0, BIG) == 0.0
+    # p = 2**-1074, so T p = 2**-44 at T = 2**1030 and the union is not yet sure
+    assert union_edge_probability(5e-324, 2**1030) == -math.expm1(-(2.0**-44))
+    assert union_edge_probability(5e-324, BIG) == 1.0
+    # a search whose complement underflows only past the largest float
+    res = t_star_complete(5, 5e-324, 0.1, t_max=BIG)
+    assert 2**1024 < res.t_star < BIG and res.bound_at_t_star >= 0.9
+
+
+@pytest.mark.parametrize(
+    "argv, code, err",
+    [
+        (["bound", "--complete", str(HUGE_N), "--p", "0.5"], 2, f"error: bounds need n <= 2**53 = {2**53} vertices, got {HUGE_N}\n"),
+        (["tstar", "--complete", str(HUGE_N), "--p", "0.5", "--epsilon", "0.1"], 2, f"error: bounds need n <= 2**53 = {2**53} vertices, got {HUGE_N}\n"),
+        (["bound", "--complete", "5", "--p", "0.5", "--T", str(BIG), "--json"], 0, ""),
+        (["exact", "--complete", "4", "--p", "0.5", "--T", str(BIG), "--json"], 0, ""),
+    ],
+)
+def test_cli_oversized_counts(capsys, argv, code, err):
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.err == err
+    if code == 0:
+        assert json.loads(captured.out)["p_hat"] == 1.0
 
 
 def test_edge_errors():

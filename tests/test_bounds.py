@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from functools import partial
 
+import numpy as np
 import pytest
 
 from conngraph import (
@@ -34,12 +35,20 @@ from conngraph import (
     t_star_from_stats,
     union_edge_probability,
 )
+from conngraph import bounds
 from conngraph.bounds import (
+    _BAND_CHUNK,
+    _SCALAR_BAND,
     DEFAULT_N_CAP,
     _band,
+    _best_in,
     _complete_bound_result,
+    _complete_terms,
     _general_bound_result,
     _general_terms,
+    _range_limit,
+    _ratio_at,
+    _ratio_terms,
 )
 
 import support
@@ -125,14 +134,37 @@ def test_bound_triangle_intermediate():
     assert res.probability_lower_bound == pytest.approx(0.0454216069316491, rel=1e-12)
 
 
-def test_bound_at_N_consistent_with_scan():
-    params = ModelParams(complete(6), 0.9)
+def _complete_statistics(n):
+    """K_n as the bounds read it: n, m and the degrees, with the edge list not materialized."""
+    m = n * (n - 1) // 2
+    return UnderlyingGraph(n, range(m), m, (n - 1,) * n)
+
+
+@pytest.mark.parametrize(
+    "graph, p",
+    [
+        (complete(6), 0.9),
+        (complete_minus_cycle(40), 1 - 1e-9),
+        # rounding bands of 21 and 66 draw counts: the cell takes the array
+        # shape, connectivity_bound_at_N the scalar one
+        (_complete_statistics(3000), 1 - 2**-53),
+        (_complete_statistics(10**4), 1 - 2**-53),
+    ],
+)
+def test_bound_at_N_consistent_with_scan(graph, p):
+    params = ModelParams(graph, p)
     res = connectivity_bound(params)
-    at_star = connectivity_bound_at_N(params, res.maximizing_n)
-    assert at_star == pytest.approx(res.probability_lower_bound, rel=1e-14)
-    # no other N in range does better
-    for N in range(2, res.n_search_max + 1):
-        assert connectivity_bound_at_N(params, N) <= at_star + 1e-14
+    assert connectivity_bound_at_N(params, res.maximizing_n) == res.probability_lower_bound
+    a, s_sq, _ = _general_terms(graph.n, graph.m, sum_degree_squares(graph), p, 1.0 - p)
+    lo, hi = _band(a, math.sqrt(s_sq), graph.n, res.n_search_max)
+    assert (hi - lo + 1 > _SCALAR_BAND) == (graph.n >= 3000)
+    # no N does better, and none before the maximiser ties it: every N up to
+    # 200 and every N within 100 of the band
+    for N in sorted(set(range(2, 201)) | set(range(lo - 100, hi + 101))):
+        if 2 <= N <= res.n_search_max:
+            value = connectivity_bound_at_N(params, N)
+            assert value <= res.probability_lower_bound, N
+            assert N >= res.maximizing_n or value < res.probability_lower_bound, N
 
 
 def test_bound_in_unit_interval():
@@ -515,6 +547,9 @@ def test_maximizer_degenerate_cells():
         _complete_bound_result(9_000_000, 1.0, 0.0, 10**12),
     ):
         assert (res.probability_lower_bound, res.maximizing_n) == (1.0, 2)
+    # a denominator that underflows to 0 beside a zero numerator: 0, not NaN
+    res = connectivity_bound_from_stats(2**53, 1, 2, 5e-324)
+    assert (res.probability_lower_bound, res.maximizing_n, res.denominator) == (0.0, 2, 0.0)
     # vacuous: every ratio is 0, and N = 2 although n_search_max is far above
     res = connectivity_bound_complete(10**6, 0.6)
     assert (res.probability_lower_bound, res.maximizing_n, res.n_search_max) == (0.0, 2, 750_000)
@@ -525,6 +560,52 @@ def test_maximizer_degenerate_cells():
     res = connectivity_bound(ModelParams(complete(30), 0.99), n_cap=10)
     assert res.maximizing_n == res.n_search_max == 10
     assert res.probability_lower_bound > 0.0
+
+
+def _shape_corpus(rng):
+    """(a, b, E, n) of a cell and a band [lo, hi] of draw counts, for both evaluation shapes.
+
+    p reaches 5e-324 and 1 - 2**-53, and (p, q) = (1, 0) stands for a union
+    whose complement underflowed (b = 0); n runs from 3 to 2**53.  Each cell
+    brings its own rounding band, the draw counts 2 to 64, and two bands of
+    1 to 5000 draw counts placed at random in [2, 10**6].
+    """
+    ns = [3, 7, 2**53] + [int(10 ** rng.uniform(math.log10(3), 53 * math.log10(2))) for _ in range(45)]
+    for n in ns:
+        p = rng.choice([5e-324, 1 - 2**-53, 1.0, 10 ** rng.uniform(-300, -1), 1 - 10 ** rng.uniform(-15, -1), rng.uniform(0.05, 0.95)])
+        q = 0.0 if p == 1.0 else 1.0 - p
+        if rng.random() < 0.5:
+            a, b_sq, energy = _complete_terms(n, p, q)
+        else:
+            m, deg_sq = rng.choice([(n - 1, n * (n - 1)), (n - 1, 4 * n - 6), (n * (n - 1) // 2, n * (n - 1) ** 2)])
+            a, b_sq, energy = _general_terms(n, m, deg_sq, p, q)
+        b = math.sqrt(b_sq)
+        yield a, b, energy, n, _band(a, b, n, _range_limit(a, b, DEFAULT_N_CAP)) or (2, 2)
+        yield a, b, energy, n, (2, 64)
+        for width in rng.sample([1, 2, 3, _SCALAR_BAND, _SCALAR_BAND + 1, 100, 4097, 5000], 2):
+            lo = rng.randint(2, 10**6 - width + 1)
+            yield a, b, energy, n, (lo, lo + width - 1)
+
+
+def test_scalar_and_array_shapes_agree(monkeypatch):
+    # _best_in forced through each shape gives the same (N, numerator,
+    # denominator, ratio), and the two shapes agree at the first 5000 N of
+    # every band; R(N) from math.expm1 instead of np.expm1 would part them
+    # where the two differ in the last bit, as they do at about 1% of draw
+    # counts on hosts whose numpy has a vectorized expm1
+    shapes = collections.Counter()
+    for a, b, energy, n, (lo, hi) in _shape_corpus(random.Random(14)):
+        case = (a, b, energy, n, lo, hi)
+        monkeypatch.setattr(bounds, "_SCALAR_BAND", 0)
+        array = _best_in(a, b, energy, n, lo, hi)
+        monkeypatch.setattr(bounds, "_SCALAR_BAND", 10**7)
+        assert _best_in(a, b, energy, n, lo, hi) == array, case
+        ns = range(lo, min(hi, lo + 4999) + 1)
+        terms = _ratio_terms(a, b, energy, n, np.array(ns, dtype=float))
+        assert [_ratio_at(a, b, energy, n, N) for N in ns] == list(zip(*(t.tolist() for t in terms))), case
+        shapes["clamped" if array[3] == 1.0 else "vacuous" if array[3] == 0.0 else "between"] += 1
+        shapes["wide"] += hi - lo + 1 > _BAND_CHUNK
+    assert min(shapes.values()) >= 5, shapes
 
 
 def _assert_trace_is_cells(trace, p, cell):
