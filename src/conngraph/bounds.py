@@ -219,6 +219,22 @@ def _check_size(value: int, name: str, unit: str) -> int:
     return value
 
 
+def _check_stats(n: int, m: int, deg_sq: int) -> tuple[int, int, int]:
+    """(n, m, deg_sq), if a simple graph on n >= 3 vertices could have them; else InvalidParameter.
+
+    A simple graph has m <= n(n-1)/2 edges and degrees of at most n - 1, so
+    deg_sq <= n(n-1)^2.  Checked on the integers, before any float is formed.
+    """
+    n = _check_count(n, "n", 3)
+    m = _check_count(m, "m", 1)
+    deg_sq = _check_count(deg_sq, "deg_sq", 1)
+    if 2 * m > n * (n - 1):
+        raise InvalidParameter(f"statistics n={n}, m={m} describe no simple graph: m > n(n-1)/2 = {n * (n - 1) // 2}")
+    if deg_sq > n * (n - 1) ** 2:
+        raise InvalidParameter(f"statistics n={n}, deg_sq={deg_sq} describe no simple graph: deg_sq > n(n-1)^2 = {n * (n - 1) ** 2}")
+    return n, m, deg_sq
+
+
 def _general_terms(n: int, m: int, deg_sq: int, p: float, q: float):
     """(a, S^2, E) of the general route.
 
@@ -475,9 +491,7 @@ def connectivity_bound_from_stats(n: int, m: int, deg_sq: int, p: float, n_cap: 
     edges, deg_sq the sum of squared degrees.  Useful when the template is
     too large to materialize edge by edge.
     """
-    n = _check_count(n, "n", 3)
-    m = _check_count(m, "m", 1)
-    deg_sq = _check_count(deg_sq, "deg_sq", 1)
+    n, m, deg_sq = _check_stats(n, m, deg_sq)
     n_cap = _check_count(n_cap, "n_cap", 2)
     p = _check_fraction(p, "p")
     return _general_bound_result(n, m, deg_sq, p, 1.0 - p, n_cap)
@@ -579,7 +593,8 @@ class _Trace(Sequence):
         return hash(tuple(self))
 
     def __repr__(self) -> str:
-        return f"<trace of {len(self)} horizons>"
+        # len() stops at sys.maxsize, and a search can pass it
+        return f"<trace of {self._horizons.stop - 1} horizons>"
 
 
 def _t_star_scan(terms, n: int, p: float, epsilon: float, t_max: int, n_cap: int) -> TStarResult:
@@ -635,9 +650,8 @@ def t_star_from_stats(
     n_cap: int = DEFAULT_N_CAP,
 ) -> TStarResult:
     """Union horizon search from summary statistics alone."""
-    n = _check_size(_check_count(n, "n", 3), "n", "vertices")
-    m = _check_count(m, "m", 1)
-    deg_sq = _check_count(deg_sq, "deg_sq", 1)
+    n, m, deg_sq = _check_stats(n, m, deg_sq)
+    n = _check_size(n, "n", "vertices")
     return _t_star_scan(partial(_general_terms, n, m, deg_sq), n, *_check_search(p, epsilon, t_max, n_cap))
 
 

@@ -348,7 +348,7 @@ def cmd_tstar(args) -> _Report:
         "t_max": args.t_max,
         "t_star": res.t_star,
         "bound_at_t_star": res.bound_at_t_star,
-        "trace_length": len(res.trace),
+        "trace_length": res.t_star,  # the trace holds horizons 1 .. T*, however many that is
     }
     text = _header(tpl, args.p) + [
         ("epsilon", res.epsilon),

@@ -9,7 +9,17 @@ not depend on how many blocks run or in what order they would be scheduled.
 Every estimator runs one block loop, ``_blocks``, which sizes the blocks of
 trials and hands each its child stream.  Monte Carlo, the coupled check and
 exact enumeration decide connectivity with the package's one kernel,
-``graphs._connected_rows``, a whole block of edge-presence rows per call.
+``graphs._connected_rows``, many edge-presence rows per call.
+
+Memory rule: no array grows with the block budget.  A block's uniforms are
+the (rows, T, m) array one ``gen.random`` call would return, but
+``_presence_groups`` draws them in the same stream order through one reused
+buffer of max(``_DRAW_CHUNK``, m) doubles, whole rows when a row fits and
+whole layers of one row otherwise, and compares each chunk straight into a
+bool presence group.  A group is as many rows as one kernel sub-block takes,
+or, for spectra, as many Laplacians as ``_SPECTRAL_CELLS`` entries hold.  So
+a block keeps only its results, such as its spectra for the index draws that
+follow them, and its estimates are those of drawing the block at once.
 
 The exact probability rests on the template's profile of connected edge
 subsets, counted by whichever of two exact methods takes fewer steps: the
@@ -27,7 +37,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .errors import InvalidParameter, TooManyEdges, _check_count, _check_fraction
-from .graphs import SampledGraph, UnderlyingGraph, _check_graph, _connected_rows, _edge_arrays
+from .graphs import _CONN_SLOTS, SampledGraph, UnderlyingGraph, _check_graph, _connected_rows, _edge_arrays
 
 DEFAULT_ENUMERATION_CAP = 24
 DEFAULT_CONFIDENCE = 0.95
@@ -36,6 +46,8 @@ _PAIR_BUDGET = 3**9  # max (S, T) pairs per block of the vertex-subset recurrenc
 
 _BLOCK = 8192
 _BLOCK_BUDGET = 1 << 22  # max uniforms drawn per block
+_DRAW_CHUNK = 1 << 16  # max uniforms held at once, unless one layer of a row holds more
+_SPECTRAL_CELLS = 1 << 18  # max Laplacian entries per eigvalsh call
 
 __all__ = [
     "DEFAULT_ENUMERATION_CAP",
@@ -154,6 +166,51 @@ def _blocks(trials: int, draws_per_trial: int, seed: int):
     return ((size, np.random.Generator(np.random.PCG64(child))) for size, child in zip(sizes, children))
 
 
+def _presence_groups(gen: np.random.Generator, rows: int, m: int, levels: tuple[float, ...], group: int, T: int = 1):
+    """An iterator of (start, present) over a block's rows, at most ``group`` at a time, in order.
+
+    The block's uniforms are the (rows, T, m) array that ``gen.random`` would
+    return, drawn in the same stream order into one reused buffer: whole rows
+    when a row fits in it, else whole layers of one row.  ``present`` has
+    shape (len(levels), g, m); entry [k, r, e] is set when any of the T
+    uniforms of edge e in row start + r is below levels[k].  It is a view
+    that the next group overwrites.
+    """
+    if m == 0:
+        T = 1  # no edge, so no uniform to draw whatever T is
+    cap = max(_DRAW_CHUNK, m)  # uniforms per draw
+    layers = min(T, cap // max(1, m))  # per draw
+    per_draw = max(1, cap // (T * max(1, m)))  # rows per draw; 1 when a row holds more than cap
+    buf = np.empty(min(cap, rows * T * m))
+    out = np.empty((len(levels), min(group, rows), m), dtype=bool)
+    for start in range(0, rows, group):
+        present = out[:, : min(group, rows - start)]
+        for r in range(0, present.shape[1], per_draw):
+            chunk = present[:, r : r + per_draw]
+            for t in range(0, T, layers):
+                shape = (chunk.shape[1], min(layers, T - t), m)
+                u = buf[: shape[0] * shape[1] * m].reshape(shape)
+                gen.random(out=u)
+                for k, level in enumerate(levels):
+                    if t:
+                        chunk[k] |= (u < level).any(axis=1)
+                    else:
+                        np.any(u < level, axis=1, out=chunk[k])
+        yield start, present
+
+
+def _kernel_rows(parent: UnderlyingGraph) -> int:
+    """Rows per connectivity group: one sub-block of ``graphs._connected_rows``."""
+    return max(1, _CONN_SLOTS // max(parent.m, parent.n))
+
+
+def _layer_draws(T: int, m: int) -> int:
+    """T * m, the uniforms one trial of a T-layer union draws; from 2**63 on, InvalidParameter."""
+    if T * m >= 1 << 63:
+        raise InvalidParameter(f"a union of T={T} layers of m={m} edges needs T*m < 2**63 uniforms per trial")
+    return T * m
+
+
 def _estimate(successes: int, trials: int, confidence: float) -> EmpiricalEstimate:
     low, high = wilson_interval(successes, trials, confidence)
     return EmpiricalEstimate(trials, successes, successes / trials, low, high, confidence)
@@ -174,9 +231,10 @@ def sample_graph(parent: UnderlyingGraph, p: float, rng: np.random.Generator) ->
 def sample_union(parent: UnderlyingGraph, p: float, T: int, rng: np.random.Generator) -> SampledGraph:
     """Draw the edgewise union of T independent realizations at probability p."""
     p = _check_fraction(p, "p", closed=True)
-    mask = (rng.random((_check_count(T, "T", 1), _check_graph(parent, "parent").m)) < p).any(axis=0)
-    present = frozenset(e for e, keep in zip(parent.edges, mask) if keep)
-    return SampledGraph(parent, present)
+    T = _check_count(T, "T", 1)
+    _layer_draws(T, _check_graph(parent, "parent").m)
+    _, present = next(_presence_groups(rng, 1, parent.m, (p,), 1, T))
+    return SampledGraph(parent, frozenset(e for e, keep in zip(parent.edges, present[0, 0]) if keep))
 
 
 def empirical_connectivity(
@@ -195,13 +253,13 @@ def empirical_connectivity(
     """
     p = _check_fraction(p, "p", closed=True)
     T = _check_count(T, "T", 1)
-    blocks = _blocks(trials, T * _check_graph(parent, "parent").m, seed)
+    blocks = _blocks(trials, _layer_draws(T, _check_graph(parent, "parent").m), seed)
     _check_fraction(confidence, "confidence")
     ei, ej = _edge_arrays(parent)
     successes = 0
     for b, gen in blocks:
-        present = (gen.random((b, T, parent.m)) < p).any(axis=1)
-        successes += int(_connected_rows(parent.n, ei, ej, present).sum())
+        for _, (present,) in _presence_groups(gen, b, parent.m, (p,), _kernel_rows(parent), T):
+            successes += int(_connected_rows(parent.n, ei, ej, present).sum())
     return _estimate(successes, trials, confidence)
 
 
@@ -375,22 +433,28 @@ def exact_connectivity(parent: UnderlyingGraph, p: float, cap: int = DEFAULT_ENU
 
 
 def _laplacian_stack(n: int, ei: np.ndarray, ej: np.ndarray, present: np.ndarray) -> np.ndarray:
+    """The (rows, n, n) Laplacians of a (rows, m) bool edge-presence block.
+
+    Every zero is +0.0, as sums taken edge by edge leave it: off-diagonal
+    entries are 0.0 - 1.0 or 0.0 - 0.0, and each diagonal entry is 0.0 minus
+    its row's off-diagonal sum, never a bare negation.  The sums count
+    edges, so they are exact in any order.
+    """
     rows = present.shape[0]
-    lap = np.zeros((rows, n, n))
-    for e in range(ei.shape[0]):
-        w = present[:, e].astype(float)
-        i, j = int(ei[e]), int(ej[e])
-        lap[:, i, i] += w
-        lap[:, j, j] += w
-        lap[:, i, j] -= w
-        lap[:, j, i] -= w
-    return lap
+    off = 0.0 - present
+    flat = np.zeros((rows, n * n))
+    flat[:, ei * n + ej] = off
+    flat[:, ej * n + ei] = off
+    flat[:, :: n + 1] = 0.0 - (flat.reshape(rows * n, n) @ np.ones(n)).reshape(rows, n)
+    return flat.reshape(rows, n, n)
 
 
 def _sampled_spectra(n: int, ei: np.ndarray, ej: np.ndarray, p: float, gen: np.random.Generator, rows: int) -> np.ndarray:
     """Ascending Laplacian spectra of ``rows`` subgraphs, one row of edge uniforms each."""
-    present = gen.random((rows, ei.shape[0])) < p
-    return np.linalg.eigvalsh(_laplacian_stack(n, ei, ej, present))
+    vals = np.empty((rows, n))
+    for start, (present,) in _presence_groups(gen, rows, ei.shape[0], (p,), max(1, _SPECTRAL_CELLS // (n * n))):
+        vals[start : start + present.shape[0]] = np.linalg.eigvalsh(_laplacian_stack(n, ei, ej, present))
+    return vals
 
 
 def empirical_lambda2_moments(parent: UnderlyingGraph, p: float, trials: int, seed: int = 0) -> Lambda2Moments:
@@ -491,10 +555,10 @@ def coupled_monotonicity_check(
     ei, ej = _edge_arrays(parent)
     s_low = s_high = violations = 0
     for b, gen in blocks:
-        u = gen.random((b, parent.m))
-        conn_low = _connected_rows(parent.n, ei, ej, u < p_low)
-        conn_high = _connected_rows(parent.n, ei, ej, u < p_high)
-        s_low += int(conn_low.sum())
-        s_high += int(conn_high.sum())
-        violations += int((conn_low & ~conn_high).sum())
+        for _, (low, high) in _presence_groups(gen, b, parent.m, (p_low, p_high), _kernel_rows(parent)):
+            conn_low = _connected_rows(parent.n, ei, ej, low)
+            conn_high = _connected_rows(parent.n, ei, ej, high)
+            s_low += int(conn_low.sum())
+            s_high += int(conn_high.sum())
+            violations += int((conn_low & ~conn_high).sum())
     return CoupledCheck(_estimate(s_low, trials, confidence), _estimate(s_high, trials, confidence), violations)

@@ -2,10 +2,11 @@
 
 Everything here is deliberately written from scratch in plain Python:
 breadth-first connectivity, brute-force subset enumeration, and a direct
-transcription of the bound formulas with a naive full scan.  The one numpy
-routine is the package's former Monte Carlo connectivity kernel, min-label
-propagation, kept as a second oracle for the hook-and-shortcut kernel that
-replaced it.  The union horizon reference is a plain ascending scan over the
+transcription of the bound formulas with a naive full scan.  The numpy
+routines are two of the package's former ones: its Monte Carlo connectivity
+kernel, min-label propagation, kept as a second oracle for the
+hook-and-shortcut kernel that replaced it, and its edge-by-edge Laplacian
+builder, which fixes every bit of the vectorized one, signed zeros included.  The union horizon reference is a plain ascending scan over the
 package's own one-cell bound, since what it checks is the search, not the
 cell.  Slow is fine; independent is the point.
 """
@@ -58,6 +59,19 @@ def reference_connected_rows(n, ei, ej, present):
         if np.array_equal(labels, before):
             break
     return ~labels.any(axis=1)
+
+
+def reference_laplacian_stack(n, ei, ej, present):
+    """The (rows, n, n) Laplacians of a (rows, m) edge-presence matrix, summed one edge at a time."""
+    lap = np.zeros((present.shape[0], n, n))
+    for e in range(len(ei)):
+        w = present[:, e].astype(float)
+        i, j = int(ei[e]), int(ej[e])
+        lap[:, i, i] += w
+        lap[:, j, j] += w
+        lap[:, i, j] -= w
+        lap[:, j, i] -= w
+    return lap
 
 
 def brute_force_connectivity(n, edges, p):

@@ -327,6 +327,53 @@ def test_oversized_counts(call, name, value, unit):
     assert str(info.value) == f"bounds need {name} <= 2**53 = {2**53} {unit}, got {value}"
 
 
+NO_SIMPLE_GRAPH = [
+    (lambda: connectivity_bound_from_stats(10, 10**200, 10**400, 0.5), f"statistics n=10, m={10**200} describe no simple graph: m > n(n-1)/2 = 45"),
+    (lambda: connectivity_bound_from_stats(10, 46, 200, 0.5), "statistics n=10, m=46 describe no simple graph: m > n(n-1)/2 = 45"),
+    (lambda: connectivity_bound_from_stats(10, 45, 811, 0.5), "statistics n=10, deg_sq=811 describe no simple graph: deg_sq > n(n-1)^2 = 810"),
+    (lambda: t_star_from_stats(10, 10**200, 10**400, 0.5, 0.1), f"statistics n=10, m={10**200} describe no simple graph: m > n(n-1)/2 = 45"),
+    (lambda: t_star_from_stats(4, 6, 10**400, 0.5, 0.1), f"statistics n=4, deg_sq={10**400} describe no simple graph: deg_sq > n(n-1)^2 = 36"),
+]
+
+
+@pytest.mark.parametrize(
+    "call, message", NO_SIMPLE_GRAPH, ids=["bound-m-10**200", "bound-m-46", "bound-deg_sq-811", "tstar-m-10**200", "tstar-deg_sq-10**400"]
+)
+def test_statistics_of_no_simple_graph(call, message):
+    # refused on the integers, before a float overflows on them; K10 itself is accepted
+    with pytest.raises(InvalidParameter) as info:
+        call()
+    assert str(info.value) == message
+    assert connectivity_bound_from_stats(10, 45, 810, 0.5) == connectivity_bound(ModelParams(complete(10), 0.5))
+
+
+TOO_MANY_LAYER_DRAWS = f"a union of T={2**70} layers of m=6 edges needs T*m < 2**63 uniforms per trial"
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: empirical_connectivity(K4, 0.5, T=2**70, trials=5),
+        lambda: sample_union(K4, 0.5, 2**70, _rng()),
+        lambda: empirical_connectivity(K4, 0.5, T=-(-(2**63) // 6), trials=5),  # the least T refused
+    ],
+    ids=["empirical_connectivity", "sample_union", "empirical_connectivity-least-T"],
+)
+def test_unions_past_2_63_uniforms_per_trial(call):
+    # refused before anything is drawn: with no array sized by T, numpy would no longer stop them
+    with pytest.raises(InvalidParameter, match=r"needs T\*m < 2\*\*63 uniforms per trial"):
+        call()
+
+
+def test_union_of_no_edges_draws_nothing_whatever_T():
+    assert empirical_connectivity(complete(1), 0.5, T=2**70, trials=5).successes == 5
+
+
+def test_cli_union_past_2_63_uniforms(capsys):
+    assert main(["simulate", "--complete", "4", "--p", "0.5", "--T", str(2**70), "--trials", "5"]) == 2
+    assert capsys.readouterr().err == f"error: {TOO_MANY_LAYER_DRAWS}\n"
+
+
 def test_horizon_past_the_largest_float():
     # T log(1 - p) is formed without converting T to a float
     assert union_edge_probability(0.1, BIG) == 1.0

@@ -253,6 +253,8 @@ def test_negative_radicand_on_impossible_stats():
     # hand-made to match, its fields consistent but one edge doubled
     fake = UnderlyingGraph(3, ((0, 1), (0, 1), (0, 2), (1, 2)), 4, (3, 3, 2))
     message = "statistics n=3, m=4, deg_sq=22 describe no graph: (n-1)(2m + deg_sq) < 4m^2"
+    # the stats routes see only the counts, and refuse 4 edges on 3 vertices first
+    stats_message = "statistics n=3, m=4 describe no simple graph: m > n(n-1)/2 = 3"
     for p in (0.001, 0.5, 0.99):
         params = ModelParams(fake, p)
         calls = [
@@ -264,15 +266,15 @@ def test_negative_radicand_on_impossible_stats():
             lambda: connectivity_bound_at_N(params, 2),
             lambda: n_search_max(params),
             lambda: connectivity_bound(params),
-            lambda: connectivity_bound_from_stats(3, 4, 22, p),
             lambda: t_star(fake, p, 0.01),
-            lambda: t_star_from_stats(3, 4, 22, p, 0.01),
             lambda: _general_bound_result(3, 4, 22, p, 1.0 - p, DEFAULT_N_CAP),
+            lambda: connectivity_bound_from_stats(3, 4, 22, p),
+            lambda: t_star_from_stats(3, 4, 22, p, 0.01),
         ]
         for i, call in enumerate(calls):
             with pytest.raises(InvalidParameter) as info:
                 call()
-            assert str(info.value) == message, (p, i)
+            assert str(info.value) == (message if i < 10 else stats_message), (p, i)
 
 
 def _exact_s_squared(n: int, m: int, deg_sq: int, p: float) -> Fraction:
@@ -345,6 +347,15 @@ def test_t_star_triangle_loose_target():
     assert res.bound_at_t_star == pytest.approx(0.8143395042952083, rel=1e-12)
     assert len(res.trace) == 8
     assert all(val < 0.8 for _, val in res.trace[:-1])
+
+
+def test_t_star_past_2_63_horizons_reports_its_trace():
+    # len() stops at sys.maxsize; the trace and its repr do not
+    res = t_star_complete(1000, 1e-20, 0.1, t_max=10**30)
+    assert res.t_star > 2**63
+    assert repr(res.trace) == f"<trace of {res.t_star} horizons>"
+    assert repr(res).endswith(f"trace=<trace of {res.t_star} horizons>)")
+    assert res.trace[-1] == (res.t_star, res.bound_at_t_star)
 
 
 def test_t_star_triangle_tight_target():
@@ -504,7 +515,7 @@ def _random_cell(rng):
         m, deg_sq = n * (n - 1) // 2, n * (n - 1) ** 2
     else:
         m = rng.randint(n - 1, min(n * (n - 1) // 2, 30 * n))
-        deg_sq = -(-4 * m * m // n) + rng.randint(0, 50 * m)
+        deg_sq = min(n * (n - 1) ** 2, -(-4 * m * m // n) + rng.randint(0, 50 * m))  # degrees of at most n - 1
     u = rng.random()
     if u < 0.3:
         p = 10 ** rng.uniform(-6, -1)

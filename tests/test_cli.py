@@ -83,6 +83,11 @@ def test_tstar_json(capsys):
     assert payload["trace_length"] == 8
 
 
+def test_tstar_json_past_2_63_horizons(capsys):
+    payload = run_json(capsys, "tstar", "--complete", "1000", "--p", "1e-20", "--epsilon", "0.1", "--t-max", str(10**30), "--json")
+    assert payload["trace_length"] == payload["t_star"] > 2**63
+
+
 def test_tstar_not_found_exit_code_and_trace(capsys, tmp_path):
     trace_path = tmp_path / "trace.csv"
     code, out, err = run_cli(

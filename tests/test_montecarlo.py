@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -597,3 +598,112 @@ def test_profile_cache_consistent_for_sparse_template():
 def test_estimate_half_width():
     est = empirical_connectivity(complete(4), 0.5, trials=1000, seed=1)
     assert est.half_width == pytest.approx((est.ci_high - est.ci_low) / 2.0)
+
+
+# Block uniforms stream through one bounded buffer; the results are those of one draw per block.
+
+CHUNKS = {"1": lambda m: 1, "7": lambda m: 7, "m-1": lambda m: m - 1, "m+1": lambda m: m + 1, "2^16": lambda m: 1 << 16}
+
+
+def _one_draw_groups(gen, rows, m, levels, group, T=1):
+    # the block drawn by one gen.random call, as every estimator drew it before streaming
+    u = gen.random((rows, T, m))
+    present = np.stack([(u < level).any(axis=1) for level in levels])
+    for start in range(0, rows, group):
+        yield start, present[:, start : start + group]
+
+
+def _one_draw_spectra(n, ei, ej, p, gen, rows):
+    # the block's spectra from one draw, one edge-by-edge Laplacian stack and one eigvalsh call
+    return np.linalg.eigvalsh(support.reference_laplacian_stack(n, ei, ej, gen.random((rows, ei.shape[0])) < p))
+
+
+@pytest.mark.parametrize("chunk", sorted(CHUNKS))
+def test_presence_groups_match_one_draw(monkeypatch, chunk):
+    rng = random.Random(61)
+    for _ in range(40):
+        m, rows, T = rng.randrange(1, 12), rng.randrange(1, 30), rng.randrange(1, 6)
+        group = rng.randrange(1, rows + 3)
+        levels = tuple(sorted(rng.random() for _ in range(rng.randrange(1, 3))))
+        monkeypatch.setattr(mc, "_DRAW_CHUNK", CHUNKS[chunk](m))
+        seed = rng.getrandbits(32)
+        streamed, drawn = np.random.default_rng(seed), np.random.default_rng(seed)
+        groups = [(start, present.copy()) for start, present in mc._presence_groups(streamed, rows, m, levels, group, T)]
+        want = list(_one_draw_groups(drawn, rows, m, levels, group, T))
+        assert [start for start, _ in groups] == [start for start, _ in want]
+        for (_, got), (_, expected) in zip(groups, want):
+            assert np.array_equal(got, expected)
+        assert streamed.random() == drawn.random()  # the stream is where one draw would leave it
+
+
+def test_presence_groups_without_edges_draw_nothing():
+    gen = np.random.default_rng(3)
+    groups = list(mc._presence_groups(gen, 5, 0, (0.5,), 2, T=2**70))
+    assert [(start, present.shape) for start, present in groups] == [(0, (1, 2, 0)), (2, (1, 2, 0)), (4, (1, 1, 0))]
+    assert gen.random() == np.random.default_rng(3).random()
+
+
+STREAMED_ESTIMATORS = {
+    "connectivity": lambda: empirical_connectivity(complete(6), 0.4, trials=300, seed=5),
+    "union": lambda: empirical_connectivity(complete_minus_cycle(7), 0.2, T=3, trials=300, seed=6),
+    "coupled": lambda: coupled_monotonicity_check(complete(6), 0.2, 0.45, 300, seed=7),
+    "lambda2": lambda: empirical_lambda2_moments(complete_minus_cycle(6), 0.5, 200, seed=8),
+    "ell": lambda: empirical_ell_moments(complete(5), 0.5, 200, seed=9),
+    "ell_min": lambda: empirical_ell_min_mean(complete(5), 0.6, 3, 200, seed=10),
+    "ell_min_independent": lambda: empirical_ell_min_mean(complete(5), 0.6, 3, 200, seed=10, independent_graphs=True),
+    "sample_union": lambda: (lambda rng: (sample_union(complete(6), 0.3, 4, rng).present, rng.random()))(np.random.default_rng(4)),
+}
+
+
+@pytest.mark.parametrize("chunk", sorted(CHUNKS))
+@pytest.mark.parametrize("name", sorted(STREAMED_ESTIMATORS))
+def test_streamed_estimators_match_one_draw_per_block(monkeypatch, name, chunk):
+    # small blocks, kernel groups and spectral stacks put seams everywhere;
+    # the index draws that follow a block must see the stream where one draw leaves it
+    monkeypatch.setattr(mc, "_BLOCK", 37)
+    monkeypatch.setattr(mc, "_CONN_SLOTS", 50)
+    monkeypatch.setattr(mc, "_SPECTRAL_CELLS", 60)
+    estimate = STREAMED_ESTIMATORS[name]
+    with monkeypatch.context() as one_draw:
+        one_draw.setattr(mc, "_presence_groups", _one_draw_groups)
+        one_draw.setattr(mc, "_sampled_spectra", _one_draw_spectra)
+        want = estimate()
+    monkeypatch.setattr(mc, "_DRAW_CHUNK", CHUNKS[chunk](15))  # K6 has 15 edges
+    assert estimate() == want
+
+
+def test_laplacian_stack_matches_edge_by_edge_sums():
+    np_rng = np.random.default_rng(67)
+    for g in (complete(5), complete_minus_cycle(7), from_edge_list(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])):
+        ei, ej = _edge_arrays(g)
+        present = np_rng.random((40, g.m)) < 0.3
+        present[0] = False  # every vertex isolated
+        present[1] = True
+        present[2, (ei == 0) | (ej == 0)] = False  # vertex 0 isolated
+        want = support.reference_laplacian_stack(g.n, ei, ej, present)
+        got = mc._laplacian_stack(g.n, ei, ej, present)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()  # +0.0, never -0.0
+
+
+# One call of each estimator whose block fills the 2^22 block budget: K33 has 528 edges (7943
+# trials), K30 435 (T = 3, 3214 trials), and K20 190 edges plus 400 Laplacian cells (7109 trials).
+BUDGET_CALLS = {
+    "connectivity": lambda: empirical_connectivity(complete(33), 0.2, trials=7943, seed=1),
+    "union": lambda: empirical_connectivity(complete(30), 0.1, T=3, trials=3214, seed=1),
+    "coupled": lambda: coupled_monotonicity_check(complete(33), 0.1, 0.2, 7943, seed=1),
+    "lambda2": lambda: empirical_lambda2_moments(complete(20), 0.5, 7109, seed=1),
+    "ell": lambda: empirical_ell_moments(complete(20), 0.5, 7109, seed=1),
+    "ell_min": lambda: empirical_ell_min_mean(complete(20), 0.5, 4, 7109, seed=1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUDGET_CALLS))
+def test_block_budget_call_allocates_at_most_8_mib(name):
+    BUDGET_CALLS[name]()  # numpy and LAPACK set-up stays out of the count
+    tracemalloc.start()
+    try:
+        BUDGET_CALLS[name]()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20, f"{name} peaked at {peak / 2**20:.1f} MiB"
