@@ -36,8 +36,6 @@ import sys
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import __version__
 from .bounds import (
     DEFAULT_N_CAP,
@@ -60,8 +58,6 @@ from .errors import (
 )
 from .graphs import (
     UnderlyingGraph,
-    _connected_rows,
-    _edge_arrays,
     complete,
     complete_minus_cycle,
     complete_minus_cycle_stats,
@@ -71,12 +67,11 @@ from .graphs import (
 )
 from .montecarlo import (
     DEFAULT_CONFIDENCE,
-    _laplacian_stack,
     empirical_connectivity,
     empirical_lambda2_moments,
     exact_connectivity,
 )
-from .spectral import _STACK_CELLS, _jacobi_eigenvalues, zero_threshold
+from .spectral import _spectrum_mismatches, zero_threshold
 
 EXIT_OK = 0
 EXIT_SPECTRUM_MISMATCH = 1
@@ -486,16 +481,7 @@ def cmd_spectrum_check(args) -> _Report:
     _check_count(graph.n, "n", 2)  # lambda_2 needs two vertices, as in algebraic_connectivity
     threshold = zero_threshold(graph.n)
     total = 1 << graph.m
-    edges = _edge_arrays(graph)
-    # one presence row per edge subset; one kernel call gives every combinatorial verdict
-    present = (np.arange(total)[:, None] >> np.arange(graph.m) & 1).astype(bool)
-    connected = _connected_rows(graph.n, *edges, present)
-    mismatches = 0
-    step = max(1, _STACK_CELLS // (graph.n * graph.n))
-    for start in range(0, total, step):
-        laplacians = _laplacian_stack(graph.n, *edges, present[start : start + step])
-        spectral = _jacobi_eigenvalues(laplacians)[:, 1] > threshold
-        mismatches += int(np.count_nonzero(spectral != connected[start : start + step]))
+    mismatches = _spectrum_mismatches(graph)
     ok = mismatches == 0
     payload = {
         "family": tpl.family,

@@ -11,10 +11,14 @@ over a whole block of edge-presence rows at once, in a few rounds of
 whole-array operations (a path with shuffled labels takes 6 at n = 1000, 10
 at n = 40000) rather than a Python loop over edges.  ``is_connected`` and
 ``from_edge_list`` call it on one row; Monte Carlo, the coupled check and
-exact enumeration in ``montecarlo`` and the CLI's ``spectrum-check`` call it
-on many.  It reads the presence rows in sub-blocks of at most ``_CONN_SLOTS``
-(row, edge) slots, so its index arrays (about 40 bytes per slot) stay a few
-MB whatever the size of the caller's block.
+exact enumeration in ``montecarlo`` and the spectrum check in ``spectral``
+call it on many.  It reads the presence rows in sub-blocks of at most
+``_CONN_SLOTS`` (row, edge) slots, so its index arrays (about 40 bytes per
+slot) stay a few MB whatever the size of the caller's block.
+
+Laplacians have one builder over the same rows, ``_laplacian_stack``, and
+``laplacian`` is its one-row case.  ``_subset_rows`` gives the rows of all
+2^m edge subsets to exact enumeration and to the spectrum check.
 """
 
 from __future__ import annotations
@@ -253,14 +257,9 @@ def union(gs) -> SampledGraph:
 
 def laplacian(g: UnderlyingGraph | SampledGraph) -> np.ndarray:
     """Dense Laplacian (degree matrix minus adjacency) as float64."""
-    n, edges = _vertices_and_edges(g)
-    lap = np.zeros((n, n), dtype=float)
-    for i, j in edges:
-        lap[i, i] += 1.0
-        lap[j, j] += 1.0
-        lap[i, j] -= 1.0
-        lap[j, i] -= 1.0
-    return lap
+    n, _ = _vertices_and_edges(g)
+    ei, ej = _edge_arrays(g)
+    return _laplacian_stack(n, ei, ej, np.ones((1, ei.size), dtype=bool))[0]
 
 
 def sum_degree_squares(g: UnderlyingGraph) -> int:
@@ -288,6 +287,29 @@ def _edge_arrays(g: UnderlyingGraph | SampledGraph) -> tuple[np.ndarray, np.ndar
     _, edges = _vertices_and_edges(g)
     arr = np.fromiter(chain.from_iterable(edges), np.intp, 2 * len(edges)).reshape(-1, 2)
     return arr[:, 0], arr[:, 1]
+
+
+def _subset_rows(m: int, start: int, stop: int) -> np.ndarray:
+    """Presence rows of the edge subsets with ids start .. stop - 1; subset s holds edge e when bit e of s is set."""
+    ids = np.arange(start, stop, dtype=np.uint32)
+    return (ids[:, None] & (np.uint32(1) << np.arange(m, dtype=np.uint32))) != 0  # one (rows, m) uint32 temporary
+
+
+def _laplacian_stack(n: int, ei: np.ndarray, ej: np.ndarray, present: np.ndarray) -> np.ndarray:
+    """The (rows, n, n) Laplacians of a (rows, m) bool edge-presence block.
+
+    Every zero is +0.0, as sums taken edge by edge leave it: off-diagonal
+    entries are 0.0 - 1.0 or 0.0 - 0.0, and each diagonal entry is 0.0 minus
+    its row's off-diagonal sum, never a bare negation.  The sums count
+    edges, so they are exact in any order.
+    """
+    rows = present.shape[0]
+    off = 0.0 - present
+    flat = np.zeros((rows, n * n))
+    flat[:, ei * n + ej] = off
+    flat[:, ej * n + ei] = off
+    flat[:, :: n + 1] = 0.0 - (flat.reshape(rows * n, n) @ np.ones(n)).reshape(rows, n)
+    return flat.reshape(rows, n, n)
 
 
 def _connected_rows(n: int, ei: np.ndarray, ej: np.ndarray, present: np.ndarray) -> np.ndarray:

@@ -9,7 +9,8 @@ not depend on how many blocks run or in what order they would be scheduled.
 Every estimator runs one block loop, ``_blocks``, which sizes the blocks of
 trials and hands each its child stream.  Monte Carlo, the coupled check and
 exact enumeration decide connectivity with the package's one kernel,
-``graphs._connected_rows``, many edge-presence rows per call.
+``graphs._connected_rows``, many edge-presence rows per call.  The three
+spectra estimators share one checked loop, ``_spectra_sums``.
 
 Memory rule: no array grows with the block budget.  A block's uniforms are
 the (rows, T, m) array one ``gen.random`` call would return, but
@@ -37,7 +38,8 @@ from statistics import NormalDist
 import numpy as np
 
 from .errors import InvalidParameter, TooManyEdges, _check_count, _check_fraction
-from .graphs import _CONN_SLOTS, SampledGraph, UnderlyingGraph, _check_graph, _connected_rows, _edge_arrays
+from .graphs import (_CONN_SLOTS, SampledGraph, UnderlyingGraph, _check_graph, _connected_rows, _edge_arrays,
+                     _laplacian_stack, _subset_rows)
 
 DEFAULT_ENUMERATION_CAP = 24
 DEFAULT_CONFIDENCE = 0.95
@@ -282,13 +284,11 @@ def _profile_by_enumeration(parent: UnderlyingGraph) -> tuple[int, ...]:
     """The profile from all 2^m edge subsets, a block of presence rows at a time."""
     m, n = parent.m, parent.n
     ei, ej = _edge_arrays(parent)
-    bits = np.uint32(1) << np.arange(m, dtype=np.uint32)
     counts = np.zeros(m + 1, dtype=np.int64)
     chunk = 1 << 16
     total = 1 << m
     for start in range(0, total, chunk):
-        ids = np.arange(start, min(start + chunk, total), dtype=np.uint32)
-        present = (ids[:, None] & bits) != 0  # one (chunk, m) uint32 temporary
+        present = _subset_rows(m, start, min(start + chunk, total))
         conn = _connected_rows(n, ei, ej, present)
         k = present.sum(axis=1)
         counts += np.bincount(k[conn], minlength=m + 1).astype(np.int64)
@@ -432,29 +432,31 @@ def exact_connectivity(parent: UnderlyingGraph, p: float, cap: int = DEFAULT_ENU
     return ExactProbability(value, int(profile.sum()))
 
 
-def _laplacian_stack(n: int, ei: np.ndarray, ej: np.ndarray, present: np.ndarray) -> np.ndarray:
-    """The (rows, n, n) Laplacians of a (rows, m) bool edge-presence block.
+def _spectra_sums(parent, p, trials: int, seed: int, N=1, independent_graphs=False, lambda2=False) -> tuple[float, ...]:
+    """Sums over trials of x, x^2 and x^4: x is a trial's lambda_2, or the minimum of its N ell-draws.
 
-    Every zero is +0.0, as sums taken edge by edge leave it: off-diagonal
-    entries are 0.0 - 1.0 or 0.0 - 0.0, and each diagonal entry is 0.0 minus
-    its row's off-diagonal sum, never a bare negation.  The sums count
-    edges, so they are exact in any order.
+    Checks p, the template (n >= 2), N, trials and seed, in that order.
     """
-    rows = present.shape[0]
-    off = 0.0 - present
-    flat = np.zeros((rows, n * n))
-    flat[:, ei * n + ej] = off
-    flat[:, ej * n + ei] = off
-    flat[:, :: n + 1] = 0.0 - (flat.reshape(rows * n, n) @ np.ones(n)).reshape(rows, n)
-    return flat.reshape(rows, n, n)
-
-
-def _sampled_spectra(n: int, ei: np.ndarray, ej: np.ndarray, p: float, gen: np.random.Generator, rows: int) -> np.ndarray:
-    """Ascending Laplacian spectra of ``rows`` subgraphs, one row of edge uniforms each."""
-    vals = np.empty((rows, n))
-    for start, (present,) in _presence_groups(gen, rows, ei.shape[0], (p,), max(1, _SPECTRAL_CELLS // (n * n))):
-        vals[start : start + present.shape[0]] = np.linalg.eigvalsh(_laplacian_stack(n, ei, ej, present))
-    return vals
+    p = _check_fraction(p, "p", closed=True)
+    n = _check_count(_check_graph(parent, "parent").n, "n", 2)
+    N = _check_count(N, "N", 1)
+    graphs = N if independent_graphs else 1
+    ei, ej = _edge_arrays(parent)
+    s1 = s2 = s4 = 0.0
+    for b, gen in _blocks(trials, graphs * (parent.m + n * n), seed):
+        vals = np.empty((b * graphs, n))
+        for start, (present,) in _presence_groups(gen, b * graphs, parent.m, (p,), max(1, _SPECTRAL_CELLS // (n * n))):
+            vals[start : start + present.shape[0]] = np.linalg.eigvalsh(_laplacian_stack(n, ei, ej, present))
+        if lambda2:
+            x = vals[:, 1]
+        else:
+            rows = np.arange(b * graphs).reshape(b, graphs)  # trial r's graphs; one column broadcasts to all N
+            x = vals[rows, gen.integers(1, n, size=(b, N))].min(axis=1)
+        sq = x * x
+        s1 += float(np.sum(x))
+        s2 += float(np.sum(sq))
+        s4 += float(np.sum(sq * sq))
+    return s1, s2, s4
 
 
 def empirical_lambda2_moments(parent: UnderlyingGraph, p: float, trials: int, seed: int = 0) -> Lambda2Moments:
@@ -463,16 +465,7 @@ def empirical_lambda2_moments(parent: UnderlyingGraph, p: float, trials: int, se
     Spectra of the sampled Laplacians are computed in batches with LAPACK;
     the Jacobi solver is cross-checked against the same quantity elsewhere.
     """
-    p = _check_fraction(p, "p", closed=True)
-    _check_count(_check_graph(parent, "parent").n, "n", 2)
-    ei, ej = _edge_arrays(parent)
-    s1 = s2 = s4 = 0.0
-    for b, gen in _blocks(trials, parent.m + parent.n * parent.n, seed):
-        lam2 = _sampled_spectra(parent.n, ei, ej, p, gen, b)[:, 1]
-        sq = lam2 * lam2
-        s1 += float(np.sum(lam2))
-        s2 += float(np.sum(sq))
-        s4 += float(np.sum(sq * sq))
+    s1, s2, s4 = _spectra_sums(parent, p, trials, seed, lambda2=True)
     mean, _, se_mean = _mean_se(s1, s2, trials)
     mean_sq, _, se_mean_sq = _mean_se(s2, s4, trials)
     return Lambda2Moments(mean, mean_sq, se_mean, se_mean_sq, trials)
@@ -484,15 +477,7 @@ def empirical_ell_moments(parent: UnderlyingGraph, p: float, trials: int, seed: 
     Each trial is a fresh (subgraph, index) pair: edge uniforms are drawn
     first, then one sorted-spectrum index uniform over {1, ..., n - 1}.
     """
-    p = _check_fraction(p, "p", closed=True)
-    _check_count(_check_graph(parent, "parent").n, "n", 2)
-    ei, ej = _edge_arrays(parent)
-    s1 = s2 = 0.0
-    for b, gen in _blocks(trials, parent.m + parent.n * parent.n, seed):
-        vals = _sampled_spectra(parent.n, ei, ej, p, gen, b)
-        ell = vals[np.arange(b), gen.integers(1, parent.n, size=b)]
-        s1 += float(np.sum(ell))
-        s2 += float(np.sum(ell * ell))
+    s1, s2, _ = _spectra_sums(parent, p, trials, seed)
     return EllMoments(*_mean_se(s1, s2, trials), trials)
 
 
@@ -509,24 +494,7 @@ def empirical_ell_min_mean(
     Default reading: one subgraph per trial, N indices from its spectrum.
     ``independent_graphs=True`` draws N subgraphs per trial instead.
     """
-    p = _check_fraction(p, "p", closed=True)
-    _check_count(_check_graph(parent, "parent").n, "n", 2)
-    N = _check_count(N, "N", 1)
-    n = parent.n
-    ei, ej = _edge_arrays(parent)
-    graphs_per_trial = N if independent_graphs else 1
-    s1 = s2 = 0.0
-    for b, gen in _blocks(trials, graphs_per_trial * (parent.m + n * n), seed):
-        vals = _sampled_spectra(n, ei, ej, p, gen, b * graphs_per_trial)
-        idx = gen.integers(1, n, size=(b, N))
-        if independent_graphs:
-            flat = vals.reshape(b * N, n)
-            ell = flat[np.arange(b * N), idx.ravel()].reshape(b, N)
-        else:
-            ell = vals[np.arange(b)[:, None], idx]
-        mins = ell.min(axis=1)
-        s1 += float(np.sum(mins))
-        s2 += float(np.sum(mins * mins))
+    s1, s2, _ = _spectra_sums(parent, p, trials, seed, N, independent_graphs)
     mean, _, se = _mean_se(s1, s2, trials)
     return mean, se
 

@@ -6,22 +6,24 @@ LAPACK-backed batch estimators: agreement between unrelated eigenvalue
 routines is part of the package's verification story.
 
 One solver, ``_jacobi_eigenvalues``, takes a stack of B symmetric n x n
-matrices; ``eigenvalues_symmetric`` hands it a stack of one and the CLI's
-``spectrum-check`` hands it every subgraph Laplacian of a template, in
-chunks.  Rotations follow the parallel (round-robin) ordering of Brent &
-Luk (1985, SIAM J. Sci. Stat. Comput. 6(1)), whose convergence Luk & Park
-(1989, SIAM J. Sci. Stat. Comput. 10(1)) prove: a sweep is n - 1 rounds
-(n rounded up to even, with odd n padded by a zero row and column), each
-pairing every index with one other, so the n/2 rotations of a round touch
-disjoint rows and columns and are applied together to every matrix of the
-stack.  Convergence is judged per matrix: a matrix whose off-diagonal
-Frobenius norm is at most 1e-10 times its own Frobenius norm (floored at
-1.0) leaves the stack at the end of a sweep; one still in it after 100
-sweeps raises NoConvergence.
+matrices; ``eigenvalues_symmetric`` hands it a stack of one and
+``_presence_spectra`` the Laplacians of edge-presence rows, in stacks.
+Rotations follow the parallel (round-robin) ordering of Brent & Luk (1985,
+SIAM J. Sci. Stat. Comput. 6(1)), whose convergence Luk & Park (1989, SIAM
+J. Sci. Stat. Comput. 10(1)) prove: a sweep is n - 1 rounds (n rounded up
+to even, with odd n padded by a zero row and column), each pairing every
+index with one other, so the n/2 rotations of a round touch disjoint rows
+and columns and are applied together to every matrix of the stack.
+Convergence is judged per matrix: a matrix whose off-diagonal Frobenius
+norm is at most 1e-10 times its own Frobenius norm (floored at 1.0) leaves
+the stack at the end of a sweep; one still in it after 100 sweeps raises
+NoConvergence.
 
 The "ell" samplers draw a uniformly random nontrivial Laplacian eigenvalue of
 a random subgraph: the spectrum is sorted ascending, index 1 through n - 1
 are the nontrivial positions, and each is picked with probability 1/(n - 1).
+``sample_ell_first_order_statistic`` and the CLI's spectrum check,
+``_spectrum_mismatches``, solve their presence rows with ``_presence_spectra``.
 """
 
 from __future__ import annotations
@@ -32,9 +34,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameter, NoConvergence, NotSymmetric, _check_count
-from .graphs import SampledGraph, UnderlyingGraph, _check_graph, _vertices_and_edges, laplacian
-from .montecarlo import sample_graph
+from .errors import InvalidParameter, NoConvergence, NotSymmetric, _check_count, _check_fraction
+from .graphs import (SampledGraph, UnderlyingGraph, _check_graph, _connected_rows, _edge_arrays, _laplacian_stack,
+                     _subset_rows, _vertices_and_edges, laplacian)
+from .montecarlo import _presence_groups
 
 JACOBI_MAX_SWEEPS = 100
 JACOBI_REL_TOL = 1e-10
@@ -94,10 +97,11 @@ def _jacobi_eigenvalues(stack: np.ndarray) -> np.ndarray:
     with theta = h / a_pq and h = (a_qq - a_pp) / 2, is taken multiplied
     through by |a_pq|, as t = a_pq / (h + sgn(h) hypot(a_pq, h)), so that no
     quotient can overflow; a pair with a_pq = 0 gets t = 0, the identity,
-    and a round whose pivots all have a_pq = 0 is skipped.  The rotations are applied to the rows and then to the columns, the
-    pivots' diagonal entries are set to a_pp - t a_pq and a_qq + t a_pq, and
-    their off-diagonal entries to zero.  The input is not modified; no
-    finiteness or symmetry check is made here.
+    and a round whose pivots all have a_pq = 0 is skipped.  The rotations
+    are applied to the rows and then to the columns, the pivots' diagonal
+    entries are set to a_pp - t a_pq and a_qq + t a_pq, and their
+    off-diagonal entries to zero.  The input is not modified; no finiteness
+    or symmetry check is made here.
     """
     count, n = stack.shape[0], stack.shape[1]
     size, shift, off_slots, reads, side = _round_robin(n)
@@ -137,6 +141,21 @@ def _jacobi_eigenvalues(stack: np.ndarray) -> np.ndarray:
                 work[diag] = pivots
                 work[anti] = 0.0
             work = work.take(shift, axis=0)
+
+
+def _presence_spectra(n: int, ei: np.ndarray, ej: np.ndarray, present: np.ndarray) -> np.ndarray:
+    """Ascending Laplacian spectra of a (rows, m) presence block, by Jacobi on stacks of ``_STACK_CELLS`` entries."""
+    step = max(1, _STACK_CELLS // (n * n))
+    stacks = (_laplacian_stack(n, ei, ej, present[start : start + step]) for start in range(0, len(present), step))
+    return np.concatenate([_jacobi_eigenvalues(stack) for stack in stacks])
+
+
+def _spectrum_mismatches(g: UnderlyingGraph) -> int:
+    """How many of g's 2^m edge subsets get another verdict from lambda_2 > ``zero_threshold`` than from the kernel."""
+    ei, ej = _edge_arrays(g)
+    present = _subset_rows(g.m, 0, 1 << g.m)
+    spectral = _presence_spectra(g.n, ei, ej, present)[:, 1] > zero_threshold(g.n)
+    return int(np.count_nonzero(spectral != _connected_rows(g.n, ei, ej, present)))
 
 
 def _holds_bool(matrix, a: np.ndarray) -> bool:
@@ -218,23 +237,27 @@ def sample_ell_first_order_statistic(
     Default reading: one subgraph is sampled and N eigenvalue indices are
     drawn from its spectrum.  With ``independent_graphs=True`` each of the N
     draws uses a freshly sampled subgraph instead; the two readings share
-    marginals, so both have the same mean and variance per draw.  The
-    independent reading draws each subgraph and then its index, as N calls
-    of ``sample_ell(sample_graph(parent, p, rng), rng)`` would, and solves
-    the subgraph Laplacians as stacks of up to 2^16 / n^2 matrices, which
-    gives those calls' minimum bit for bit.
+    marginals, so both have the same mean and variance per draw.  Subgraphs
+    are drawn as ``sample_graph`` draws them.  The independent reading draws
+    each subgraph and then its index, as N calls of
+    ``sample_ell(sample_graph(parent, p, rng), rng)`` would, and solves the
+    Laplacians as stacks of up to 2^16 / n^2 matrices, which gives those
+    calls' minimum bit for bit.
     """
     n = _check_count(_check_graph(parent, "parent").n, "n", 2)
     N = _check_count(N, "N", 1)
-    if independent_graphs:
-        draws = []
-        step = max(1, _STACK_CELLS // (n * n))
-        for start in range(0, N, step):
-            chunk = [(laplacian(sample_graph(parent, p, rng)), int(rng.integers(1, n))) for _ in range(min(step, N - start))]
-            spectra = _jacobi_eigenvalues(np.stack([lap for lap, _ in chunk]))
-            draws += [float(w[i]) for w, (_, i) in zip(spectra, chunk)]
-        return min(draws)
-    g = sample_graph(parent, p, rng)
-    w = eigenvalues_symmetric(laplacian(g)).eigenvalues
-    idx = rng.integers(1, n, size=N)
-    return float(w[idx].min())
+    p = _check_fraction(p, "p", closed=True)
+    ei, ej = _edge_arrays(parent)
+    if not independent_graphs:
+        _, (present,) = next(_presence_groups(rng, 1, parent.m, (p,), 1))
+        w = _presence_spectra(n, ei, ej, present)[0]
+        return float(w[rng.integers(1, n, size=N)].min())
+    draws = []
+    step = max(1, _STACK_CELLS // (n * n))
+    for start in range(0, N, step):
+        rows, idx = [], []
+        for _ in range(min(step, N - start)):
+            rows.append(next(_presence_groups(rng, 1, parent.m, (p,), 1))[1][0, 0])
+            idx.append(int(rng.integers(1, n)))
+        draws += _presence_spectra(n, ei, ej, np.array(rows))[np.arange(len(idx)), idx].tolist()
+    return min(draws)

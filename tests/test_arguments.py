@@ -268,6 +268,36 @@ def test_argument_messages():
         assert str(info.value) == message, i
 
 
+def _two_fault_cases():
+    # each call gets two faults at once; the first check in the estimators' order names its own
+    p, n = "p must lie in [0, 1], got 2.0", "n must be an integer >= 2, got 1"
+    parent = "parent must be an UnderlyingGraph, got None"
+    N, trials = "N must be an integer >= 1, got 0", "trials must be an integer >= 1, got 0"
+    for moments in (empirical_lambda2_moments, empirical_ell_moments):
+        yield moments, (K4, 2.0, 0), {}, p
+        yield moments, (None, 2.0, 0), {}, p
+        yield moments, (None, 0.5, 0), {}, parent
+        yield moments, (complete(1), 0.5, 0), {}, n
+        yield moments, (K4, 0.5, 0, -1), {}, trials
+    for reading in ({"independent_graphs": False}, {"independent_graphs": True}):
+        yield empirical_ell_min_mean, (K4, 2.0, 0, 10), reading, p
+        yield empirical_ell_min_mean, (None, 0.5, 0, 10), reading, parent
+        yield empirical_ell_min_mean, (complete(1), 0.5, 0, 10), reading, n
+        yield empirical_ell_min_mean, (K4, 0.5, 0, 0), reading, N
+        yield empirical_ell_min_mean, (K4, 0.5, 2, 0, -1), reading, trials
+        yield sample_ell_first_order_statistic, (None, 2.0, 0, _rng()), reading, parent
+        yield sample_ell_first_order_statistic, (complete(1), 2.0, 0, _rng()), reading, n
+        yield sample_ell_first_order_statistic, (K4, 2.0, 0, _rng()), reading, N
+        yield sample_ell_first_order_statistic, (K4, 2.0, 2, None), reading, p
+
+
+def test_order_of_argument_checks():
+    for i, (call, args, reading, message) in enumerate(_two_fault_cases()):
+        with pytest.raises(InvalidParameter) as info:
+            call(*args, **reading)
+        assert str(info.value) == message, (i, call.__name__, reading)
+
+
 TOO_SMALL = [
     (lambda: ModelParams(complete(2), 0.5), 3, 2),
     (lambda: t_star(complete(2), 0.5, 0.1), 3, 2),

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from jsonschema import Draft202012Validator
 
@@ -390,6 +391,20 @@ def test_spectrum_check_default_template(capsys):
     assert code == 0
     assert "1024 subgraphs" in out
     assert "OK" in out
+
+
+def test_spectrum_check_reports_mismatches(capsys, monkeypatch):
+    # a kernel that calls every subset disconnected disagrees with the spectral test on each connected one
+    monkeypatch.setattr("conngraph.spectral._connected_rows", lambda n, ei, ej, present: np.zeros(len(present), dtype=bool))
+    connected = exact_connectivity(complete(4), 0.5).terms  # 38 for K4
+    code, out, _ = run_cli(capsys, "spectrum-check", "--complete", "4", "--json")
+    payload = json.loads(out)
+    VALIDATOR.validate(payload)
+    assert code == 1
+    assert payload["ok"] is False and payload["mismatches"] == connected == 38
+    code, out, _ = run_cli(capsys, "spectrum-check", "--complete", "4")
+    assert code == 1
+    assert "MISMATCH (38 mismatches" in out
 
 
 def test_spectrum_check_edge_cap(capsys):

@@ -24,6 +24,7 @@ from conngraph import (
     is_connected,
     lambda2_sq_mean_upper,
     ModelParams,
+    SampledGraph,
     sample_graph,
     sample_union,
     union_edge_probability,
@@ -613,11 +614,6 @@ def _one_draw_groups(gen, rows, m, levels, group, T=1):
         yield start, present[:, start : start + group]
 
 
-def _one_draw_spectra(n, ei, ej, p, gen, rows):
-    # the block's spectra from one draw, one edge-by-edge Laplacian stack and one eigvalsh call
-    return np.linalg.eigvalsh(support.reference_laplacian_stack(n, ei, ej, gen.random((rows, ei.shape[0])) < p))
-
-
 @pytest.mark.parametrize("chunk", sorted(CHUNKS))
 def test_presence_groups_match_one_draw(monkeypatch, chunk):
     rng = random.Random(61)
@@ -666,7 +662,7 @@ def test_streamed_estimators_match_one_draw_per_block(monkeypatch, name, chunk):
     estimate = STREAMED_ESTIMATORS[name]
     with monkeypatch.context() as one_draw:
         one_draw.setattr(mc, "_presence_groups", _one_draw_groups)
-        one_draw.setattr(mc, "_sampled_spectra", _one_draw_spectra)
+        one_draw.setattr(mc, "_laplacian_stack", support.reference_laplacian_stack)  # edge by edge
         want = estimate()
     monkeypatch.setattr(mc, "_DRAW_CHUNK", CHUNKS[chunk](15))  # K6 has 15 edges
     assert estimate() == want
@@ -674,15 +670,21 @@ def test_streamed_estimators_match_one_draw_per_block(monkeypatch, name, chunk):
 
 def test_laplacian_stack_matches_edge_by_edge_sums():
     np_rng = np.random.default_rng(67)
-    for g in (complete(5), complete_minus_cycle(7), from_edge_list(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])):
+    path = from_edge_list(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
+    for g in (complete(1), complete(2), complete(5), complete_minus_cycle(7), path):
         ei, ej = _edge_arrays(g)
         present = np_rng.random((40, g.m)) < 0.3
         present[0] = False  # every vertex isolated
         present[1] = True
         present[2, (ei == 0) | (ej == 0)] = False  # vertex 0 isolated
         want = support.reference_laplacian_stack(g.n, ei, ej, present)
-        got = mc._laplacian_stack(g.n, ei, ej, present)
+        got = graphs._laplacian_stack(g.n, ei, ej, present)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()  # +0.0, never -0.0
+        # laplacian is the one-row case, for the template and for every realization
+        assert graphs.laplacian(g).tobytes() == want[1].tobytes()
+        for row, lap in zip(present, want):
+            realization = SampledGraph(g, frozenset(e for e, keep in zip(g.edges, row) if keep))
+            assert graphs.laplacian(realization).tobytes() == lap.tobytes()
 
 
 # One call of each estimator whose block fills the 2^22 block budget: K33 has 528 edges (7943

@@ -1,3 +1,4 @@
+import ast
 import pickle
 import runpy
 from pathlib import Path
@@ -35,6 +36,25 @@ def test_public_api_snapshot():
     namespace = {}
     exec("from conngraph import *", namespace)
     assert sorted(k for k in namespace if k != "__builtins__") == PUBLIC_NAMES
+
+
+def test_cli_imports_only_public_names_from_montecarlo_and_spectral():
+    # the CLI renders what the library computes; the spectrum check is the one private helper it runs
+    tree = ast.parse(Path(conngraph.__file__).with_name("cli.py").read_text(encoding="utf-8"))
+    allowed = {
+        "montecarlo": set(conngraph.montecarlo.__all__),
+        "spectral": set(conngraph.spectral.__all__) | {"_spectrum_mismatches"},
+    }
+    imported = {name: set() for name in allowed}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module if node.level else (node.module or "").removeprefix("conngraph.")
+            if module in allowed:
+                imported[module] |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            assert not {alias.name for alias in node.names} & {"conngraph.montecarlo", "conngraph.spectral"}
+    for module, names in imported.items():
+        assert names and names <= allowed[module], (module, sorted(names - allowed[module]))
 
 
 def test_every_error_round_trips_through_pickle():

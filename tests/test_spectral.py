@@ -286,13 +286,23 @@ def test_ell_first_order_statistic_n_one_is_plain_draw():
     ids=["K3", "K6", "K7-C7", "path9+2"],
 )
 def test_independent_graphs_equal_one_sample_ell_per_draw(parent):
-    # one stacked solve gives the minimum of N separate sample_ell calls on the same stream
+    # one stacked solve gives the minimum of N separate sample_ell calls on the same stream; the
+    # default reading gives that of one sample_graph and one draw of N indices.  Both leave the
+    # stream where their reference leaves it.
     for seed in range(6):
         for N, p in [(1, 0.5), (2, 0.3), (5, 0.9), (13, 0.1)]:
-            got = sample_ell_first_order_statistic(parent, p, N, np.random.default_rng(seed), independent_graphs=True)
-            rng = np.random.default_rng(seed)
-            want = min(sample_ell(sample_graph(parent, p, rng), rng) for _ in range(N))
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = sample_ell_first_order_statistic(parent, p, N, rng, independent_graphs=True)
+            want = min(sample_ell(sample_graph(parent, p, ref), ref) for _ in range(N))
             assert np.float64(got).tobytes() == np.float64(want).tobytes(), (seed, N, p)
+            assert rng.random() == ref.random()
+
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = sample_ell_first_order_statistic(parent, p, N, rng)
+            w = eigenvalues_symmetric(laplacian(sample_graph(parent, p, ref))).eigenvalues
+            want = float(w[ref.integers(1, parent.n, size=N)].min())
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), (seed, N, p)
+            assert rng.random() == ref.random()
 
 
 def test_independent_graphs_span_several_stacks(monkeypatch):
