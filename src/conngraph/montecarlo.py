@@ -10,7 +10,7 @@ Every estimator runs one block loop, ``_blocks``, which sizes the blocks of
 trials and hands each its child stream.  Monte Carlo, the coupled check and
 exact enumeration decide connectivity with the package's one kernel,
 ``graphs._connected_rows``, many edge-presence rows per call.  The three
-spectra estimators share one checked loop, ``_spectra_sums``.
+spectra estimators share one checked loop, ``_block_spectra``.
 
 Memory rule: no array grows with the block budget.  A block's uniforms are
 the (rows, T, m) array one ``gen.random`` call would return, but
@@ -432,31 +432,29 @@ def exact_connectivity(parent: UnderlyingGraph, p: float, cap: int = DEFAULT_ENU
     return ExactProbability(value, int(profile.sum()))
 
 
-def _spectra_sums(parent, p, trials: int, seed: int, N=1, independent_graphs=False, lambda2=False) -> tuple[float, ...]:
-    """Sums over trials of x, x^2 and x^4: x is a trial's lambda_2, or the minimum of its N ell-draws.
-
-    Checks p, the template (n >= 2), N, trials and seed, in that order.
-    """
+def _block_spectra(parent, p, trials: int, seed: int, N=1, independent_graphs=False):
+    """Checks p, n >= 2, N, trials and seed, then yields (b, gen, vals): the ascending spectra of a block's graphs."""
     p = _check_fraction(p, "p", closed=True)
     n = _check_count(_check_graph(parent, "parent").n, "n", 2)
     N = _check_count(N, "N", 1)
     graphs = N if independent_graphs else 1
     ei, ej = _edge_arrays(parent)
-    s1 = s2 = s4 = 0.0
     for b, gen in _blocks(trials, graphs * (parent.m + n * n), seed):
         vals = np.empty((b * graphs, n))
         for start, (present,) in _presence_groups(gen, b * graphs, parent.m, (p,), max(1, _SPECTRAL_CELLS // (n * n))):
             vals[start : start + present.shape[0]] = np.linalg.eigvalsh(_laplacian_stack(n, ei, ej, present))
-        if lambda2:
-            x = vals[:, 1]
-        else:
-            rows = np.arange(b * graphs).reshape(b, graphs)  # trial r's graphs; one column broadcasts to all N
-            x = vals[rows, gen.integers(1, n, size=(b, N))].min(axis=1)
-        sq = x * x
+        yield b, gen, vals
+
+
+def _ell_min_sums(parent, p, N, trials: int, seed: int, independent_graphs=False) -> tuple[float, float]:
+    """Sums over trials of x and x^2, x being the minimum of a trial's N ell-draws."""
+    s1 = s2 = 0.0
+    for b, gen, vals in _block_spectra(parent, p, trials, seed, N, independent_graphs):
+        rows = np.arange(len(vals)).reshape(b, -1)  # trial r's graphs; one column broadcasts to all N
+        x = vals[rows, gen.integers(1, vals.shape[1], size=(b, N))].min(axis=1)
         s1 += float(np.sum(x))
-        s2 += float(np.sum(sq))
-        s4 += float(np.sum(sq * sq))
-    return s1, s2, s4
+        s2 += float(np.sum(x * x))
+    return s1, s2
 
 
 def empirical_lambda2_moments(parent: UnderlyingGraph, p: float, trials: int, seed: int = 0) -> Lambda2Moments:
@@ -465,7 +463,13 @@ def empirical_lambda2_moments(parent: UnderlyingGraph, p: float, trials: int, se
     Spectra of the sampled Laplacians are computed in batches with LAPACK;
     the Jacobi solver is cross-checked against the same quantity elsewhere.
     """
-    s1, s2, s4 = _spectra_sums(parent, p, trials, seed, lambda2=True)
+    s1 = s2 = s4 = 0.0
+    for _, _, vals in _block_spectra(parent, p, trials, seed):
+        x = vals[:, 1]
+        sq = x * x
+        s1 += float(np.sum(x))
+        s2 += float(np.sum(sq))
+        s4 += float(np.sum(sq * sq))
     mean, _, se_mean = _mean_se(s1, s2, trials)
     mean_sq, _, se_mean_sq = _mean_se(s2, s4, trials)
     return Lambda2Moments(mean, mean_sq, se_mean, se_mean_sq, trials)
@@ -477,8 +481,7 @@ def empirical_ell_moments(parent: UnderlyingGraph, p: float, trials: int, seed: 
     Each trial is a fresh (subgraph, index) pair: edge uniforms are drawn
     first, then one sorted-spectrum index uniform over {1, ..., n - 1}.
     """
-    s1, s2, _ = _spectra_sums(parent, p, trials, seed)
-    return EllMoments(*_mean_se(s1, s2, trials), trials)
+    return EllMoments(*_mean_se(*_ell_min_sums(parent, p, 1, trials, seed), trials), trials)
 
 
 def empirical_ell_min_mean(
@@ -494,8 +497,7 @@ def empirical_ell_min_mean(
     Default reading: one subgraph per trial, N indices from its spectrum.
     ``independent_graphs=True`` draws N subgraphs per trial instead.
     """
-    s1, s2, _ = _spectra_sums(parent, p, trials, seed, N, independent_graphs)
-    mean, _, se = _mean_se(s1, s2, trials)
+    mean, _, se = _mean_se(*_ell_min_sums(parent, p, N, trials, seed, independent_graphs), trials)
     return mean, se
 
 

@@ -143,18 +143,18 @@ def _jacobi_eigenvalues(stack: np.ndarray) -> np.ndarray:
             work = work.take(shift, axis=0)
 
 
-def _presence_spectra(n: int, ei: np.ndarray, ej: np.ndarray, present: np.ndarray) -> np.ndarray:
-    """Ascending Laplacian spectra of a (rows, m) presence block, by Jacobi on stacks of ``_STACK_CELLS`` entries."""
-    step = max(1, _STACK_CELLS // (n * n))
-    stacks = (_laplacian_stack(n, ei, ej, present[start : start + step]) for start in range(0, len(present), step))
-    return np.concatenate([_jacobi_eigenvalues(stack) for stack in stacks])
+def _presence_spectra(n: int, ei: np.ndarray, ej: np.ndarray, rows):
+    """Ascending Laplacian spectra of presence rows by Jacobi, read, solved and yielded per ``_STACK_CELLS`` stack."""
+    rows, step = iter(rows), max(1, _STACK_CELLS // (n * n))
+    while stack := list(itertools.islice(rows, step)):
+        yield _jacobi_eigenvalues(_laplacian_stack(n, ei, ej, np.array(stack)))
 
 
 def _spectrum_mismatches(g: UnderlyingGraph) -> int:
     """How many of g's 2^m edge subsets get another verdict from lambda_2 > ``zero_threshold`` than from the kernel."""
     ei, ej = _edge_arrays(g)
     present = _subset_rows(g.m, 0, 1 << g.m)
-    spectral = _presence_spectra(g.n, ei, ej, present)[:, 1] > zero_threshold(g.n)
+    spectral = np.concatenate([w[:, 1] > zero_threshold(g.n) for w in _presence_spectra(g.n, ei, ej, present)])
     return int(np.count_nonzero(spectral != _connected_rows(g.n, ei, ej, present)))
 
 
@@ -238,11 +238,9 @@ def sample_ell_first_order_statistic(
     drawn from its spectrum.  With ``independent_graphs=True`` each of the N
     draws uses a freshly sampled subgraph instead; the two readings share
     marginals, so both have the same mean and variance per draw.  Subgraphs
-    are drawn as ``sample_graph`` draws them.  The independent reading draws
-    each subgraph and then its index, as N calls of
-    ``sample_ell(sample_graph(parent, p, rng), rng)`` would, and solves the
-    Laplacians as stacks of up to 2^16 / n^2 matrices, which gives those
-    calls' minimum bit for bit.
+    are drawn as ``sample_graph`` draws them.  The independent reading gives
+    the minimum of N calls of ``sample_ell(sample_graph(parent, p, rng), rng)``
+    bit for bit, drawing each subgraph and then its index as they would.
     """
     n = _check_count(_check_graph(parent, "parent").n, "n", 2)
     N = _check_count(N, "N", 1)
@@ -250,14 +248,14 @@ def sample_ell_first_order_statistic(
     ei, ej = _edge_arrays(parent)
     if not independent_graphs:
         _, (present,) = next(_presence_groups(rng, 1, parent.m, (p,), 1))
-        w = _presence_spectra(n, ei, ej, present)[0]
+        w = next(_presence_spectra(n, ei, ej, present))[0]
         return float(w[rng.integers(1, n, size=N)].min())
-    draws = []
-    step = max(1, _STACK_CELLS // (n * n))
-    for start in range(0, N, step):
-        rows, idx = [], []
-        for _ in range(min(step, N - start)):
-            rows.append(next(_presence_groups(rng, 1, parent.m, (p,), 1))[1][0, 0])
+    idx = []  # rows() draws each graph's edges, then its index, so a stack's indices are the last len(w)
+
+    def rows():
+        for _ in range(N):
+            _, (present,) = next(_presence_groups(rng, 1, parent.m, (p,), 1))
             idx.append(int(rng.integers(1, n)))
-        draws += _presence_spectra(n, ei, ej, np.array(rows))[np.arange(len(idx)), idx].tolist()
-    return min(draws)
+            yield present[0]
+
+    return min(x for w in _presence_spectra(n, ei, ej, rows()) for x in w[np.arange(len(w)), idx[-len(w) :]].tolist())

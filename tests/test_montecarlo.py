@@ -663,6 +663,7 @@ def test_streamed_estimators_match_one_draw_per_block(monkeypatch, name, chunk):
     with monkeypatch.context() as one_draw:
         one_draw.setattr(mc, "_presence_groups", _one_draw_groups)
         one_draw.setattr(mc, "_laplacian_stack", support.reference_laplacian_stack)  # edge by edge
+        one_draw.setattr(mc, "_SPECTRAL_CELLS", 1 << 40)  # one eigvalsh call per block
         want = estimate()
     monkeypatch.setattr(mc, "_DRAW_CHUNK", CHUNKS[chunk](15))  # K6 has 15 edges
     assert estimate() == want
