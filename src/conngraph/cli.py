@@ -20,8 +20,8 @@ CONNGRAPH_T_MAX, and CONNGRAPH_N_CAP.
 
 `main` can be called any number of times in one process.  It reads and
 checks the four variables on every call, so a changed or malformed value
-takes effect on the next call; the parser itself is built once for each set
-of defaults they give.
+takes effect on the next call, and fills in from them the options left unset
+after parsing; the parser itself is built once per process.
 """
 
 from __future__ import annotations
@@ -188,10 +188,12 @@ def _collapse(p: float, T: int | None) -> tuple[float, float]:
     return _union_probabilities(math.log1p(-p), T)
 
 
-def _row(tpl: _TemplateSpec, p: float, T: int | None, **values) -> dict:
-    """A CSV row, template and horizon first; those five also head JSON payloads."""
-    p_hat = None if T is None else _collapse(p, T)[0]
-    return {"family": tpl.family, "n": tpl.n, "p": p, "T": T, "p_hat": p_hat, **values}
+def _row(tpl: _TemplateSpec, p: float, T: int | None, pe: float | None, **values) -> dict:
+    """A CSV row, template and horizon first; those five also head JSON payloads.
+
+    pe is p collapsed over the horizon, shown as p_hat for a union only.
+    """
+    return {"family": tpl.family, "n": tpl.n, "p": p, "T": T, "p_hat": None if T is None else pe, **values}
 
 
 def _cell(tpl: _TemplateSpec, p: float, T: int | None, n_cap: int) -> tuple[dict, BoundResult | None]:
@@ -202,12 +204,12 @@ def _cell(tpl: _TemplateSpec, p: float, T: int | None, n_cap: int) -> tuple[dict
     """
     pe, qe = _collapse(p, T)
     if tpl.n <= 2:
-        return _row(tpl, p, T, bound=1.0 if tpl.n == 1 else pe, n_star=None), None
+        return _row(tpl, p, T, pe, bound=1.0 if tpl.n == 1 else pe, n_star=None), None
     if tpl.family == "complete":
         res = _complete_bound_result(tpl.n, pe, qe, n_cap)
     else:
         res = _general_bound_result(tpl.n, tpl.m, tpl.deg_sq, pe, qe, n_cap)
-    return _row(tpl, p, T, bound=res.probability_lower_bound, n_star=res.maximizing_n), res
+    return _row(tpl, p, T, pe, bound=res.probability_lower_bound, n_star=res.maximizing_n), res
 
 
 def _mc_columns(row: dict, graph: UnderlyingGraph, args):
@@ -288,7 +290,7 @@ def cmd_bound(args) -> _Report:
     tpl = _resolve_template(args, need_graph=False)
     row, res = _cell(tpl, args.p, args.T, args.n_cap)
     payload = {
-        **_row(tpl, args.p, args.T),
+        **_row(tpl, args.p, args.T, row["p_hat"]),
         "exact": res is None,
         "bound": row["bound"],
     }
@@ -319,7 +321,7 @@ def cmd_bound(args) -> _Report:
 
 def _trace_rows(tpl: _TemplateSpec, p: float, trace) -> Iterable[dict]:
     # lazy: each trace pair is a bound cell evaluated when read, and most reports never write them
-    return (_row(tpl, p, T, bound=value) for T, value in trace)
+    return (_row(tpl, p, T, _collapse(p, T)[0], bound=value) for T, value in trace)
 
 
 def cmd_tstar(args) -> _Report:
@@ -361,7 +363,7 @@ def cmd_simulate(args) -> _Report:
     allowance = est.point + 4.0 * est.half_width
     sound = row["bound"] <= allowance
     payload = {
-        **_row(tpl, args.p, args.T),
+        **_row(tpl, args.p, args.T, row["p_hat"]),
         "trials": est.trials,
         "seed": args.seed,
         "confidence": est.confidence,
@@ -409,7 +411,7 @@ def cmd_exact(args) -> _Report:
     result = exact_connectivity(tpl.graph, pe)
     total = 1 << tpl.m
 
-    head = _row(tpl, args.p, args.T)
+    head = _row(tpl, args.p, args.T, pe)
     payload = {
         **head,
         "probability": result.value,
@@ -503,107 +505,84 @@ def cmd_spectrum_check(args) -> _Report:
 # parser
 
 
-def _add_template_group(sub, required: bool = True) -> None:
-    group = sub.add_mutually_exclusive_group(required=required)
-    group.add_argument("--complete", type=int, metavar="N", help="complete template on N vertices")
-    group.add_argument(
-        "--complete-minus-cycle",
-        type=int,
-        metavar="N",
-        dest="complete_minus_cycle",
-        help="complete template minus a Hamiltonian cycle (N >= 5)",
-    )
-    group.add_argument("--edge-list", metavar="PATH", dest="edge_list", help="template from an edge-list file")
+# Built once per process: `main` fills in the environment's defaults after
+# parsing, and rebuilding the argparse tree would cost more than most commands.
+@functools.cache
+def _build_parser() -> argparse.ArgumentParser:
+    # every option once; the four the environment can default stay None until `main` fills them in
+    options = {
+        "--complete": dict(type=int, metavar="N", help="complete template on N vertices"),
+        "--complete-minus-cycle": dict(type=int, metavar="N",
+                                       help="complete template minus a Hamiltonian cycle (N >= 5)"),
+        "--edge-list": dict(metavar="PATH", help="template from an edge-list file"),
+        "--family": dict(choices=("complete", "complete-minus-cycle"), help="parametric template family"),
+        "--n-values": dict(type=_csv_list(int, "integers"), metavar="LIST", help="vertex counts, e.g. 10,50,100"),
+        "--p": dict(type=float, required=True, help="edge retention probability, in (0, 1)"),
+        "--p-values": dict(type=_csv_list(float, "numbers"), metavar="LIST", required=True,
+                           help="probabilities, e.g. 0.8,0.9,0.99"),
+        "--epsilon": dict(type=float, required=True, help="target gap, in (0, 1)"),
+        "--T": dict(type=int, metavar="N", help="union horizon (default: single sample)"),
+        "--t-max": dict(type=int, help="largest horizon scanned"),
+        "--simulate": dict(action="store_true",
+                           help=f"append Monte Carlo estimate columns (left empty above n = {MC_SWEEP_N_CAP})"),
+        "--trials": dict(type=int, help="Monte Carlo trials"),
+        "--seed": dict(type=int, default=0, help="random seed (runs are bit-reproducible)"),
+        "--confidence": dict(type=float, help="CI confidence level"),
+        "--lambda2-moments": dict(action="store_true",
+                                  help="also estimate first and second moments of the algebraic connectivity"),
+        "--n-cap": dict(type=int, help="cap on the draw count N"),
+        "--json": dict(action="store_true", help="emit JSON instead of text"),
+        "--csv": dict(metavar="PATH", help="also write CSV rows ('-' for stdout)"),
+    }
+    # a tuple is a mutually exclusive group, required except by spectrum-check (which defaults to K5)
+    template = ("--complete", "--complete-minus-cycle", "--edge-list")
+    mc, out = ("--trials", "--seed", "--confidence"), ("--json", "--csv")
+    commands = {
+        "bound": (cmd_bound, "closed-form connectivity lower bound", [template, "--p", "--T", "--n-cap", *out]),
+        "tstar": (cmd_tstar, "smallest union horizon reaching bound 1 - epsilon",
+                  [template, "--p", "--epsilon", "--t-max", "--n-cap", *out]),
+        "simulate": (cmd_simulate, "Monte Carlo estimate next to the bound",
+                     [template, "--p", "--T", *mc, "--lambda2-moments", "--n-cap", *out]),
+        "exact": (cmd_exact, "exhaustive enumeration of the connectivity probability", [template, "--p", "--T", *out]),
+        "sweep": (cmd_sweep, "bound (and optionally MC) grid over n and p",
+                  [("--family", "--edge-list"), "--n-values", "--p-values", "--T", "--simulate", *mc, "--n-cap", *out]),
+        "spectrum-check": (cmd_spectrum_check, "eigensolver vs enumeration cross-validation", [template, "--json"]),
+    }
 
-
-# One parser per set of environment defaults: `main` reads the environment on
-# every call and rebuilding the argparse tree would cost more than most commands.
-@functools.lru_cache(maxsize=8)
-def _build_parser(trials_default: int, confidence_default: float, t_max_default: int, n_cap_default: int):
     parser = argparse.ArgumentParser(
         prog="conngraph",
         description="Connectivity bounds for randomly subsampled graphs and their unions.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("bound", help="closed-form connectivity lower bound")
-    _add_template_group(sp)
-    sp.add_argument("--p", type=float, required=True, help="edge retention probability, in (0, 1)")
-    sp.add_argument("--T", type=int, metavar="N", help="union horizon; bound evaluated at p_hat(T)")
-    sp.add_argument("--n-cap", type=int, default=n_cap_default, dest="n_cap", help="cap on the draw count N")
-    sp.set_defaults(func=cmd_bound)
-
-    sp = sub.add_parser("tstar", help="smallest union horizon reaching bound 1 - epsilon")
-    _add_template_group(sp)
-    sp.add_argument("--p", type=float, required=True, help="per-sample edge probability, in (0, 1)")
-    sp.add_argument("--epsilon", type=float, required=True, help="target gap, in (0, 1)")
-    sp.add_argument("--t-max", type=int, default=t_max_default, dest="t_max", help="largest horizon scanned")
-    sp.add_argument("--n-cap", type=int, default=n_cap_default, dest="n_cap", help="cap on the draw count N")
-    sp.set_defaults(func=cmd_tstar)
-
-    sp = sub.add_parser("simulate", help="Monte Carlo estimate next to the bound")
-    _add_template_group(sp)
-    sp.add_argument("--p", type=float, required=True, help="edge retention probability, in (0, 1)")
-    sp.add_argument("--T", type=int, metavar="N", help="union horizon (default: single sample)")
-    sp.add_argument("--trials", type=int, default=trials_default, help="Monte Carlo trials")
-    sp.add_argument("--seed", type=int, default=0, help="random seed (runs are bit-reproducible)")
-    sp.add_argument("--confidence", type=float, default=confidence_default, help="CI confidence level")
-    sp.add_argument(
-        "--lambda2-moments",
-        action="store_true",
-        dest="lambda2_moments",
-        help="also estimate first and second moments of the algebraic connectivity",
-    )
-    sp.add_argument("--n-cap", type=int, default=n_cap_default, dest="n_cap", help="cap on the draw count N")
-    sp.set_defaults(func=cmd_simulate)
-
-    sp = sub.add_parser("exact", help="exhaustive enumeration of the connectivity probability")
-    _add_template_group(sp)
-    sp.add_argument("--p", type=float, required=True, help="edge retention probability, in (0, 1)")
-    sp.add_argument("--T", type=int, metavar="N", help="union horizon; enumerates at p_hat(T)")
-    sp.set_defaults(func=cmd_exact)
-
-    sp = sub.add_parser("sweep", help="bound (and optionally MC) grid over n and p")
-    family = sp.add_mutually_exclusive_group(required=True)
-    family.add_argument(
-        "--family", choices=("complete", "complete-minus-cycle"), help="parametric template family"
-    )
-    family.add_argument("--edge-list", metavar="PATH", dest="edge_list", help="single template from a file")
-    sp.add_argument("--n-values", type=_csv_list(int, "integers"), dest="n_values", metavar="LIST", help="vertex counts, e.g. 10,50,100")
-    sp.add_argument("--p-values", type=_csv_list(float, "numbers"), dest="p_values", metavar="LIST", required=True, help="probabilities, e.g. 0.8,0.9,0.99")
-    sp.add_argument("--T", type=int, metavar="N", help="union horizon applied to every cell")
-    sp.add_argument("--simulate", action="store_true", help="append Monte Carlo estimate columns")
-    sp.add_argument("--trials", type=int, default=trials_default, help="Monte Carlo trials per cell")
-    sp.add_argument("--seed", type=int, default=0, help="random seed")
-    sp.add_argument("--confidence", type=float, default=confidence_default, help="CI confidence level")
-    sp.add_argument("--n-cap", type=int, default=n_cap_default, dest="n_cap", help="cap on the draw count N")
-    sp.set_defaults(func=cmd_sweep)
-
-    sp = sub.add_parser("spectrum-check", help="eigensolver vs enumeration cross-validation")
-    _add_template_group(sp, required=False)
-    sp.set_defaults(func=cmd_spectrum_check)
-
-    # output flags come last in every command's --help
-    for name, sp in sub.choices.items():
-        sp.add_argument("--json", action="store_true", help="emit JSON instead of text")
-        if name != "spectrum-check":
-            sp.add_argument("--csv", metavar="PATH", help="also write CSV rows ('-' for stdout)")
+    for name, (func, summary, flags) in commands.items():
+        sp = sub.add_parser(name, help=summary)
+        sp.set_defaults(func=func)
+        for item in flags:
+            if isinstance(item, tuple):
+                target = sp.add_mutually_exclusive_group(required=name != "spectrum-check")
+            else:
+                target, item = sp, (item,)
+            for flag in item:
+                target.add_argument(flag, **options[flag])
     return parser
 
 
 def main(argv=None) -> int:
     try:
-        parser = _build_parser(
-            _env("TRIALS", int, DEFAULT_TRIALS, "an integer"),
-            _env("CONFIDENCE", float, DEFAULT_CONFIDENCE, "a number"),
-            _env("T_MAX", int, DEFAULT_T_MAX, "an integer"),
-            _env("N_CAP", int, DEFAULT_N_CAP, "an integer"),
-        )
+        defaults = {
+            "trials": _env("TRIALS", int, DEFAULT_TRIALS, "an integer"),
+            "confidence": _env("CONFIDENCE", float, DEFAULT_CONFIDENCE, "a number"),
+            "t_max": _env("T_MAX", int, DEFAULT_T_MAX, "an integer"),
+            "n_cap": _env("N_CAP", int, DEFAULT_N_CAP, "an integer"),
+        }
         try:
-            args = parser.parse_args(argv)
+            args = _build_parser().parse_args(argv)
         except SystemExit as exc:
             return EXIT_OK if not exc.code else EXIT_USAGE
+        for name, value in defaults.items():
+            if name in args and getattr(args, name) is None:  # the command takes it and the user left it unset
+                setattr(args, name, value)
         _check_flags(args)
         report = args.func(args)
         _emit(report, args)

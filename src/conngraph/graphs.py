@@ -191,11 +191,11 @@ def read_edge_list(path) -> UnderlyingGraph:
     Format: the first non-empty, non-comment line is the integer vertex
     count; every later such line is an edge "i j" with 0-indexed endpoints.
     Lines whose first non-blank character is '#' are comments.  Both LF and
-    CRLF line endings are accepted.
+    CRLF line endings are accepted, and so is a leading UTF-8 byte-order mark.
     """
     if not isinstance(path, (str, os.PathLike)):
         raise InvalidParameter(f"path must be a str or os.PathLike, got {path!r}")
-    text = Path(path).read_text(encoding="utf-8")
+    text = Path(path).read_text(encoding="utf-8-sig")
     lines = []
     for raw in text.splitlines():
         stripped = raw.strip()

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from jsonschema import Draft202012Validator
 
-from conngraph import connectivity_bound_complete, exact_connectivity, complete
+from conngraph import cli, connectivity_bound_complete, exact_connectivity, complete
 from conngraph.cli import EXIT_BROKEN_PIPE, _monotonicity_notes, main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -414,11 +414,42 @@ def test_spectrum_check_edge_cap(capsys):
 
 
 def test_env_overrides(capsys, monkeypatch):
-    # read on every call: a changed value is the next call's default
+    # read on every call: a changed value is the next call's default, filled
+    # in after parsing, so one parser serves every call in the process
+    cli._build_parser.cache_clear()
     for trials in (123, 45):
         monkeypatch.setenv("CONNGRAPH_TRIALS", str(trials))
         payload = run_json(capsys, "simulate", "--complete", "3", "--p", "0.5", "--json")
         assert payload["trials"] == trials
+    assert cli._build_parser.cache_info().misses == 1
+
+
+TEMPLATE = "(--complete N | --complete-minus-cycle N | --edge-list PATH)"
+MC = "[--trials TRIALS] [--seed SEED] [--confidence CONFIDENCE]"
+OUTPUT = "[--json] [--csv PATH]"
+
+
+@pytest.mark.parametrize(
+    "command, options",
+    [
+        ("bound", f"{TEMPLATE} --p P [--T N] [--n-cap N_CAP] {OUTPUT}"),
+        ("tstar", f"{TEMPLATE} --p P --epsilon EPSILON [--t-max T_MAX] [--n-cap N_CAP] {OUTPUT}"),
+        ("simulate", f"{TEMPLATE} --p P [--T N] {MC} [--lambda2-moments] [--n-cap N_CAP] {OUTPUT}"),
+        ("exact", f"{TEMPLATE} --p P [--T N] {OUTPUT}"),
+        (
+            "sweep",
+            "(--family {complete,complete-minus-cycle} | --edge-list PATH) [--n-values LIST] --p-values LIST "
+            f"[--T N] [--simulate] {MC} [--n-cap N_CAP] {OUTPUT}",
+        ),
+        ("spectrum-check", "[--complete N | --complete-minus-cycle N | --edge-list PATH] [--json]"),
+    ],
+)
+def test_every_subcommand_keeps_its_option_set(capsys, monkeypatch, command, options):
+    # a wide terminal puts the whole usage on one line: option strings, order and which are required
+    monkeypatch.setenv("COLUMNS", "400")
+    code, out, _ = run_cli(capsys, command, "--help")
+    assert code == 0
+    assert out.splitlines()[0] == f"usage: conngraph {command} [-h] {options}"
 
 
 def test_env_override_invalid(capsys, monkeypatch):

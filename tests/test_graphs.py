@@ -135,10 +135,14 @@ def test_stats_mirror_constructor_errors():
 
 def test_read_edge_list(tmp_path):
     path = tmp_path / "g.txt"
-    path.write_text("# a triangle\n\n3\n0 1\n# middle comment\n1 2\r\n0 2\n")
-    g = read_edge_list(path)
-    assert g.n == 3
-    assert g.edges == ((0, 1), (0, 2), (1, 2))
+    for data, edges in [
+        (b"# a triangle\n\n3\n0 1\n# middle comment\n1 2\r\n0 2\n", ((0, 1), (0, 2), (1, 2))),
+        (b"\xef\xbb\xbf3\r\n0 1\r\n1 2\r\n", ((0, 1), (1, 2))),  # UTF-8 byte-order mark and CRLF, as Notepad saves
+    ]:
+        path.write_bytes(data)
+        g = read_edge_list(path)
+        assert g.n == 3
+        assert g.edges == edges
 
 
 def test_read_edge_list_errors(tmp_path):

@@ -240,6 +240,8 @@ def test_complete_totals_match_oeis_a001187():
 
 
 def test_profile_rule_takes_the_method_with_fewer_steps(monkeypatch):
+    chorded = from_edge_list(12, [(i, (i + 1) % 12) for i in range(12)] + [(i, i + 6) for i in range(5)])
+    enumerated = mc._profile_by_enumeration(chorded)
     calls = []
     for name in ("_profile_by_recurrence", "_profile_by_enumeration"):
         real = getattr(mc, name)
@@ -247,8 +249,12 @@ def test_profile_rule_takes_the_method_with_fewer_steps(monkeypatch):
     cycle = from_edge_list(14, [(i, (i + 1) % 14) for i in range(14)])
     assert _connected_profile.__wrapped__(cycle) == tuple([0] * 13 + [14, 1])
     assert sum(_connected_profile.__wrapped__(complete(7))) == 1866256
-    # 3^13 > 2^14 for the 14-cycle; 3^6 <= 2^21 for K7
-    assert calls == [("_profile_by_enumeration", 14, 14), ("_profile_by_recurrence", 7, 21)]
+    assert _connected_profile.__wrapped__(chorded) == enumerated
+    # one enumeration step counts as two recurrence steps: 3^13 > 2^15 for the
+    # 14-cycle; 3^6 <= 2^22 for K7; 3^11 <= 2^18 for the chorded 12-cycle (n = 12, m = 17)
+    assert calls == [
+        ("_profile_by_enumeration", 14, 14), ("_profile_by_recurrence", 7, 21), ("_profile_by_recurrence", 12, 17)
+    ]
 
 
 def test_recurrence_blocks_stay_within_the_pair_budget(monkeypatch):

@@ -73,9 +73,9 @@ def test_every_error_round_trips_through_pickle():
         assert vars(copy) == vars(exc), name
 
 
-# eigensolver_checks.py runs the pure-Python Jacobi solver for about 11 s
-# and is left to be run by hand
-@pytest.mark.parametrize("demo", ["bound_vs_truth.py", "desk_scale_sweep.py", "union_horizon.py"])
+@pytest.mark.parametrize(
+    "demo", ["bound_vs_truth.py", "desk_scale_sweep.py", "eigensolver_checks.py", "union_horizon.py"]
+)
 def test_demo_runs(demo, capsys):
     runpy.run_path(str(DEMOS / demo), run_name="__main__")
     out = capsys.readouterr().out
