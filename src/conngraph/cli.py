@@ -4,7 +4,7 @@ Subcommands
     bound           closed-form connectivity lower bound for one template
     tstar           smallest union horizon reaching a bound target
     simulate        Monte Carlo estimate next to the bound, with a verdict
-    exact           exhaustive enumeration of the connectivity probability
+    exact           exact connectivity probability by frontier-based search
     sweep           bound (and optionally MC) grids over n and p, CSV or JSON
     spectrum-check  eigensolver-vs-enumeration cross-validation
 
@@ -381,7 +381,7 @@ def cmd_simulate(args) -> _Report:
         ("trials", est.trials),
         ("seed", args.seed),
         ("estimate", est.point),
-        (f"{int(round(est.confidence * 100))}% CI", f"{est.ci_low:.12g} .. {est.ci_high:.12g}"),
+        (f"{est.confidence * 100:g}% CI", f"{est.ci_low:.12g} .. {est.ci_high:.12g}"),
         ("bound", row["bound"]),
         ("verdict", f"{verdict} (bound <= estimate + 4 half-widths)"),
     ]
@@ -543,7 +543,7 @@ def _build_parser() -> argparse.ArgumentParser:
                   [template, "--p", "--epsilon", "--t-max", "--n-cap", *out]),
         "simulate": (cmd_simulate, "Monte Carlo estimate next to the bound",
                      [template, "--p", "--T", *mc, "--lambda2-moments", "--n-cap", *out]),
-        "exact": (cmd_exact, "exhaustive enumeration of the connectivity probability", [template, "--p", "--T", *out]),
+        "exact": (cmd_exact, "exact connectivity probability by frontier-based search", [template, "--p", "--T", *out]),
         "sweep": (cmd_sweep, "bound (and optionally MC) grid over n and p",
                   [("--family", "--edge-list"), "--n-values", "--p-values", "--T", "--simulate", *mc, "--n-cap", *out]),
         "spectrum-check": (cmd_spectrum_check, "eigensolver vs enumeration cross-validation", [template, "--json"]),

@@ -10,15 +10,15 @@ Connectivity is decided in one place, ``_connected_rows``: hook and shortcut
 over a whole block of edge-presence rows at once, in a few rounds of
 whole-array operations (a path with shuffled labels takes 6 at n = 1000, 10
 at n = 40000) rather than a Python loop over edges.  ``is_connected`` and
-``from_edge_list`` call it on one row; Monte Carlo, the coupled check and
-exact enumeration in ``montecarlo`` and the spectrum check in ``spectral``
-call it on many.  It reads the presence rows in sub-blocks of at most
+``from_edge_list`` call it on one row; Monte Carlo and the coupled check in
+``montecarlo`` and the spectrum check in ``spectral`` call it on many.  It
+reads the presence rows in sub-blocks of ``_kernel_rows`` rows, at most
 ``_CONN_SLOTS`` (row, edge) slots, so its index arrays (about 40 bytes per
 slot) stay a few MB whatever the size of the caller's block.
 
 Laplacians have one builder over the same rows, ``_laplacian_stack``, and
 ``laplacian`` is its one-row case.  ``_subset_rows`` gives the rows of all
-2^m edge subsets to exact enumeration and to the spectrum check.
+2^m edge subsets to the spectrum check.
 """
 
 from __future__ import annotations
@@ -334,11 +334,16 @@ def _connected_rows(n: int, ei: np.ndarray, ej: np.ndarray, present: np.ndarray)
     int64 beyond.
     """
     rows, m = present.shape
-    step = max(1, _CONN_SLOTS // max(m, n))
+    step = _kernel_rows(n, m)
     out = np.empty(rows, dtype=bool)
     for start in range(0, rows, step):
         out[start : start + step] = _hook_and_shortcut(n, ei, ej, present[start : start + step])
     return out
+
+
+def _kernel_rows(n: int, m: int) -> int:
+    """Rows per sub-block of ``_connected_rows`` for n vertices and m edges: at least one."""
+    return max(1, _CONN_SLOTS // max(m, n))
 
 
 def _hook_and_shortcut(n: int, ei: np.ndarray, ej: np.ndarray, present: np.ndarray) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Exact enumeration and Monte Carlo estimation of connectivity probabilities.
+"""Exact counting and Monte Carlo estimation of connectivity probabilities.
 
 Everything here is an oracle: an estimator or exact computation that the
 closed-form bounds can be checked against.  Sampling is vectorized over
@@ -7,8 +7,8 @@ base seed, so results are reproducible for fixed (seed, parameters) and do
 not depend on how many blocks run or in what order they would be scheduled.
 
 Every estimator runs one block loop, ``_blocks``, which sizes the blocks of
-trials and hands each its child stream.  Monte Carlo, the coupled check and
-exact enumeration decide connectivity with the package's one kernel,
+trials and hands each its child stream.  Monte Carlo and the coupled check
+decide connectivity with the package's one kernel,
 ``graphs._connected_rows``, many edge-presence rows per call.  The three
 spectra estimators share one checked loop, ``_block_spectra``.
 
@@ -23,10 +23,8 @@ a block keeps only its results, such as its spectra for the index draws that
 follow them, and its estimates are those of drawing the block at once.
 
 The exact probability rests on the template's profile of connected edge
-subsets, counted by whichever of two exact methods is faster: the
-vertex-subset recurrence, about 3^(n-1) steps, for dense templates, and
-enumeration of all 2^m edge subsets, each step worth about two of the
-recurrence's, for sparse ones.
+subsets, counted by one frontier-based search over the edges, whose cost
+follows the width of the template's vertex order rather than 2^m.
 """
 
 from __future__ import annotations
@@ -39,13 +37,12 @@ from statistics import NormalDist
 import numpy as np
 
 from .errors import InvalidParameter, TooManyEdges, _check_count, _check_fraction
-from .graphs import (_CONN_SLOTS, SampledGraph, UnderlyingGraph, _check_graph, _connected_rows, _edge_arrays,
-                     _laplacian_stack, _subset_rows)
+from .graphs import (SampledGraph, UnderlyingGraph, _check_graph, _connected_rows, _edge_arrays, _kernel_rows,
+                     _laplacian_stack)
 
 DEFAULT_ENUMERATION_CAP = 24
 DEFAULT_CONFIDENCE = 0.95
-_MAX_ENUMERATION_EDGES = 32  # subset ids are uint32; the recurrence's int64 needs 3^m < 2^63
-_PAIR_BUDGET = 3**9  # max (S, T) pairs per block of the vertex-subset recurrence
+_MAX_ENUMERATION_EDGES = 32  # bounds the frontier search's work on dense templates (K8's 28 edges: about 13 ms)
 
 _BLOCK = 8192
 _BLOCK_BUDGET = 1 << 22  # max uniforms drawn per block
@@ -93,8 +90,7 @@ class ExactProbability:
     """Exact connectivity probability, from the exact count of connected edge subsets.
 
     ``terms`` counts the connected edge subsets that contribute to the sum.
-    The counts come from the vertex-subset recurrence or from enumerating
-    every edge subset, whichever is faster; both are exact integers.
+    The counts come from an exact frontier-based search over the edges.
     """
 
     value: float
@@ -202,11 +198,6 @@ def _presence_groups(gen: np.random.Generator, rows: int, m: int, levels: tuple[
         yield start, present
 
 
-def _kernel_rows(parent: UnderlyingGraph) -> int:
-    """Rows per connectivity group: one sub-block of ``graphs._connected_rows``."""
-    return max(1, _CONN_SLOTS // max(parent.m, parent.n))
-
-
 def _layer_draws(T: int, m: int) -> int:
     """T * m, the uniforms one trial of a T-layer union draws; from 2**63 on, InvalidParameter."""
     if T * m >= 1 << 63:
@@ -261,7 +252,7 @@ def empirical_connectivity(
     ei, ej = _edge_arrays(parent)
     successes = 0
     for b, gen in blocks:
-        for _, (present,) in _presence_groups(gen, b, parent.m, (p,), _kernel_rows(parent), T):
+        for _, (present,) in _presence_groups(gen, b, parent.m, (p,), _kernel_rows(parent.n, parent.m), T):
             successes += int(_connected_rows(parent.n, ei, ej, present).sum())
     return _estimate(successes, trials, confidence)
 
@@ -270,146 +261,89 @@ def empirical_connectivity(
 def _connected_profile(parent: UnderlyingGraph) -> tuple[int, ...]:
     """Count connected spanning edge subsets of each size, k = 0 .. m.
 
-    Two exact methods give the same counts; this takes the faster one.  The
-    vertex-subset recurrence costs about 3^(n-1) steps and enumeration 2^m
-    steps that each cost about two of the recurrence's (n = 12, m = 17: 14 ms
-    against 57 ms on a 2-vCPU VM), so the recurrence is used when
-    3^(n-1) <= 2^(m+1) (every dense template) and enumeration otherwise
-    (trees, cycles and other sparse templates, where n is close to m).
+    Frontier-based search (Hardy, Lucet & Limnios 2007, IEEE Trans.
+    Reliability 56(3); Kawahara et al. 2017, IEICE Trans. Fundamentals
+    E100-A(9)).  Edges are decided one at a time, skipped or taken.  The
+    frontier is the vertices met so far that still have an edge to come, and
+    a state is the partition of the frontier into the blocks that the taken
+    edges join, as block labels renumbered by first appearance.  A state's
+    value is its count polynomial in taken edges, packed into one int at
+    m + 1 bits per coefficient; a coefficient counts edge subsets, so it
+    stays below 2^m and no carry crosses into the next.  Taking an edge
+    joins two blocks and shifts the value up one coefficient; an edge inside
+    one block adds both branches to the same state.  A vertex leaves the
+    frontier after its last edge, and a block that leaves with it can never
+    be joined again, so its state dies unless no frontier vertex is left.
+    Then every vertex has been met: a vertex not yet met has a breadth-first
+    parent that is still on the frontier, waiting for the edge between them.
+
+    The cost follows the frontier's width, so vertices are taken in
+    Cuthill-McKee order, which keeps it narrow: breadth-first with neighbours
+    by ascending degree, from the last vertex that a breadth-first search
+    from a minimum-degree vertex reaches.  Edges go by their later end, then
+    their earlier one.
     """
-    if 3 ** (parent.n - 1) <= 2 ** (parent.m + 1):
-        return _profile_by_recurrence(parent)
-    return _profile_by_enumeration(parent)
-
-
-def _profile_by_enumeration(parent: UnderlyingGraph) -> tuple[int, ...]:
-    """The profile from all 2^m edge subsets, a block of presence rows at a time."""
-    m, n = parent.m, parent.n
-    ei, ej = _edge_arrays(parent)
-    counts = np.zeros(m + 1, dtype=np.int64)
-    chunk = 1 << 16
-    total = 1 << m
-    for start in range(0, total, chunk):
-        present = _subset_rows(m, start, min(start + chunk, total))
-        conn = _connected_rows(n, ei, ej, present)
-        k = present.sum(axis=1)
-        counts += np.bincount(k[conn], minlength=m + 1).astype(np.int64)
-    return tuple(int(c) for c in counts)
-
-
-def _profile_by_recurrence(parent: UnderlyingGraph) -> tuple[int, ...]:
-    """The profile from the vertex-subset recurrence for connected spanning subgraphs.
-
-    Gilbert (1959, *Random graphs*); Colbourn (1987, *The Combinatorics of
-    Network Reliability*).  Fix vertex 0.  Every edge subset of the induced
-    subgraph on a vertex set S that holds 0 splits into the component T of
-    vertex 0, no edge between T and S - T, and any edges inside S - T, so
-    with G(X) = (1 + x)^e(X), e(X) the number of template edges inside X,
-    the generating polynomial C(S) of connected spanning subsets of S is
-
-        C(S) = G(S) - sum over 0 in T, T a proper subset of S, of C(T) G(S - T).
-
-    The polynomials are kept in the basis y = 1 + x, where G(X) = y^e(X) and
-    each product is C(T) shifted up by e(S - T).  Sets are taken one size
-    at a time, so every C(T) a set needs is final when the set is reached;
-    C(V) is turned back into powers of x with Python ints at the end.
-
-    Why int64 is exact: any partial sum of C(S) is G(S) minus some of the
-    terms C(T) G(S - T), each of which counts edge subsets of S with
-    nonnegative coefficients that sum, over all T, to at most G(S).  So in
-    the x basis coefficient k of a partial sum lies in [0, C(e, k)], e =
-    e(S), and in the y basis (x = y - 1) each coefficient has magnitude at
-    most sum_k C(e, k) C(k, j) = C(e, j) 2^(e - j) <= 3^e.  With m <= 32 that
-    is below 2^51, and nothing wraps.
-
-    Memory: the coefficient table holds 2^(n-1) rows of m + 1 int64, and
-    the pair budget does not limit it: 6.5 MB at n = 16, m = 24, the largest
-    the default cap sends here, and at worst 277 MB at n = 21, m = 32, the
-    largest the 32-edge clamp allows (3^20 <= 2^33).  The (S, T)
-    pairs, about 3^(n-1) of them, are formed in blocks of at most
-    ``_PAIR_BUDGET``: a cached table over the low vertices, offset by each
-    assignment of the remaining high vertices.
-    """
-    n, m = parent.n, parent.m
-    inside = _edges_inside(parent)
-    # sets of the other n - 1 vertices, bit v - 1 for vertex v: e(S) with 0 added, e(R) without
-    e_with0, e_rest = inside[1::2], inside[0::2]
-    width = m + 1
-    sets = 1 << (n - 1)
-    # row S holds the y-coefficients of C({0} | S); a spare row takes the zero
-    # coefficients that the shifts below carry past the last row
-    coef = np.zeros((sets + 1) * width, dtype=np.int64)
-    coef[np.arange(sets) * width + e_with0] = 1
-    low = 0
-    while low < n - 1 and 3 ** (low + 1) <= _PAIR_BUDGET:
-        low += 1
-    s_low, t_low, r_low, low_bounds = _pair_table(low)
-    s_high, t_high, r_high, high_bounds = _pair_table(n - 1 - low)
-    for size in range(1, n):
-        for size_high in range(max(0, size - low), min(size, n - 1 - low) + 1):
-            size_low = size - size_high
-            for h in range(high_bounds[2 * size_high], high_bounds[2 * size_high + 2]):
-                # T = S is not a pair: when R has no high vertex, skip the low triples with R empty
-                start = low_bounds[2 * size_low + int(r_high[h] == 0)]
-                stop = low_bounds[2 * size_low + 2]
-                if start < stop:
-                    s = s_low[start:stop] | (int(s_high[h]) << low)
-                    t = t_low[start:stop] | (int(t_high[h]) << low)
-                    r = r_low[start:stop] | (int(r_high[h]) << low)
-                    _subtract_pairs(coef, width, s, t, e_rest[r], int(e_with0[t].max()) + 1)
-    in_y = [int(c) for c in coef[(sets - 1) * width : sets * width]]
-    return tuple(sum(in_y[k] * math.comb(k, j) for k in range(j, width)) for j in range(width))
-
-
-def _subtract_pairs(coef: np.ndarray, width: int, s: np.ndarray, t: np.ndarray, shift: np.ndarray, span: int) -> None:
-    """C(S) -= C(T) y^shift for each pair, in place, reading coefficients 0 .. span - 1 of C(T).
-
-    ``span`` exceeds every e(T) of the block, and C(T) has no term above
-    y^e(T).  Coefficient j of a pair lands in row S at column shift + j, or
-    in the next row when that passes m; only zero coefficients go that far,
-    because shift + e(T) <= e(S) <= m.
-    """
-    j = np.arange(span)
-    np.subtract.at(coef, ((s * width + shift)[:, None] + j).ravel(), coef[(t * width)[:, None] + j].ravel())
-
-
-def _edges_inside(parent: UnderlyingGraph) -> np.ndarray:
-    """e(X) for all 2^n vertex sets X, bit v for vertex v: template edges with both ends in X."""
-    below = [0] * parent.n  # bit i of below[j] marks an edge between i and j > i, in either order
+    n, width = parent.n, parent.m + 1
+    adjacent = [[] for _ in range(n)]
     for i, j in parent.edges:
-        below[max(i, j)] |= 1 << min(i, j)
-    sets = np.arange(1 << parent.n, dtype=np.int64)
-    size = np.zeros(sets.size, dtype=np.int64)  # size[X] = |X|, filled alongside
-    inside = np.zeros(sets.size, dtype=np.int64)
-    for v in range(parent.n):
-        # the sets whose top vertex is v gain its edges to the lower vertices they hold
-        low = 1 << v
-        size[low : 2 * low] = size[:low] + 1
-        inside[low : 2 * low] = inside[:low] + size[sets[:low] & below[v]]
-    return inside
+        adjacent[i].append(j)
+        adjacent[j].append(i)
+    for vs in adjacent:
+        vs.sort(key=lambda v: (parent.degrees[v], v))
+    order = _breadth_first(adjacent, _breadth_first(adjacent, min(range(n), key=parent.degrees.__getitem__))[-1])
+    if len(order) < n:  # a hand-built template that is not connected
+        return (0,) * width
+    rank = {v: r for r, v in enumerate(order)}
+    edges = sorted(parent.edges, key=lambda e: sorted((rank[e[0]], rank[e[1]]), reverse=True))
+    last = {v: k for k, e in enumerate(edges) for v in e}
+    frontier, states = [], {(): 1}
+    for k, (i, j) in enumerate(edges):
+        for v in (i, j):
+            if v not in frontier:
+                frontier.append(v)
+                states = {s + (max(s, default=-1) + 1,): c for s, c in states.items()}
+        a, b = frontier.index(i), frontier.index(j)
+        taken: dict[tuple[int, ...], int] = {}
+        for s, c in states.items():
+            lo, hi = s[a], s[b]
+            if lo == hi:
+                taken[s] = taken.get(s, 0) + c + (c << width)
+                continue
+            taken[s] = taken.get(s, 0) + c
+            if lo > hi:
+                lo, hi = hi, lo
+            # hi's block joins lo's, and the labels above hi close the gap: still in first-appearance order
+            s = tuple([lo if x == hi else x - (x > hi) for x in s])
+            taken[s] = taken.get(s, 0) + (c << width)
+        states = taken
+        for v in dict.fromkeys((i, j)):  # a self-loop's vertex leaves once
+            if last[v] == k:
+                at = frontier.index(v)
+                del frontier[at]
+                kept: dict[tuple[int, ...], int] = {}
+                for s, c in states.items():
+                    rest = s[:at] + s[at + 1 :]
+                    if s[at] in rest:
+                        if s.index(s[at]) == at:  # its block's first appearance moves: renumber
+                            labels: dict[int, int] = {}
+                            rest = tuple([labels.setdefault(x, len(labels)) for x in rest])
+                    elif rest:
+                        continue
+                    kept[rest] = kept.get(rest, 0) + c
+                states = kept
+    total = states.get((), 0)
+    return tuple(total >> (k * width) & ((1 << width) - 1) for k in range(width))
 
 
-@lru_cache(maxsize=16)
-def _pair_table(width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, ...]]:
-    """All (S, T, R) over ``width`` vertices with T, R a split of S, grouped by |S|.
-
-    Each vertex is outside S, in T or in R, so there are 3^width triples.
-    They are sorted by the key 2 |S| + (R nonempty), and ``bounds[key]`` is
-    where a key starts: the triples with |S| = k are
-    ``bounds[2k]:bounds[2k + 2]``, and those with R nonempty start at
-    ``bounds[2k + 1]``.  The table depends only on ``width``.
-    """
-    s = t = size = np.zeros(1, dtype=np.int64)
-    for b in range(width):
-        bit = 1 << b
-        s = np.concatenate((s, s | bit, s | bit))
-        t = np.concatenate((t, t | bit, t))
-        size = np.concatenate((size, size + 1, size + 1))
-    r = s ^ t
-    key = 2 * size + (r != 0)
-    order = np.argsort(key, kind="stable")
-    bounds = np.searchsorted(key[order], np.arange(2 * width + 3))
-    return s[order], t[order], r[order], tuple(int(b) for b in bounds)
+def _breadth_first(adjacent: list[list[int]], start: int) -> list[int]:
+    """The vertices reachable from start, in breadth-first order over the adjacency lists' order."""
+    order, seen = [start], {start}
+    for v in order:
+        for w in adjacent[v]:
+            if w not in seen:
+                seen.add(w)
+                order.append(w)
+    return order
 
 
 def exact_connectivity(parent: UnderlyingGraph, p: float, cap: int = DEFAULT_ENUMERATION_CAP) -> ExactProbability:
@@ -417,8 +351,7 @@ def exact_connectivity(parent: UnderlyingGraph, p: float, cap: int = DEFAULT_ENU
 
     Each connected spanning subset E' contributes p^|E'| (1-p)^(m-|E'|).
     The number of such subsets of each size comes from ``_connected_profile``,
-    which counts them exactly either by the vertex-subset recurrence (dense
-    templates) or by enumerating all 2^m subsets (sparse ones).  Graphs with
+    which counts them exactly by a frontier-based search.  Graphs with
     more than ``cap`` edges raise TooManyEdges, and so does any graph with
     more than 32 edges whatever ``cap`` says.  ``cap`` must be a
     non-negative integer.  The profile depends only on the template, so
@@ -428,10 +361,11 @@ def exact_connectivity(parent: UnderlyingGraph, p: float, cap: int = DEFAULT_ENU
     cap = min(_check_count(cap, "cap", 0), _MAX_ENUMERATION_EDGES)
     if _check_graph(parent, "parent").m > cap:
         raise TooManyEdges(f"graph has {parent.m} edges, enumeration cap is {cap}")
-    profile = np.asarray(_connected_profile(parent), dtype=float)
+    counts = _connected_profile(parent)
+    profile = np.asarray(counts, dtype=float)
     ks = np.arange(parent.m + 1, dtype=float)
     value = float(np.sum(profile * np.power(p, ks) * np.power(1.0 - p, parent.m - ks)))
-    return ExactProbability(value, int(profile.sum()))
+    return ExactProbability(value, sum(counts))
 
 
 def _block_spectra(parent, p, trials: int, seed: int, N=1, independent_graphs=False):
@@ -527,7 +461,7 @@ def coupled_monotonicity_check(
     ei, ej = _edge_arrays(parent)
     s_low = s_high = violations = 0
     for b, gen in blocks:
-        for _, (low, high) in _presence_groups(gen, b, parent.m, (p_low, p_high), _kernel_rows(parent)):
+        for _, (low, high) in _presence_groups(gen, b, parent.m, (p_low, p_high), _kernel_rows(parent.n, parent.m)):
             conn_low = _connected_rows(parent.n, ei, ej, low)
             conn_high = _connected_rows(parent.n, ei, ej, high)
             s_low += int(conn_low.sum())

@@ -177,7 +177,10 @@ def eigenvalues_symmetric(matrix) -> Spectrum:
     square and symmetric within 1e-12 elementwise, else NotSymmetric.
     Sweeps run until the off-diagonal Frobenius norm drops below 1e-10 times
     the input's Frobenius norm (floored at 1.0); more than 100 sweeps raises
-    NoConvergence.
+    NoConvergence.  A matrix with an entry of 2^256 or more is solved scaled
+    down by a power of two, which is exact, so that neither the symmetrized
+    entries nor the squares in the norms overflow; its eigenvalues are
+    scaled back.
     """
     try:
         a = np.asarray(matrix)
@@ -196,7 +199,9 @@ def eigenvalues_symmetric(matrix) -> Spectrum:
         raise InvalidParameter("matrix entries must be finite")
     if n > 1 and float(np.abs(a - a.T).max()) > SYMMETRY_TOL:
         raise NotSymmetric("matrix is not symmetric within 1e-12")
-    return Spectrum(_jacobi_eigenvalues(((a + a.T) / 2.0)[None])[0])
+    shift = max(0, int(np.frexp(np.abs(a).max())[1]) - 256)  # entries below 2^256 keep their bits
+    a = np.ldexp(a, -shift)
+    return Spectrum(np.ldexp(_jacobi_eigenvalues(((a + a.T) / 2.0)[None])[0], shift))
 
 
 def zero_threshold(n: int) -> float:

@@ -1,7 +1,8 @@
 """Reference implementations used to cross-check the package.
 
 Everything here is deliberately written from scratch in plain Python:
-breadth-first connectivity, brute-force subset enumeration, and a direct
+breadth-first connectivity, brute-force subset enumeration, the
+vertex-subset recurrence for connected spanning subsets, and a direct
 transcription of the bound formulas with a naive full scan.  The numpy
 routines are two of the package's former ones: its Monte Carlo connectivity
 kernel, min-label propagation, kept as a second oracle for the
@@ -97,6 +98,66 @@ def connected_count_by_size(n, edges):
         if bfs_connected(n, chosen):
             counts[sum(bits)] += 1
     return counts
+
+
+def gilbert_profile(n, edges):
+    """Connected spanning edge subsets of each size, by the vertex-subset recurrence (Gilbert 1959).
+
+    With G(X) = (1 + x)^e(X), e(X) the number of edges with both ends in X,
+    the generating polynomial of the connected spanning subsets of a vertex
+    set S that holds vertex 0 is
+
+        C(S) = G(S) - sum over proper subsets T of S that hold 0 of C(T) G(S - T),
+
+    since every edge subset of S splits into the component T of vertex 0, no
+    edge between T and S - T, and any edges inside S - T.  Polynomials are
+    kept in y = 1 + x, where G(X) = y^e(X), so each product is a shift.  A
+    proper subset is a smaller number than its set, so sets go in numeric order.
+    """
+    edges = list(edges)
+    m = len(edges)
+    inside = [sum(1 for i, j in edges if x >> i & 1 and x >> j & 1) for x in range(1 << n)]
+    conn = {}
+    for s in range(1, 1 << n, 2):
+        poly = [0] * (m + 1)
+        poly[inside[s]] = 1
+        rest = sub = s & ~1
+        while sub:
+            sub = (sub - 1) & rest  # every subset of rest but rest itself, down to the empty set
+            shift = inside[rest & ~sub]
+            for k, c in enumerate(conn[sub | 1]):
+                if c:
+                    poly[k + shift] -= c
+        conn[s] = poly
+    in_y = conn[(1 << n) - 1]
+    return [sum(c * math.comb(k, j) for k, c in enumerate(in_y)) for j in range(m + 1)]
+
+
+def ladder_profile(k):
+    """The profile of the 2 x k ladder, by a transfer matrix over its columns.
+
+    After each column, either its two vertices are joined by the kept edges
+    (state A) or each lies in its own part, which a later edge must join to
+    the rest (state B).  Polynomials in kept edges are lists of coefficients.
+    A column adds two rails and a rung.  From A: both rails (rung or not), or
+    one rail and the rung, give A; one rail without the rung gives B.  From
+    B: both rails give A with the rung and B without; a missing rail leaves a
+    part that no later edge can reach.
+    """
+    def times(poly, *powers):
+        out = [0] * (len(poly) + 3)
+        for d in powers:
+            for i, c in enumerate(poly):
+                out[i + d] += c
+        return out
+
+    def plus(u, v):
+        return [x + y for x, y in zip(u, v)]
+
+    a, b = [0, 1], [1, 0]
+    for _ in range(k - 1):
+        a, b = plus(times(a, 2, 2, 2, 3), times(b, 3)), plus(times(a, 1, 1), times(b, 2))
+    return a[: 3 * k - 1]
 
 
 def sym2_eigenvalues(a, b, c):

@@ -548,6 +548,13 @@ def test_tiny_bound_renderings_agree(capsys):
     assert_agree(payload, row, text, HEAD + [("probability", "bound", "bound")])
 
 
+def test_simulate_labels_the_interval_with_its_confidence(capsys):
+    argv = ["simulate", "--complete", "4", "--p", "0.6", "--trials", "50"]
+    for confidence, label in [("0.95", "95% CI"), ("0.999", "99.9% CI"), ("0.975", "97.5% CI"), ("0.9", "90% CI")]:
+        code, out, _ = run_cli(capsys, *argv, "--confidence", confidence)
+        assert code == 0 and any(line.startswith(f"{label} ") for line in out.splitlines())
+
+
 def test_tstar_renderings_agree(capsys):
     payload, rows, text = three_renderings(capsys, "tstar", "--complete", "3", "--p", "0.5", "--epsilon", "0.2")
     assert list(text) == ["template", "p", "epsilon", "T*", "bound at T*"]

@@ -152,11 +152,11 @@ def test_non_numeric_probability_is_a_typed_error():
                 call(p)
 
 
-def _both_methods(g):
-    """The profile by the recurrence, after checking that enumeration gives the same."""
-    by_recurrence = mc._profile_by_recurrence(g)
-    assert by_recurrence == mc._profile_by_enumeration(g), (g.n, g.edges)
-    return by_recurrence
+def _checked_profile(g):
+    """The profile, uncached, after checking it against the vertex-subset recurrence."""
+    profile = _connected_profile.__wrapped__(g)
+    assert list(profile) == support.gilbert_profile(g.n, g.edges), (g.n, g.edges)
+    return profile
 
 
 def _path_star_cycle(n):
@@ -165,63 +165,81 @@ def _path_star_cycle(n):
     return [path, star] + ([path + [(0, n - 1)]] if n >= 3 else [])
 
 
-def test_profile_methods_agree_at_every_density():
+def _grid(rows, cols):
+    v = lambda i, j: i * cols + j
+    right = [(v(i, j), v(i, j + 1)) for i in range(rows) for j in range(cols - 1)]
+    return from_edge_list(rows * cols, right + [(v(i, j), v(i + 1, j)) for i in range(rows - 1) for j in range(cols)])
+
+
+def _hand_built(n, edges):
+    """A template built without from_edge_list's checks: edges kept as given, connected or not."""
+    degrees = [0] * n
+    for i, j in edges:
+        degrees[i] += 1
+        degrees[j] += 1
+    return UnderlyingGraph(n, tuple(edges), len(edges), tuple(degrees))
+
+
+def test_profile_matches_the_recurrence_at_every_density():
     rng = random.Random(41)
     for n in range(2, 9):
-        # every edge count up to complete for n <= 6; enumeration bounds n = 7, 8 at 16 edges
-        top = n * (n - 1) // 2 if n <= 6 else 16
-        for m in range(n - 1, top + 1):
+        for m in range(n - 1, n * (n - 1) // 2 + 1):
             tree = support.random_connected_graph(rng, n, 0)
             rest = [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in tree]
-            _both_methods(from_edge_list(n, tree + rng.sample(rest, m - n + 1)))
+            g = from_edge_list(n, tree + rng.sample(rest, m - n + 1))
+            # a hand-built template may store an edge as (j, i) with j > i
+            assert _checked_profile(_hand_built(n, [(j, i) for i, j in g.edges])) == _checked_profile(g)
 
 
-def test_profile_methods_agree_on_trees_stars_and_cycles():
+def test_profile_closed_forms_on_trees_stars_and_cycles():
     rng = random.Random(43)
     for n in range(1, 13):
         tree = support.random_connected_graph(rng, n, 0)
         for edges in [tree] + (_path_star_cycle(n) if n >= 2 else []):
-            counts = _both_methods(from_edge_list(n, edges))
+            counts = _checked_profile(from_edge_list(n, edges))
             # a tree's only connected spanning subset is itself; a cycle's are it and its n paths
             want = [0] * (n - 1) + [1] if len(edges) == n - 1 else [0] * (n - 1) + [n, 1]
             assert list(counts) == want
 
 
-def test_profile_methods_agree_on_complete_families():
-    for n in range(1, 8):
-        _both_methods(complete(n))
-    for n in range(5, 9):
-        _both_methods(complete_minus_cycle(n))
-    # a hand-built template may store an edge as (j, i) with j > i
+def test_profile_matches_the_recurrence_on_complete_families():
+    for n in range(1, 9):
+        _checked_profile(complete(n))
+    for n in range(5, 10):
+        _checked_profile(complete_minus_cycle(n))
     for g in (complete(6), complete_minus_cycle(7)):
         flipped = UnderlyingGraph(g.n, tuple((j, i) for i, j in g.edges), g.m, g.degrees)
-        assert _both_methods(flipped) == _both_methods(g)
+        assert _checked_profile(flipped) == _checked_profile(g)
 
 
-def test_profile_methods_at_no_edges_and_two_vertices():
-    assert _both_methods(complete(1)) == (1,)
-    assert _both_methods(complete(2)) == (0, 1)
+def test_profile_at_no_edges_and_two_vertices():
+    assert _checked_profile(complete(1)) == (1,)
+    assert _checked_profile(complete(2)) == (0, 1)
     # two vertices and no edge is disconnected: nothing is counted
-    assert _both_methods(UnderlyingGraph(2, (), 0, (0, 0))) == (0,)
+    assert _checked_profile(UnderlyingGraph(2, (), 0, (0, 0))) == (0,)
 
 
-def test_recurrence_needs_no_numpy_2_popcount(monkeypatch):
-    # pyproject allows numpy 1.24, which has no np.bitwise_count
-    monkeypatch.delattr(np, "bitwise_count", raising=False)
-    mc._pair_table.cache_clear()
-    for g in (complete(7), complete_minus_cycle(8)):
-        assert mc._profile_by_recurrence(g) == mc._profile_by_enumeration(g)
+def test_profile_of_a_disconnected_template_is_all_zeros():
+    triangle = [(0, 1), (1, 2), (0, 2)]
+    for n, edges in [
+        (3, [(0, 1)]),  # vertex 2 has no edge
+        (4, [(0, 1), (2, 3)]),
+        (6, triangle + [(3, 4), (4, 5), (3, 5)]),
+        (5, [(0, 1), (1, 2), (0, 2), (2, 3), (1, 3)]),  # vertex 4 alone, and the lowest degree
+        (7, [(1, 0), (2, 1), (4, 3), (5, 4), (6, 5), (6, 3)]),
+    ]:
+        g = _hand_built(n, edges)
+        assert _checked_profile(g) == (0,) * (g.m + 1)
+        assert exact_connectivity(g, 0.5).value == 0.0
 
 
-def test_profile_methods_match_brute_force():
+def test_profile_matches_brute_force():
     rng = random.Random(47)
     graphs_ = [complete(5), complete_minus_cycle(6), from_edge_list(10, _path_star_cycle(10)[2])]
     graphs_ += [from_edge_list(n, support.random_connected_graph(rng, n, extra)) for n, extra in [(6, 6), (8, 3), (9, 3), (7, 5)]]
     for g in graphs_:
         assert g.m <= 12
-        want = support.connected_count_by_size(g.n, g.edges)
-        assert list(mc._profile_by_recurrence(g)) == want
-        assert list(mc._profile_by_enumeration(g)) == want
+        assert list(_connected_profile(g)) == support.connected_count_by_size(g.n, g.edges)
         p = rng.uniform(0.1, 0.9)
         value, count = support.brute_force_connectivity(g.n, g.edges, p)
         got = exact_connectivity(g, p)
@@ -239,40 +257,41 @@ def test_complete_totals_match_oeis_a001187():
     assert got.value == 251548592 / 2**28
 
 
-def test_profile_rule_takes_the_method_with_fewer_steps(monkeypatch):
+def test_profile_of_cycle_complete_and_chorded_cycle():
     chorded = from_edge_list(12, [(i, (i + 1) % 12) for i in range(12)] + [(i, i + 6) for i in range(5)])
-    enumerated = mc._profile_by_enumeration(chorded)
-    calls = []
-    for name in ("_profile_by_recurrence", "_profile_by_enumeration"):
-        real = getattr(mc, name)
-        monkeypatch.setattr(mc, name, lambda g, real=real, name=name: calls.append((name, g.n, g.m)) or real(g))
     cycle = from_edge_list(14, [(i, (i + 1) % 14) for i in range(14)])
     assert _connected_profile.__wrapped__(cycle) == tuple([0] * 13 + [14, 1])
     assert sum(_connected_profile.__wrapped__(complete(7))) == 1866256
-    assert _connected_profile.__wrapped__(chorded) == enumerated
-    # one enumeration step counts as two recurrence steps: 3^13 > 2^15 for the
-    # 14-cycle; 3^6 <= 2^22 for K7; 3^11 <= 2^18 for the chorded 12-cycle (n = 12, m = 17)
-    assert calls == [
-        ("_profile_by_enumeration", 14, 14), ("_profile_by_recurrence", 7, 21), ("_profile_by_recurrence", 12, 17)
-    ]
+    assert list(_connected_profile.__wrapped__(chorded)) == support.gilbert_profile(12, chorded.edges)
 
 
-def test_recurrence_blocks_stay_within_the_pair_budget(monkeypatch):
-    rng = random.Random(53)
-    small = from_edge_list(9, support.random_connected_graph(rng, 9, 10))
-    large = from_edge_list(12, support.random_connected_graph(rng, 12, 8))
-    want = {g: mc._profile_by_recurrence(g) for g in (small, large)}
-    assert want[small] == mc._profile_by_enumeration(small)
-    blocks = []
-    real = mc._subtract_pairs
-    monkeypatch.setattr(mc, "_subtract_pairs", lambda coef, width, s, *rest: blocks.append(s.size) or real(coef, width, s, *rest))
-    # the default budget splits 12 vertices into blocks; tiny budgets move every seam
-    for g, budget in [(large, mc._PAIR_BUDGET), (small, 1), (small, 3), (small, 9), (small, 81)]:
-        monkeypatch.setattr(mc, "_PAIR_BUDGET", budget)
-        blocks.clear()
-        assert mc._profile_by_recurrence(g) == want[g]
-        assert 0 < max(blocks) <= budget
-        assert sum(blocks) == 3 ** (g.n - 1) - 2 ** (g.n - 1)
+def _spanning_trees(g):
+    """Kirchhoff's matrix-tree theorem: any cofactor of the Laplacian."""
+    return round(np.linalg.det(graphs.laplacian(g)[1:, 1:]))
+
+
+def _bridges(g):
+    """Edges whose removal disconnects g."""
+    return sum(not support.bfs_connected(g.n, [f for f in g.edges if f != e]) for e in g.edges)
+
+
+def test_profile_reaches_templates_of_up_to_32_edges():
+    cycle = from_edge_list(32, [(i, (i + 1) % 32) for i in range(32)])
+    assert exact_connectivity(cycle, 0.5, cap=32).terms == 33
+    assert _connected_profile(cycle) == tuple([0] * 31 + [32, 1])
+    tree = from_edge_list(33, support.random_connected_graph(random.Random(59), 33, 0))
+    assert exact_connectivity(tree, 0.5, cap=32).value == 0.5**32
+    ladder = from_edge_list(22, [(2 * i, 2 * i + 1) for i in range(11)] + [(i, i + 2) for i in range(20)])
+    assert ladder.m == 31 and list(_connected_profile(ladder)) == support.ladder_profile(11)
+    assert exact_connectivity(ladder, 0.5, cap=32).terms == sum(support.ladder_profile(11))
+    # the 3 x 5 grid as the vertex-subset recurrence and enumeration both counted it
+    assert list(_connected_profile(_grid(3, 5))) == [0] * 14 + [30305, 48404, 37626, 18426, 6174, 1440, 227, 22, 1]
+    # the 4 x 5 grid's total took 154.5 s by enumerating its 2^31 edge subsets
+    grid = _grid(4, 5)
+    profile = _connected_profile(grid)
+    assert grid.m == 31 and exact_connectivity(grid, 0.5, cap=31).terms == 38_757_695
+    assert profile[: grid.n - 1] == (0,) * (grid.n - 1) and profile[grid.n - 1] == _spanning_trees(grid)
+    assert profile[-2:] == (grid.m - _bridges(grid), 1)
 
 
 def test_connected_rows_against_bfs():
@@ -663,7 +682,7 @@ def test_streamed_estimators_match_one_draw_per_block(monkeypatch, name, chunk):
     # small blocks, kernel groups and spectral stacks put seams everywhere;
     # the index draws that follow a block must see the stream where one draw leaves it
     monkeypatch.setattr(mc, "_BLOCK", 37)
-    monkeypatch.setattr(mc, "_CONN_SLOTS", 50)
+    monkeypatch.setattr(graphs, "_CONN_SLOTS", 50)
     monkeypatch.setattr(mc, "_SPECTRAL_CELLS", 60)
     estimate = STREAMED_ESTIMATORS[name]
     with monkeypatch.context() as one_draw:

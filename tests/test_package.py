@@ -1,5 +1,6 @@
 import ast
 import pickle
+import re
 import runpy
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import pytest
 import conngraph
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 # The package exports each module's __all__; this is the whole public API.
 PUBLIC_NAMES = [
@@ -80,3 +82,10 @@ def test_demo_runs(demo, capsys):
     runpy.run_path(str(DEMOS / demo), run_name="__main__")
     out = capsys.readouterr().out
     assert len(out.splitlines()) > 3
+
+
+def test_readme_python_blocks_run():
+    blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(encoding="utf-8"), re.M | re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {})

@@ -90,6 +90,16 @@ def test_huge_rotation_angle_does_not_overflow():
     assert np.max(np.abs(got - np.linalg.eigvalsh(m))) < 1e-12
 
 
+def test_huge_entries_are_solved_scaled_by_a_power_of_two():
+    # squares of entries past 1.3e154 overflow the Frobenius norms, and the
+    # symmetrized sum (a + a.T) overflows from about 9e307
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for s in (1e160, 1e300):
+            assert eigenvalues_symmetric([[s, s], [s, s]]).eigenvalues.tolist() == [0.0, 2 * s]
+        assert eigenvalues_symmetric([[1e308, 0.0], [0.0, 1e308]]).eigenvalues.tolist() == [1e308, 1e308]
+
+
 def test_eigenvalues_sorted_ascending():
     rng = np.random.default_rng(2)
     raw = rng.normal(size=(7, 7))
