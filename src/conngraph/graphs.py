@@ -7,18 +7,22 @@ edges that came up.  Vertices are 0-indexed; edges are stored as (min, max)
 pairs so every edge has a single canonical form.
 
 Connectivity is decided in one place, ``_connected_rows``: hook and shortcut
-over a whole block of edge-presence rows at once, in a few rounds of
+over a whole group of edge-presence rows at once, in a few rounds of
 whole-array operations (a path with shuffled labels takes 6 at n = 1000, 10
 at n = 40000) rather than a Python loop over edges.  ``is_connected`` and
 ``from_edge_list`` call it on one row; Monte Carlo and the coupled check in
-``montecarlo`` and the spectrum check in ``spectral`` call it on many.  It
-reads the presence rows in sub-blocks of ``_kernel_rows`` rows, at most
-``_CONN_SLOTS`` (row, edge) slots, so its index arrays (about 40 bytes per
-slot) stay a few MB whatever the size of the caller's block.
+``montecarlo`` and the spectrum check in ``spectral`` call it on many.
 
 Laplacians have one builder over the same rows, ``_laplacian_stack``, and
-``laplacian`` is its one-row case.  ``_subset_rows`` gives the rows of all
+``laplacian`` is its one-row case.  ``_subset_rows`` gives the rows of the
 2^m edge subsets to the spectrum check.
+
+Memory rule: the kernel and both eigensolvers take edge-presence rows in
+groups of ``_group_rows(cells_per_row)`` rows, at most ``_GROUP_CELLS``
+cells or one row: max(m, n) cells a kernel row (its index arrays take about
+40 bytes a cell), n * n a Laplacian.  Monte Carlo draws through a buffer of
+max(``_GROUP_CELLS``, m) uniforms.  So no array grows with the trials or
+subsets a caller walks, and each call works on a few MB.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from .errors import (
 
 Edge = tuple[int, int]
 
-_CONN_SLOTS = 1 << 16  # max (row, edge) slots per connectivity sub-block
+_GROUP_CELLS = 1 << 16  # cells per group of edge-presence rows: see the memory rule above
 
 __all__ = [
     "UnderlyingGraph",
@@ -312,8 +316,13 @@ def _laplacian_stack(n: int, ei: np.ndarray, ej: np.ndarray, present: np.ndarray
     return flat.reshape(rows, n, n)
 
 
+def _group_rows(cells_per_row: int) -> int:
+    """Rows per group of edge-presence rows that take cells_per_row cells each: at least one."""
+    return max(1, _GROUP_CELLS // cells_per_row)
+
+
 def _connected_rows(n: int, ei: np.ndarray, ej: np.ndarray, present: np.ndarray) -> np.ndarray:
-    """Row-wise connectivity for a (trials, m) boolean edge-presence matrix.
+    """Row-wise connectivity for a (rows, m) boolean edge-presence group.
 
     Hook and shortcut (Shiloach & Vishkin 1982; FastSV, Zhang, Azad & Hu
     2020) over the flattened (rows x n) vertex space, where vertex v of row r
@@ -326,27 +335,11 @@ def _connected_rows(n: int, ei: np.ndarray, ej: np.ndarray, present: np.ndarray)
     and a round with live edges hooks at least one root, so the loop ends.
     A row is connected when every vertex has the root of its vertex 0.
 
-    Memory rule: rows are taken in sub-blocks of at most ``_CONN_SLOTS``
-    (row, edge) slots and as many (row, vertex) ids (one row when a row
-    alone has more).  The index arrays take about 40 bytes per slot, so they
-    stay a few MB however many rows the caller's block of uniforms holds.
-    Vertex ids are int32 while a sub-block has fewer than 2^31 of them,
-    int64 beyond.
+    All rows are taken in one pass, so callers hand it one group of
+    ``_group_rows(max(m, n))`` rows at a time (see the memory rule above).
+    Vertex ids are int32 while the group has fewer than 2^31 of them, int64
+    beyond.
     """
-    rows, m = present.shape
-    step = _kernel_rows(n, m)
-    out = np.empty(rows, dtype=bool)
-    for start in range(0, rows, step):
-        out[start : start + step] = _hook_and_shortcut(n, ei, ej, present[start : start + step])
-    return out
-
-
-def _kernel_rows(n: int, m: int) -> int:
-    """Rows per sub-block of ``_connected_rows`` for n vertices and m edges: at least one."""
-    return max(1, _CONN_SLOTS // max(m, n))
-
-
-def _hook_and_shortcut(n: int, ei: np.ndarray, ej: np.ndarray, present: np.ndarray) -> np.ndarray:
     rows = present.shape[0]
     dtype = np.int32 if rows * n < 1 << 31 else np.int64
     parent = np.arange(rows * n, dtype=dtype)

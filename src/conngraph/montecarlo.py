@@ -12,15 +12,12 @@ decide connectivity with the package's one kernel,
 ``graphs._connected_rows``, many edge-presence rows per call.  The three
 spectra estimators share one checked loop, ``_block_spectra``.
 
-Memory rule: no array grows with the block budget.  A block's uniforms are
-the (rows, T, m) array one ``gen.random`` call would return, but
-``_presence_groups`` draws them in the same stream order through one reused
-buffer of max(``_DRAW_CHUNK``, m) doubles, whole rows when a row fits and
-whole layers of one row otherwise, and compares each chunk straight into a
-bool presence group.  A group is as many rows as one kernel sub-block takes,
-or, for spectra, as many Laplacians as ``_SPECTRAL_CELLS`` entries hold.  So
-a block keeps only its results, such as its spectra for the index draws that
-follow them, and its estimates are those of drawing the block at once.
+A block's uniforms are the (rows, T, m) array one ``gen.random`` call would
+return, but ``_presence_groups`` draws them in the same stream order through
+one reused buffer and compares them straight into bool presence groups,
+sized by the memory rule in ``graphs``.  So a block keeps only its results,
+such as its spectra for the index draws that follow them, and its
+estimates are those of drawing the block at once.
 
 The exact probability rests on the template's profile of connected edge
 subsets, counted by one frontier-based search over the edges, whose cost
@@ -37,7 +34,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .errors import InvalidParameter, TooManyEdges, _check_count, _check_fraction
-from .graphs import (SampledGraph, UnderlyingGraph, _check_graph, _connected_rows, _edge_arrays, _kernel_rows,
+from .graphs import (SampledGraph, UnderlyingGraph, _check_graph, _connected_rows, _edge_arrays, _group_rows,
                      _laplacian_stack)
 
 DEFAULT_ENUMERATION_CAP = 24
@@ -46,8 +43,6 @@ _MAX_ENUMERATION_EDGES = 32  # bounds the frontier search's work on dense templa
 
 _BLOCK = 8192
 _BLOCK_BUDGET = 1 << 22  # max uniforms drawn per block
-_DRAW_CHUNK = 1 << 16  # max uniforms held at once, unless one layer of a row holds more
-_SPECTRAL_CELLS = 1 << 18  # max Laplacian entries per eigvalsh call
 
 __all__ = [
     "DEFAULT_ENUMERATION_CAP",
@@ -128,17 +123,25 @@ class CoupledCheck:
 
 
 def wilson_interval(successes: int, trials: int, confidence: float = DEFAULT_CONFIDENCE) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion, clamped to [0, 1]."""
+    """Wilson score interval for a binomial proportion, clamped to [0, 1].
+
+    It starts at exactly 0.0 with no success and ends at exactly 1.0 with
+    all, where center -/+ half would leave a few ulps.  z is minus the lower
+    quantile where (1 + confidence) / 2 rounds to 1.0.
+    """
     _check_count(trials, "trials", 1)
     if _check_count(successes, "successes", 0) > trials:
         raise InvalidParameter(f"successes {successes} outside [0, {trials}]")
     _check_fraction(confidence, "confidence")
-    z = NormalDist().inv_cdf((1.0 + confidence) / 2.0)
+    upper = (1.0 + confidence) / 2.0
+    z = NormalDist().inv_cdf(upper) if upper < 1.0 else -NormalDist().inv_cdf((1.0 - confidence) / 2.0)
     phat = successes / trials
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2.0 * trials)) / denom
     half = z * math.sqrt(phat * (1.0 - phat) / trials + z * z / (4.0 * trials * trials)) / denom
-    return max(0.0, center - half), min(1.0, center + half)
+    low = max(0.0, center - half) if successes else 0.0
+    high = min(1.0, center + half) if successes < trials else 1.0
+    return low, high
 
 
 def _block_plan(trials: int, draws_per_trial: int) -> list[int]:
@@ -177,7 +180,7 @@ def _presence_groups(gen: np.random.Generator, rows: int, m: int, levels: tuple[
     """
     if m == 0:
         T = 1  # no edge, so no uniform to draw whatever T is
-    cap = max(_DRAW_CHUNK, m)  # uniforms per draw
+    cap = max(_group_rows(1), m)  # uniforms per draw: a group of one-cell rows, or one layer of a row
     layers = min(T, cap // max(1, m))  # per draw
     per_draw = max(1, cap // (T * max(1, m)))  # rows per draw; 1 when a row holds more than cap
     buf = np.empty(min(cap, rows * T * m))
@@ -252,7 +255,7 @@ def empirical_connectivity(
     ei, ej = _edge_arrays(parent)
     successes = 0
     for b, gen in blocks:
-        for _, (present,) in _presence_groups(gen, b, parent.m, (p,), _kernel_rows(parent.n, parent.m), T):
+        for _, (present,) in _presence_groups(gen, b, parent.m, (p,), _group_rows(max(parent.m, parent.n)), T):
             successes += int(_connected_rows(parent.n, ei, ej, present).sum())
     return _estimate(successes, trials, confidence)
 
@@ -377,7 +380,7 @@ def _block_spectra(parent, p, trials: int, seed: int, N=1, independent_graphs=Fa
     ei, ej = _edge_arrays(parent)
     for b, gen in _blocks(trials, graphs * (parent.m + n * n), seed):
         vals = np.empty((b * graphs, n))
-        for start, (present,) in _presence_groups(gen, b * graphs, parent.m, (p,), max(1, _SPECTRAL_CELLS // (n * n))):
+        for start, (present,) in _presence_groups(gen, b * graphs, parent.m, (p,), _group_rows(n * n)):
             vals[start : start + present.shape[0]] = np.linalg.eigvalsh(_laplacian_stack(n, ei, ej, present))
         yield b, gen, vals
 
@@ -461,7 +464,7 @@ def coupled_monotonicity_check(
     ei, ej = _edge_arrays(parent)
     s_low = s_high = violations = 0
     for b, gen in blocks:
-        for _, (low, high) in _presence_groups(gen, b, parent.m, (p_low, p_high), _kernel_rows(parent.n, parent.m)):
+        for _, (low, high) in _presence_groups(gen, b, parent.m, (p_low, p_high), _group_rows(max(parent.m, parent.n))):
             conn_low = _connected_rows(parent.n, ei, ej, low)
             conn_high = _connected_rows(parent.n, ei, ej, high)
             s_low += int(conn_low.sum())

@@ -6,8 +6,9 @@ LAPACK-backed batch estimators: agreement between unrelated eigenvalue
 routines is part of the package's verification story.
 
 One solver, ``_jacobi_eigenvalues``, takes a stack of B symmetric n x n
-matrices; ``eigenvalues_symmetric`` hands it a stack of one and
-``_presence_spectra`` the Laplacians of edge-presence rows, in stacks.
+matrices; ``eigenvalues_symmetric`` hands it a stack of one, and the
+samplers and the spectrum check the Laplacians of edge-presence rows, one
+group of ``graphs._group_rows(n * n)`` rows a stack.
 Rotations follow the parallel (round-robin) ordering of Brent & Luk (1985,
 SIAM J. Sci. Stat. Comput. 6(1)), whose convergence Luk & Park (1989, SIAM
 J. Sci. Stat. Comput. 10(1)) prove: a sweep is n - 1 rounds (n rounded up
@@ -23,7 +24,7 @@ The "ell" samplers draw a uniformly random nontrivial Laplacian eigenvalue of
 a random subgraph: the spectrum is sorted ascending, index 1 through n - 1
 are the nontrivial positions, and each is picked with probability 1/(n - 1).
 ``sample_ell_first_order_statistic`` and the CLI's spectrum check,
-``_spectrum_mismatches``, solve their presence rows with ``_presence_spectra``.
+``_spectrum_mismatches``, solve their presence rows with Jacobi too.
 """
 
 from __future__ import annotations
@@ -35,15 +36,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameter, NoConvergence, NotSymmetric, _check_count, _check_fraction
-from .graphs import (SampledGraph, UnderlyingGraph, _check_graph, _connected_rows, _edge_arrays, _laplacian_stack,
-                     _subset_rows, _vertices_and_edges, laplacian)
+from .graphs import (SampledGraph, UnderlyingGraph, _check_graph, _connected_rows, _edge_arrays, _group_rows,
+                     _laplacian_stack, _subset_rows, _vertices_and_edges, laplacian)
 from .montecarlo import _presence_groups
 
 JACOBI_MAX_SWEEPS = 100
 JACOBI_REL_TOL = 1e-10
 SYMMETRY_TOL = 1e-12
-# matrix entries per stack of Laplacians solved at once: 512 KB per copy
-_STACK_CELLS = 1 << 16
 _TINY = np.finfo(float).smallest_subnormal
 
 __all__ = [
@@ -143,19 +142,15 @@ def _jacobi_eigenvalues(stack: np.ndarray) -> np.ndarray:
             work = work.take(shift, axis=0)
 
 
-def _presence_spectra(n: int, ei: np.ndarray, ej: np.ndarray, rows):
-    """Ascending Laplacian spectra of presence rows by Jacobi, read, solved and yielded per ``_STACK_CELLS`` stack."""
-    rows, step = iter(rows), max(1, _STACK_CELLS // (n * n))
-    while stack := list(itertools.islice(rows, step)):
-        yield _jacobi_eigenvalues(_laplacian_stack(n, ei, ej, np.array(stack)))
-
-
 def _spectrum_mismatches(g: UnderlyingGraph) -> int:
     """How many of g's 2^m edge subsets get another verdict from lambda_2 > ``zero_threshold`` than from the kernel."""
     ei, ej = _edge_arrays(g)
-    present = _subset_rows(g.m, 0, 1 << g.m)
-    spectral = np.concatenate([w[:, 1] > zero_threshold(g.n) for w in _presence_spectra(g.n, ei, ej, present)])
-    return int(np.count_nonzero(spectral != _connected_rows(g.n, ei, ej, present)))
+    subsets, step, mismatches = 1 << g.m, _group_rows(g.n * g.n), 0  # a group fits the kernel too: n * n >= max(m, n)
+    for start in range(0, subsets, step):
+        present = _subset_rows(g.m, start, min(start + step, subsets))
+        spectral = _jacobi_eigenvalues(_laplacian_stack(g.n, ei, ej, present))[:, 1] > zero_threshold(g.n)
+        mismatches += int(np.count_nonzero(spectral != _connected_rows(g.n, ei, ej, present)))
+    return mismatches
 
 
 def _holds_bool(matrix, a: np.ndarray) -> bool:
@@ -180,7 +175,7 @@ def eigenvalues_symmetric(matrix) -> Spectrum:
     NoConvergence.  A matrix with an entry of 2^256 or more is solved scaled
     down by a power of two, which is exact, so that neither the symmetrized
     entries nor the squares in the norms overflow; its eigenvalues are
-    scaled back.
+    scaled back, and one past the float range raises InvalidParameter.
     """
     try:
         a = np.asarray(matrix)
@@ -201,7 +196,11 @@ def eigenvalues_symmetric(matrix) -> Spectrum:
         raise NotSymmetric("matrix is not symmetric within 1e-12")
     shift = max(0, int(np.frexp(np.abs(a).max())[1]) - 256)  # entries below 2^256 keep their bits
     a = np.ldexp(a, -shift)
-    return Spectrum(np.ldexp(_jacobi_eigenvalues(((a + a.T) / 2.0)[None])[0], shift))
+    with np.errstate(over="ignore"):
+        w = np.ldexp(_jacobi_eigenvalues(((a + a.T) / 2.0)[None])[0], shift)
+    if not np.isfinite(w).all():
+        raise InvalidParameter("matrix has an eigenvalue past the float range")
+    return Spectrum(w)
 
 
 def zero_threshold(n: int) -> float:
@@ -253,14 +252,14 @@ def sample_ell_first_order_statistic(
     ei, ej = _edge_arrays(parent)
     if not independent_graphs:
         _, (present,) = next(_presence_groups(rng, 1, parent.m, (p,), 1))
-        w = next(_presence_spectra(n, ei, ej, present))[0]
+        w = _jacobi_eigenvalues(_laplacian_stack(n, ei, ej, present))[0]
         return float(w[rng.integers(1, n, size=N)].min())
-    idx = []  # rows() draws each graph's edges, then its index, so a stack's indices are the last len(w)
-
-    def rows():
-        for _ in range(N):
-            _, (present,) = next(_presence_groups(rng, 1, parent.m, (p,), 1))
-            idx.append(int(rng.integers(1, n)))
-            yield present[0]
-
-    return min(x for w in _presence_spectra(n, ei, ej, rows()) for x in w[np.arange(len(w)), idx[-len(w) :]].tolist())
+    step, best = _group_rows(n * n), float("inf")
+    for start in range(0, N, step):
+        present = np.empty((min(step, N - start), parent.m), dtype=bool)
+        idx = np.empty(len(present), dtype=np.intp)
+        for r in range(len(present)):  # each graph's edges, then its index
+            _, (row,) = next(_presence_groups(rng, 1, parent.m, (p,), 1))
+            present[r], idx[r] = row[0], rng.integers(1, n)
+        best = min(best, *_jacobi_eigenvalues(_laplacian_stack(n, ei, ej, present))[np.arange(len(idx)), idx].tolist())
+    return best

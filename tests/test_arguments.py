@@ -433,6 +433,25 @@ def test_cli_oversized_counts(capsys, argv, code, err):
         assert json.loads(captured.out)["p_hat"] == 1.0
 
 
+CONFIDENCE_NEAR_ONE = 0.9999999999999999  # 1 - 2**-53: (1 + c) / 2 rounds to 1.0
+
+
+def test_confidence_at_the_largest_float_below_one(capsys):
+    # z is minus the lower (1 - c) / 2 quantile there, about 8.2924; with no
+    # success the high end is z^2 / (trials + z^2)
+    high = wilson_interval(0, 5, CONFIDENCE_NEAR_ONE)[1]
+    assert math.sqrt(5 * high / (1.0 - high)) == pytest.approx(8.2924, abs=1e-4)
+    assert high > wilson_interval(0, 5, 1.0 - 2.0**-52)[1]
+    for estimate in (
+        empirical_connectivity(K4, 0.5, trials=5, confidence=CONFIDENCE_NEAR_ONE),
+        coupled_monotonicity_check(K4, 0.2, 0.8, 5, confidence=CONFIDENCE_NEAR_ONE).low,
+    ):
+        assert estimate.confidence == CONFIDENCE_NEAR_ONE and 0.0 <= estimate.ci_low < estimate.ci_high <= 1.0
+    argv = ["simulate", "--complete", "4", "--p", "0.5", "--trials", "5", "--confidence", repr(CONFIDENCE_NEAR_ONE), "--json"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["confidence"] == CONFIDENCE_NEAR_ONE
+
+
 def test_edge_errors():
     for pairs, message in [
         (None, "edges must be a collection of vertex pairs, got None"),

@@ -1,9 +1,9 @@
-"""Every pinned bound-grid and exact case, run through the benchmark's own ops and checks.
+"""Every pinned bound-grid, exact and mc-verify case, run through the benchmark's own ops and checks.
 
-The benchmark under perfbench/ pins the bound core's and the exact oracle's
-outputs; running those pins here makes a change that the benchmark would
-reject fail the tests too.  Nothing under perfbench/ is written: edge-list
-files go to tmp_path.
+The benchmark under perfbench/ pins the bound core's, the exact oracle's
+and the Monte Carlo estimators' outputs; running those pins here makes a
+change that the benchmark would reject fail the tests too.  Nothing under
+perfbench/ is written: edge-list files go to tmp_path.
 """
 
 import random
@@ -19,6 +19,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import bound_grid  # noqa: E402
 import exact_oracle  # noqa: E402
+import mc_verify  # noqa: E402
 from harness import Context, load_pins  # noqa: E402
 
 
@@ -55,3 +56,11 @@ def test_exact_oracle_pins_hold(tmp_path):
     kinds = [op.kind for op in ops]
     assert (kinds.count("exact.cold"), kinds.count("exact.warm"), kinds.count("cli.exact.toomany")) == (50, 200, 2)
     assert _failures(ops) == []
+
+
+def test_mc_verify_pins_hold(tmp_path):
+    # each estimate within 4 combined half-widths of its pin, and never below the bound
+    ctx = Context(conngraph, conngraph.cli, support, tmp_path)
+    cases = load_pins(mc_verify.NAME)
+    assert len(cases) == 190
+    assert _failures(mc_verify.make_op(ctx, case) for case in cases) == []

@@ -25,6 +25,7 @@ from conngraph import (
     lambda2_sq_mean_upper,
     ModelParams,
     SampledGraph,
+    sample_ell_first_order_statistic,
     sample_graph,
     sample_union,
     union_edge_probability,
@@ -33,6 +34,7 @@ from conngraph import (
 import conngraph.graphs as graphs
 from conngraph.graphs import _connected_rows, _edge_arrays
 import conngraph.montecarlo as mc
+import conngraph.spectral as spectral
 from conngraph.montecarlo import _block_plan, _connected_profile
 
 import support
@@ -58,6 +60,18 @@ def test_wilson_contains_point_and_stays_in_unit_interval():
         low, high = wilson_interval(successes, trials, 0.99)
         point = successes / trials
         assert 0.0 <= low <= point <= high <= 1.0
+
+
+def test_wilson_holds_its_point_at_every_count():
+    # no success starts the interval at exactly 0.0 and all successes end it at
+    # exactly 1.0: center - half and center + half would leave a few ulps there
+    for trials in range(1, 2001):
+        assert wilson_interval(0, trials)[0] == 0.0
+        assert wilson_interval(trials, trials)[1] == 1.0
+    for trials in range(1, 200):
+        for successes in range(trials + 1):
+            low, high = wilson_interval(successes, trials)
+            assert low <= successes / trials <= high, (successes, trials)
 
 
 def test_wilson_validation():
@@ -385,29 +399,53 @@ def test_connected_rows_degenerate_shapes_match_reference():
     assert _connected_rows(1, *_edge_arrays(complete(1)), np.zeros((4, 0), dtype=bool)).all()
 
 
-def test_connected_rows_sub_block_seams(monkeypatch):
-    np_rng = np.random.default_rng(53)
-    g = complete_minus_cycle(5)  # n = 5, m = 5
-    step = graphs._CONN_SLOTS // g.m
-    for rows in (step - 1, step, step + 1, 2 * step + 3):
-        assert_kernels_agree(g.n, g.edges, np_rng.random((rows, g.m)) < 0.6)
-    # with a tiny budget every few rows start a sub-block; no sub-block may
-    # hold more (row, edge) slots or (row, vertex) ids than the budget
-    seen = []
-    kernel = graphs._hook_and_shortcut
+BUDGET_CASES = {
+    "connectivity": lambda: empirical_connectivity(complete(6), 0.4, trials=5000, seed=5),
+    "union": lambda: empirical_connectivity(complete_minus_cycle(7), 0.2, T=3, trials=5000, seed=6),
+    "sparse": lambda: empirical_connectivity(from_edge_list(40, [(i, i + 1) for i in range(39)]), 0.99, trials=2000),
+    "coupled": lambda: coupled_monotonicity_check(complete(6), 0.2, 0.45, 5000, seed=7),
+    "lambda2": lambda: empirical_lambda2_moments(complete(6), 0.5, 4000, seed=8),
+    "ell": lambda: empirical_ell_moments(complete(5), 0.5, 4000, seed=9),
+    "ell_min": lambda: empirical_ell_min_mean(complete(5), 0.6, 3, 3000, seed=10),
+    "ell_min_independent": lambda: empirical_ell_min_mean(complete(5), 0.6, 3, 3000, seed=10, independent_graphs=True),
+    "sample_union": lambda: sample_union(complete(12), 0.3, 4, np.random.default_rng(4)),
+    "sampler": lambda: sample_ell_first_order_statistic(complete(6), 0.5, 2000, np.random.default_rng(5)),
+    "sampler_independent": lambda: sample_ell_first_order_statistic(
+        complete(6), 0.5, 2000, np.random.default_rng(5), independent_graphs=True
+    ),
+    "spectrum_check": lambda: spectral._spectrum_mismatches(complete(5)),
+    "is_connected": lambda: is_connected(complete(300)),
+}
 
-    def spy(n, ei, ej, present):
-        seen.append(present.shape[0] * max(present.shape[1], n))
-        return kernel(n, ei, ej, present)
 
-    monkeypatch.setattr(graphs, "_CONN_SLOTS", 35)
-    monkeypatch.setattr(graphs, "_hook_and_shortcut", spy)
-    for rows in (1, 6, 7, 8, 50):
-        assert_kernels_agree(g.n, g.edges, np_rng.random((rows, g.m)) < 0.6)
-    assert max(seen) == 35 and len(seen) == 1 + 1 + 1 + 2 + 8
-    seen.clear()
-    assert_kernels_agree(9, [], np.zeros((50, 0), dtype=bool))  # n > m: 3 rows per sub-block
-    assert max(seen) == 27 and len(seen) == 17
+@pytest.mark.parametrize("cells", [50, 100, 1 << 16])
+def test_kernel_and_solvers_take_one_group_per_call(monkeypatch, cells):
+    # every call of the kernel or of either eigensolver gets rows x cells-per-row
+    # within _GROUP_CELLS, or a single row, whoever calls it and however many
+    # rows the caller has in all
+    monkeypatch.setattr(graphs, "_GROUP_CELLS", cells)
+    calls = {}
+
+    def spy(name, call, cells_per_row):
+        def spied(*args):
+            rows = args[-1].shape[0]
+            calls.setdefault(name, []).append(rows)
+            assert rows == 1 or rows * cells_per_row(*args) <= cells, (name, rows)
+            return call(*args)
+
+        return spied
+
+    kernel = spy("kernel", _connected_rows, lambda n, ei, ej, present: max(present.shape[1], n))
+    for module in (graphs, mc, spectral):
+        monkeypatch.setattr(module, "_connected_rows", kernel)
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy("eigvalsh", np.linalg.eigvalsh, lambda stack: stack[0].size))
+    jacobi = spy("jacobi", spectral._jacobi_eigenvalues, lambda stack: stack[0].size)
+    monkeypatch.setattr(spectral, "_jacobi_eigenvalues", jacobi)
+    for case in BUDGET_CASES.values():
+        case()
+    assert sorted(calls) == ["eigvalsh", "jacobi", "kernel"]
+    # the groups fill their budget: some call gets more than one row
+    assert max(max(rows) for rows in calls.values()) > 1
 
 
 def test_sample_graph_extremes():
@@ -628,7 +666,16 @@ def test_estimate_half_width():
 
 # Block uniforms stream through one bounded buffer; the results are those of one draw per block.
 
-CHUNKS = {"1": lambda m: 1, "7": lambda m: 7, "m-1": lambda m: m - 1, "m+1": lambda m: m + 1, "2^16": lambda m: 1 << 16}
+# _GROUP_CELLS values: the draw buffer holds max(_GROUP_CELLS, m) uniforms
+CHUNKS = {
+    "1": lambda m: 1,
+    "7": lambda m: 7,
+    "m-1": lambda m: m - 1,
+    "m+1": lambda m: m + 1,
+    "50": lambda m: 50,
+    "100": lambda m: 100,
+    "2^16": lambda m: 1 << 16,
+}
 
 
 def _one_draw_groups(gen, rows, m, levels, group, T=1):
@@ -646,7 +693,7 @@ def test_presence_groups_match_one_draw(monkeypatch, chunk):
         m, rows, T = rng.randrange(1, 12), rng.randrange(1, 30), rng.randrange(1, 6)
         group = rng.randrange(1, rows + 3)
         levels = tuple(sorted(rng.random() for _ in range(rng.randrange(1, 3))))
-        monkeypatch.setattr(mc, "_DRAW_CHUNK", CHUNKS[chunk](m))
+        monkeypatch.setattr(graphs, "_GROUP_CELLS", CHUNKS[chunk](m))
         seed = rng.getrandbits(32)
         streamed, drawn = np.random.default_rng(seed), np.random.default_rng(seed)
         groups = [(start, present.copy()) for start, present in mc._presence_groups(streamed, rows, m, levels, group, T)]
@@ -679,18 +726,17 @@ STREAMED_ESTIMATORS = {
 @pytest.mark.parametrize("chunk", sorted(CHUNKS))
 @pytest.mark.parametrize("name", sorted(STREAMED_ESTIMATORS))
 def test_streamed_estimators_match_one_draw_per_block(monkeypatch, name, chunk):
-    # small blocks, kernel groups and spectral stacks put seams everywhere;
-    # the index draws that follow a block must see the stream where one draw leaves it
+    # small blocks, draw buffers, kernel groups and spectral stacks put seams
+    # everywhere; the index draws that follow a block must see the stream where
+    # one draw leaves it
     monkeypatch.setattr(mc, "_BLOCK", 37)
-    monkeypatch.setattr(graphs, "_CONN_SLOTS", 50)
-    monkeypatch.setattr(mc, "_SPECTRAL_CELLS", 60)
     estimate = STREAMED_ESTIMATORS[name]
     with monkeypatch.context() as one_draw:
         one_draw.setattr(mc, "_presence_groups", _one_draw_groups)
         one_draw.setattr(mc, "_laplacian_stack", support.reference_laplacian_stack)  # edge by edge
-        one_draw.setattr(mc, "_SPECTRAL_CELLS", 1 << 40)  # one eigvalsh call per block
+        one_draw.setattr(graphs, "_GROUP_CELLS", 1 << 40)  # one kernel or eigvalsh call per block
         want = estimate()
-    monkeypatch.setattr(mc, "_DRAW_CHUNK", CHUNKS[chunk](15))  # K6 has 15 edges
+    monkeypatch.setattr(graphs, "_GROUP_CELLS", CHUNKS[chunk](15))  # K6 has 15 edges
     assert estimate() == want
 
 

@@ -22,7 +22,7 @@ from conngraph import (
     sample_graph,
     zero_threshold,
 )
-from conngraph import spectral
+from conngraph import graphs, spectral
 from conngraph.cli import main
 from conngraph.spectral import _jacobi_eigenvalues, eigenvalues_symmetric
 
@@ -98,6 +98,13 @@ def test_huge_entries_are_solved_scaled_by_a_power_of_two():
         for s in (1e160, 1e300):
             assert eigenvalues_symmetric([[s, s], [s, s]]).eigenvalues.tolist() == [0.0, 2 * s]
         assert eigenvalues_symmetric([[1e308, 0.0], [0.0, 1e308]]).eigenvalues.tolist() == [1e308, 1e308]
+
+
+def test_eigenvalues_past_the_float_range_raise():
+    # solved scaled down, their eigenvalue 2e308 cannot be scaled back
+    for s in (1e308, -1e308):
+        with pytest.raises(InvalidParameter, match="eigenvalue past the float range"):
+            eigenvalues_symmetric([[s, s], [s, s]])
 
 
 def test_eigenvalues_sorted_ascending():
@@ -317,7 +324,7 @@ def test_independent_graphs_equal_one_sample_ell_per_draw(parent):
 
 def test_independent_graphs_span_several_stacks(monkeypatch):
     # two K5 Laplacians per stack, so 7 draws take four solves
-    monkeypatch.setattr(spectral, "_STACK_CELLS", 50)
+    monkeypatch.setattr(graphs, "_GROUP_CELLS", 50)
     parent = complete_minus_cycle(5)
     for seed in range(4):
         got = sample_ell_first_order_statistic(parent, 0.7, 7, np.random.default_rng(seed), independent_graphs=True)
