@@ -8,9 +8,10 @@ Subcommands
     sweep           bound (and optionally MC) grids over n and p, CSV or JSON
     spectrum-check  eigensolver-vs-enumeration cross-validation
 
-Each command builds one report (JSON payload, CSV rows, text lines) from one
-set of values; `main` checks the shared flags first and `_emit` writes the
-report as the flags ask.
+Each command builds one report: an ordered list of fields, each a JSON key,
+a text label and one value, next to its CSV rows.  `_emit` renders the keyed
+fields as the --json document and the labelled ones as aligned text lines, so
+a value both show is spelled once; `main` checks the shared flags first.
 
 Exit codes: 0 ok, 1 spectrum-check mismatch, 2 usage, 3 disconnected
 template, 4 horizon target not reached, 5 enumeration cap exceeded, 141
@@ -34,7 +35,8 @@ import math
 import os
 import sys
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from decimal import Decimal
 
 from . import __version__
 from .bounds import (
@@ -189,7 +191,7 @@ def _collapse(p: float, T: int | None) -> tuple[float, float]:
 
 
 def _row(tpl: _TemplateSpec, p: float, T: int | None, pe: float | None, **values) -> dict:
-    """A CSV row, template and horizon first; those five also head JSON payloads.
+    """A CSV row, template and horizon first.
 
     pe is p collapsed over the horizon, shown as p_hat for a union only.
     """
@@ -221,12 +223,23 @@ def _mc_columns(row: dict, graph: UnderlyingGraph, args):
     return est
 
 
-def _header(tpl: _TemplateSpec, p: float, T: int | None = None, p_hat: float | None = None) -> list[tuple]:
-    """The first text lines of a report: template, p and, for a union, T and p_hat."""
-    lines = [("template", f"{tpl.family} n={tpl.n}"), ("p", p)]
-    if T is not None:
-        lines += [("T", T), ("p_hat", p_hat)]
-    return lines
+def _head(tpl: _TemplateSpec, p: float, *horizon) -> list[tuple]:
+    """The fields that open a report: template, p and the horizon (T, p_hat), if given.
+
+    JSON carries family and n and always both horizon keys, null for a single
+    sample; text names the template in one line and shows T and p_hat for a
+    union only.
+    """
+    fields = [
+        ("family", None, tpl.family),
+        ("n", None, tpl.n),
+        (None, "template", f"{tpl.family} n={tpl.n}"),
+        ("p", "p", p),
+    ]
+    if horizon:
+        union = horizon[0] is not None
+        fields += [(key, key if union else None, value) for key, value in zip(("T", "p_hat"), horizon)]
+    return fields
 
 
 # ---------------------------------------------------------------------------
@@ -235,11 +248,17 @@ def _header(tpl: _TemplateSpec, p: float, T: int | None = None, p_hat: float | N
 
 @dataclass
 class _Report:
-    """One command's result, ready for `_emit` in each output form."""
+    """One command's result, ready for `_emit` in each output form.
 
-    payload: dict | None  # the --json document
+    Each field is (JSON key, text label, value), in the order both show them;
+    a None key keeps the field out of the JSON document and a None label out
+    of the text lines.  A one-line text report goes in `line` instead, and a
+    None field list means neither a document nor text.
+    """
+
+    fields: list[tuple] | None
     rows: Iterable[dict]  # the --csv rows, read at most once
-    text: list[tuple] | str | None  # label/value lines, or one line
+    line: str | None = None
     notes: list[str] = field(default_factory=list)  # written to stderr
     status: int = EXIT_OK
 
@@ -266,18 +285,21 @@ def _emit(report: _Report, args) -> None:
             _write_csv(handle, report.rows)
     if path == "-":
         _write_csv(sys.stdout, report.rows)
+    elif report.fields is None:
+        pass  # no result to show: the command's error is among the notes
     elif args.json:
-        if report.payload is not None:
-            json.dump({"command": args.command, **report.payload}, sys.stdout, indent=2)
-            sys.stdout.write("\n")
-    elif isinstance(report.text, str):
-        print(report.text)
-    elif report.text:
-        width = max(len(key) for key, _ in report.text)
-        for key, value in report.text:
+        document = {"command": args.command} | {key: value for key, _, value in report.fields if key is not None}
+        json.dump(document, sys.stdout, indent=2)
+        sys.stdout.write("\n")
+    elif report.line is not None:
+        print(report.line)
+    else:
+        lines = [(label, value) for _, label, value in report.fields if label is not None]
+        width = max((len(label) for label, _ in lines), default=0)
+        for label, value in lines:
             if isinstance(value, float):
                 value = "%.12g" % value
-            print(f"{key:<{width}}  {value}")
+            print(f"{label:<{width}}  {value}")
     for note in report.notes:
         print(note, file=sys.stderr)
 
@@ -289,34 +311,26 @@ def _emit(report: _Report, args) -> None:
 def cmd_bound(args) -> _Report:
     tpl = _resolve_template(args, need_graph=False)
     row, res = _cell(tpl, args.p, args.T, args.n_cap)
-    payload = {
-        **_row(tpl, args.p, args.T, row["p_hat"]),
-        "exact": res is None,
-        "bound": row["bound"],
-    }
-    text = _header(tpl, args.p, args.T, row["p_hat"])
-    if res is None:
-        text += [("probability", row["bound"]), ("note", "exact (closed form for n <= 2)")]
+    exact = res is None
+    fields = _head(tpl, args.p, args.T, row["p_hat"]) + [
+        ("exact", None, exact),
+        ("bound", "probability" if exact else "bound", row["bound"]),
+    ]
+    if exact:
+        fields.append((None, "note", "exact (closed form for n <= 2)"))
     else:
-        payload.update(
-            n_star=res.maximizing_n,
-            n_search_max=res.n_search_max,
-            mu=res.mu,
-            sigma_squared=res.sigma_squared,
-            s_value=res.s_value,
-            numerator=res.numerator,
-            denominator=res.denominator,
-            n_cap=args.n_cap,
-        )
-        text += [
-            ("bound", res.probability_lower_bound),
-            ("maximizing N", res.maximizing_n),
-            ("N range", f"2..{res.n_search_max}"),
-            ("mu", res.mu),
-            ("sigma^2", res.sigma_squared),
-            ("S", res.s_value),
+        fields += [
+            ("n_star", "maximizing N", res.maximizing_n),
+            ("n_search_max", None, res.n_search_max),
+            (None, "N range", f"2..{res.n_search_max}"),
+            ("mu", "mu", res.mu),
+            ("sigma_squared", "sigma^2", res.sigma_squared),
+            ("s_value", "S", res.s_value),
+            ("numerator", None, res.numerator),
+            ("denominator", None, res.denominator),
+            ("n_cap", None, args.n_cap),
         ]
-    return _Report(payload, [row], text)
+    return _Report(fields, [row])
 
 
 def _trace_rows(tpl: _TemplateSpec, p: float, trace) -> Iterable[dict]:
@@ -335,24 +349,16 @@ def cmd_tstar(args) -> _Report:
             )
     except TStarNotFound as exc:
         # still emit the trace of every horizon up to where the search stopped
-        return _Report(None, _trace_rows(tpl, args.p, exc.trace), None, [f"error: {exc}"], _exit_code(exc))
+        return _Report(None, _trace_rows(tpl, args.p, exc.trace), notes=[f"error: {exc}"], status=_exit_code(exc))
 
-    payload = {
-        "family": tpl.family,
-        "n": tpl.n,
-        "p": args.p,
-        "epsilon": res.epsilon,
-        "t_max": args.t_max,
-        "t_star": res.t_star,
-        "bound_at_t_star": res.bound_at_t_star,
-        "trace_length": res.t_star,  # the trace holds horizons 1 .. T*, however many that is
-    }
-    text = _header(tpl, args.p) + [
-        ("epsilon", res.epsilon),
-        ("T*", res.t_star),
-        ("bound at T*", res.bound_at_t_star),
+    fields = _head(tpl, args.p) + [
+        ("epsilon", "epsilon", res.epsilon),
+        ("t_max", None, args.t_max),
+        ("t_star", "T*", res.t_star),
+        ("bound_at_t_star", "bound at T*", res.bound_at_t_star),
+        ("trace_length", None, res.t_star),  # the trace holds horizons 1 .. T*, however many that is
     ]
-    return _Report(payload, _trace_rows(tpl, args.p, res.trace), text)
+    return _Report(fields, _trace_rows(tpl, args.p, res.trace))
 
 
 def cmd_simulate(args) -> _Report:
@@ -362,28 +368,22 @@ def cmd_simulate(args) -> _Report:
 
     allowance = est.point + 4.0 * est.half_width
     sound = row["bound"] <= allowance
-    payload = {
-        **_row(tpl, args.p, args.T, row["p_hat"]),
-        "trials": est.trials,
-        "seed": args.seed,
-        "confidence": est.confidence,
-        "successes": est.successes,
-        "estimate": est.point,
-        "ci_low": est.ci_low,
-        "ci_high": est.ci_high,
-        "bound": row["bound"],
-        "exact_bound": res is None,
-        "allowance": allowance,
-        "sound": sound,
-    }
-    verdict = "SOUND" if sound else "UNSOUND"
-    text = _header(tpl, args.p, args.T, row["p_hat"]) + [
-        ("trials", est.trials),
-        ("seed", args.seed),
-        ("estimate", est.point),
-        (f"{est.confidence * 100:g}% CI", f"{est.ci_low:.12g} .. {est.ci_high:.12g}"),
-        ("bound", row["bound"]),
-        ("verdict", f"{verdict} (bound <= estimate + 4 half-widths)"),
+    # every digit of the confidence's shortest repr, as a percentage
+    percent = format(Decimal(repr(est.confidence)).scaleb(2).normalize(), "f")
+    fields = _head(tpl, args.p, args.T, row["p_hat"]) + [
+        ("trials", "trials", est.trials),
+        ("seed", "seed", args.seed),
+        ("confidence", None, est.confidence),
+        ("successes", None, est.successes),
+        ("estimate", "estimate", est.point),
+        ("ci_low", None, est.ci_low),
+        ("ci_high", None, est.ci_high),
+        (None, f"{percent}% CI", f"{est.ci_low:.12g} .. {est.ci_high:.12g}"),
+        ("bound", "bound", row["bound"]),
+        ("exact_bound", None, res is None),
+        ("allowance", None, allowance),
+        ("sound", None, sound),
+        (None, "verdict", f"{'SOUND' if sound else 'UNSOUND'} (bound <= estimate + 4 half-widths)"),
     ]
     # `--csv -` prints only the CSV row, which has no lambda2 columns, so the
     # moments are skipped there; below 2 vertices the call still runs, to
@@ -391,18 +391,12 @@ def cmd_simulate(args) -> _Report:
     if args.lambda2_moments and (args.csv != "-" or tpl.n < 2):
         pe, _ = _collapse(args.p, args.T)
         lam = empirical_lambda2_moments(tpl.graph, pe, trials=args.trials, seed=args.seed)
-        payload["lambda2"] = {
-            "mean": lam.mean,
-            "mean_sq": lam.mean_sq,
-            "se_mean": lam.se_mean,
-            "se_mean_sq": lam.se_mean_sq,
-            "trials": lam.trials,
-        }
-        text += [
-            ("lambda2 mean", lam.mean),
-            ("lambda2 mean sq", lam.mean_sq),
+        fields += [
+            ("lambda2", None, asdict(lam)),
+            (None, "lambda2 mean", lam.mean),
+            (None, "lambda2 mean sq", lam.mean_sq),
         ]
-    return _Report(payload, [row], text)
+    return _Report(fields, [row])
 
 
 def cmd_exact(args) -> _Report:
@@ -411,18 +405,14 @@ def cmd_exact(args) -> _Report:
     result = exact_connectivity(tpl.graph, pe)
     total = 1 << tpl.m
 
-    head = _row(tpl, args.p, args.T, pe)
-    payload = {
-        **head,
-        "probability": result.value,
-        "connected_subsets": result.terms,
-        "total_subsets": total,
-    }
-    text = _header(tpl, args.p, args.T, head["p_hat"]) + [
-        ("probability", result.value),
-        ("connected", f"{result.terms} of {total} edge subsets"),
+    row = _row(tpl, args.p, args.T, pe, estimate=result.value)
+    fields = _head(tpl, args.p, args.T, row["p_hat"]) + [
+        ("probability", "probability", result.value),
+        ("connected_subsets", None, result.terms),
+        ("total_subsets", None, total),
+        (None, "connected", f"{result.terms} of {total} edge subsets"),
     ]
-    return _Report(payload, [{**head, "estimate": result.value}], text)
+    return _Report(fields, [row])
 
 
 def _monotonicity_notes(rows: list[dict]) -> list[str]:
@@ -444,6 +434,10 @@ def _monotonicity_notes(rows: list[dict]) -> list[str]:
 
 
 def cmd_sweep(args) -> _Report:
+    def simulated(n: int) -> bool:
+        # the one place the MC cap is checked: family graphs above it are never built
+        return args.simulate and n <= MC_SWEEP_N_CAP
+
     if args.edge_list:
         if args.n_values is not None:
             raise InvalidParameter("--n-values cannot be combined with --edge-list")
@@ -451,25 +445,22 @@ def cmd_sweep(args) -> _Report:
     else:
         if args.n_values is None:
             raise InvalidParameter("--n-values is required with --family")
-        templates = [
-            _family_template(args.family, n, args.simulate and n <= MC_SWEEP_N_CAP)
-            for n in args.n_values
-        ]
+        templates = [_family_template(args.family, n, simulated(n)) for n in args.n_values]
 
     rows = []
     for tpl in templates:
         for p in args.p_values:
             row, _ = _cell(tpl, p, args.T, args.n_cap)
-            if args.simulate and tpl.graph is not None:
+            if simulated(tpl.n):
                 _mc_columns(row, tpl.graph, args)
             rows.append(row)
 
     notes = _monotonicity_notes(rows)
     json_rows = [{col: row.get(col) for col in CSV_COLUMNS} for row in rows]
-    payload = {"rows": json_rows, "monotonicity_notes": notes}
     if not (args.json or args.csv):
         args.csv = "-"  # the grid itself is sweep's text report
-    return _Report(payload, rows, None, [] if args.json else notes)
+    fields = [("rows", None, json_rows), ("monotonicity_notes", None, notes)]
+    return _Report(fields, rows, notes=[] if args.json else notes)
 
 
 def cmd_spectrum_check(args) -> _Report:
@@ -485,20 +476,19 @@ def cmd_spectrum_check(args) -> _Report:
     total = 1 << graph.m
     mismatches = _spectrum_mismatches(graph)
     ok = mismatches == 0
-    payload = {
-        "family": tpl.family,
-        "n": graph.n,
-        "subgraphs": total,
-        "mismatches": mismatches,
-        "threshold": threshold,
-        "ok": ok,
-    }
-    verdict = "OK" if ok else "MISMATCH"
-    text = (
+    fields = [
+        ("family", None, tpl.family),
+        ("n", None, graph.n),
+        ("subgraphs", None, total),
+        ("mismatches", None, mismatches),
+        ("threshold", None, threshold),
+        ("ok", None, ok),
+    ]
+    line = (
         f"checked {total} subgraphs of {tpl.family} n={graph.n}: "
-        f"{verdict} ({mismatches} mismatches, threshold {threshold:.3g})"
+        f"{'OK' if ok else 'MISMATCH'} ({mismatches} mismatches, threshold {threshold:.3g})"
     )
-    return _Report(payload, [], text, status=EXIT_OK if ok else EXIT_SPECTRUM_MISMATCH)
+    return _Report(fields, [], line, status=EXIT_OK if ok else EXIT_SPECTRUM_MISMATCH)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,12 @@ ROOT = Path(__file__).resolve().parents[1]
 SCHEMA = json.loads((ROOT / "docs" / "output-schema.json").read_text())
 Draft202012Validator.check_schema(SCHEMA)
 VALIDATOR = Draft202012Validator(SCHEMA)
+# each command's JSON keys, in the order its schema lists them
+KEY_ORDER = {
+    spec["properties"]["command"]["const"]: list(spec["properties"])
+    for spec in SCHEMA["$defs"].values()
+    if "command" in spec.get("properties", {})
+}
 
 
 def run_cli(capsys, *argv):
@@ -31,6 +37,8 @@ def run_json(capsys, *argv):
     assert code == 0, err
     payload = json.loads(out)
     VALIDATOR.validate(payload)
+    # key order is part of the output: the keys come in the schema's order
+    assert list(payload) == [key for key in KEY_ORDER[payload["command"]] if key in payload]
     return payload
 
 
@@ -335,6 +343,19 @@ def test_sweep_edge_list(capsys, tmp_path):
     assert code == 2  # n comes from the file, the flags conflict
 
 
+def test_sweep_simulate_skips_edge_lists_above_the_cap(capsys, tmp_path):
+    # the MC columns stop above n = MC_SWEEP_N_CAP for edge-list templates too
+    for n, simulated in [(cli.MC_SWEEP_N_CAP, True), (cli.MC_SWEEP_N_CAP + 1, False)]:
+        path = tmp_path / f"path{n}.txt"
+        path.write_text(f"{n}\n" + "".join(f"{i} {i + 1}\n" for i in range(n - 1)))
+        argv = ("sweep", "--edge-list", str(path), "--p-values", "0.9", "--simulate", "--trials", "5", "--csv", "-")
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        [row] = parse_csv(out)
+        assert row["n"] == str(n)
+        assert all((row[col] != "") == simulated for col in ("estimate", "ci_low", "ci_high")), row
+
+
 def test_sweep_csv_reparse_identical(capsys, tmp_path):
     out_path = tmp_path / "sweep.csv"
     run_cli(
@@ -550,7 +571,11 @@ def test_tiny_bound_renderings_agree(capsys):
 
 def test_simulate_labels_the_interval_with_its_confidence(capsys):
     argv = ["simulate", "--complete", "4", "--p", "0.6", "--trials", "50"]
-    for confidence, label in [("0.95", "95% CI"), ("0.999", "99.9% CI"), ("0.975", "97.5% CI"), ("0.9", "90% CI")]:
+    for confidence, label in [
+        ("0.95", "95% CI"), ("0.999", "99.9% CI"), ("0.975", "97.5% CI"), ("0.9", "90% CI"), ("0.07", "7% CI"),
+        # every digit of the confidence, not six significant ones
+        ("0.9999999999999999", "99.99999999999999% CI"), ("0.9999995", "99.99995% CI"),
+    ]:
         code, out, _ = run_cli(capsys, *argv, "--confidence", confidence)
         assert code == 0 and any(line.startswith(f"{label} ") for line in out.splitlines())
 

@@ -40,10 +40,13 @@ def test_public_api_snapshot():
     assert sorted(k for k in namespace if k != "__builtins__") == PUBLIC_NAMES
 
 
-def test_cli_imports_only_public_names_from_montecarlo_and_spectral():
-    # the CLI renders what the library computes; the spectrum check is the one private helper it runs
+def test_cli_imports_only_public_names_from_bounds_montecarlo_and_spectral():
+    # the CLI renders what the library computes; its private imports are the
+    # bound cores that take the exact complement q_hat, and the spectrum check
     tree = ast.parse(Path(conngraph.__file__).with_name("cli.py").read_text(encoding="utf-8"))
     allowed = {
+        "bounds": set(conngraph.bounds.__all__)
+        | {"_complete_bound_result", "_general_bound_result", "_union_probabilities"},
         "montecarlo": set(conngraph.montecarlo.__all__),
         "spectral": set(conngraph.spectral.__all__) | {"_spectrum_mismatches"},
     }
@@ -54,7 +57,7 @@ def test_cli_imports_only_public_names_from_montecarlo_and_spectral():
             if module in allowed:
                 imported[module] |= {alias.name for alias in node.names}
         elif isinstance(node, ast.Import):
-            assert not {alias.name for alias in node.names} & {"conngraph.montecarlo", "conngraph.spectral"}
+            assert not {alias.name for alias in node.names} & {f"conngraph.{module}" for module in allowed}
     for module, names in imported.items():
         assert names and names <= allowed[module], (module, sorted(names - allowed[module]))
 
