@@ -597,16 +597,15 @@ class _Trace(Sequence):
         return f"<trace of {self._horizons.stop - 1} horizons>"
 
 
-def _t_star_scan(terms, n: int, p: float, epsilon: float, t_max: int, n_cap: int) -> TStarResult:
-    # The bound does not fall as T rises (module docstring), so each _reach
-    # below gallops and bisects from horizon 0, which meets nothing, to the
-    # last horizon short of its value.  The search ends at t_max, or at the
-    # first horizon whose complement underflows to zero, since every later
-    # one evaluates on identical inputs.  Then best_t is the first horizon
-    # to reach the last one's bound.
+def _t_star_scan(bound, p: float, epsilon: float, t_max: int) -> TStarResult:
+    # bound(T) is the bound at horizon T, which does not fall as T rises
+    # (module docstring), so each _reach below gallops and bisects from
+    # horizon 0, which meets nothing, to the last horizon short of its value.
+    # The search ends at t_max, or at the first horizon whose complement
+    # underflows to zero, since every later one evaluates on identical
+    # inputs.  Then best_t is the first horizon to reach the last one's bound.
     target = 1.0 - epsilon
     log_q = math.log1p(-p)
-    bound = partial(_horizon_bound, terms, n, log_q, n_cap)
     last = min(t_max, _reach(lambda T: _union_probabilities(log_q, T)[1] == 0.0, 0, t_max) + 1)
     t = _reach(lambda T: bound(T) >= target, 0, last) + 1
     if t <= last:
@@ -635,9 +634,10 @@ def t_star(
     (carrying the best horizon and the trace) when t_max, or a complement
     that underflows to zero, is reached first.
     """
-    search = _check_search(p, epsilon, t_max, n_cap)
+    p, epsilon, t_max, n_cap = _check_search(p, epsilon, t_max, n_cap)
     n = _check_count(_check_graph(graph, "graph").n, "n", 3)
-    return _t_star_scan(partial(_general_terms, n, graph.m, sum_degree_squares(graph)), n, *search)
+    terms = partial(_general_terms, n, graph.m, sum_degree_squares(graph))
+    return _t_star_scan(partial(_horizon_bound, terms, n, math.log1p(-p), n_cap), p, epsilon, t_max)
 
 
 def t_star_from_stats(
@@ -652,7 +652,9 @@ def t_star_from_stats(
     """Union horizon search from summary statistics alone."""
     n, m, deg_sq = _check_stats(n, m, deg_sq)
     n = _check_size(n, "n", "vertices")
-    return _t_star_scan(partial(_general_terms, n, m, deg_sq), n, *_check_search(p, epsilon, t_max, n_cap))
+    p, epsilon, t_max, n_cap = _check_search(p, epsilon, t_max, n_cap)
+    terms = partial(_general_terms, n, m, deg_sq)
+    return _t_star_scan(partial(_horizon_bound, terms, n, math.log1p(-p), n_cap), p, epsilon, t_max)
 
 
 def t_star_complete(
@@ -664,4 +666,6 @@ def t_star_complete(
 ) -> TStarResult:
     """Union horizon search for the complete template via its simplified bound."""
     n = _check_size(_check_count(n, "n", 3), "n", "vertices")
-    return _t_star_scan(partial(_complete_terms, n), n, *_check_search(p, epsilon, t_max, n_cap))
+    p, epsilon, t_max, n_cap = _check_search(p, epsilon, t_max, n_cap)
+    terms = partial(_complete_terms, n)
+    return _t_star_scan(partial(_horizon_bound, terms, n, math.log1p(-p), n_cap), p, epsilon, t_max)

@@ -49,6 +49,8 @@ from .bounds import (
 # The internal cores take the exact complement q_hat = exp(T log(1-p)), which
 # the public API (p only) cannot carry once p_hat rounds to 1.0.
 from .bounds import _complete_bound_result, _general_bound_result, _union_probabilities
+# For n <= 2 the horizon search runs over the exact probability of `_cell`.
+from .bounds import _check_search, _t_star_scan
 from .errors import (
     ConnGraphError,
     DisconnectedTemplate,
@@ -341,7 +343,10 @@ def _trace_rows(tpl: _TemplateSpec, p: float, trace) -> Iterable[dict]:
 def cmd_tstar(args) -> _Report:
     tpl = _resolve_template(args, need_graph=False)
     try:
-        if tpl.family == "complete":
+        if tpl.n <= 2:  # the library search over the cell's exact probability
+            p, epsilon, t_max, _ = _check_search(args.p, args.epsilon, args.t_max, args.n_cap)
+            res = _t_star_scan(lambda T: _cell(tpl, p, T, args.n_cap)[0]["bound"], p, epsilon, t_max)
+        elif tpl.family == "complete":
             res = t_star_complete(tpl.n, args.p, args.epsilon, args.t_max, args.n_cap)
         else:
             res = t_star_from_stats(

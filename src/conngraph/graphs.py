@@ -214,13 +214,11 @@ def read_edge_list(path) -> UnderlyingGraph:
         raise InvalidParameter(f"{path}: first line must be the integer vertex count, got {lines[0]!r}")
     pairs = []
     for line in lines[1:]:
-        tokens = line.split()
-        if len(tokens) != 2:
-            raise InvalidEdge(f"{path}: edge line must be two integers, got {line!r}")
-        try:
-            pairs.append((int(tokens[0]), int(tokens[1])))
+        try:  # too few or too many tokens fail the unpacking with ValueError, as a token int rejects does
+            i, j = map(int, line.split())
         except ValueError:
             raise InvalidEdge(f"{path}: edge line must be two integers, got {line!r}")
+        pairs.append((i, j))
     return from_edge_list(n, pairs)
 
 

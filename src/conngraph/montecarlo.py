@@ -6,9 +6,10 @@ blocks of trials; each block draws from its own child stream spawned from the
 base seed, so results are reproducible for fixed (seed, parameters) and do
 not depend on how many blocks run or in what order they would be scheduled.
 
-Every estimator runs one block loop, ``_blocks``, which sizes the blocks of
-trials and hands each its child stream.  Monte Carlo and the coupled check
-decide connectivity with the package's one kernel,
+Every estimator runs one block loop, ``_blocks``, which sizes each block of
+trials and spawns its child stream when the loop reaches it, so neither the
+set-up time nor the memory of a run grows with its trial count.  Monte Carlo
+and the coupled check decide connectivity with the package's one kernel,
 ``graphs._connected_rows``, many edge-presence rows per call.  The three
 spectra estimators share one checked loop, ``_block_spectra``.
 
@@ -122,6 +123,19 @@ class CoupledCheck:
     dominance_violations: int
 
 
+def _check_trials(trials) -> int:
+    """trials, if it is an integer from 1 to 2**53; else InvalidParameter.
+
+    Every estimate divides by its trial count as a float.  Past 2**53 floats
+    no longer hold every integer, past about 6.7e153 the Wilson interval's
+    4 trials^2 overflows, and past about 1.8e308 the trial count itself.
+    """
+    trials = _check_count(trials, "trials", 1)
+    if trials > 2**53:
+        raise InvalidParameter(f"estimates need trials <= 2**53 = {2**53}, got {trials}")
+    return trials
+
+
 def wilson_interval(successes: int, trials: int, confidence: float = DEFAULT_CONFIDENCE) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion, clamped to [0, 1].
 
@@ -129,7 +143,7 @@ def wilson_interval(successes: int, trials: int, confidence: float = DEFAULT_CON
     all, where center -/+ half would leave a few ulps.  z is minus the lower
     quantile where (1 + confidence) / 2 rounds to 1.0.
     """
-    _check_count(trials, "trials", 1)
+    _check_trials(trials)
     if _check_count(successes, "successes", 0) > trials:
         raise InvalidParameter(f"successes {successes} outside [0, {trials}]")
     _check_fraction(confidence, "confidence")
@@ -144,28 +158,22 @@ def wilson_interval(successes: int, trials: int, confidence: float = DEFAULT_CON
     return low, high
 
 
-def _block_plan(trials: int, draws_per_trial: int) -> list[int]:
-    """Split trials into fixed-size blocks, shrinking when a trial draws a lot."""
-    _check_count(trials, "trials", 1)
-    per = max(1, draws_per_trial)
-    block = max(1, min(_BLOCK, _BLOCK_BUDGET // per))
-    sizes = [block] * (trials // block)
-    if trials % block:
-        sizes.append(trials % block)
-    return sizes
-
-
 def _blocks(trials: int, draws_per_trial: int, seed: int):
-    """An iterator of (size, generator) for each block of trials, in order.
+    """An iterator of (size, generator) for each block of trials, in order, made as the loop reaches it.
 
-    Each block draws from its own PCG64 stream spawned from ``seed``, which
-    must be a non-negative integer.  The trial count and the seed are
+    Blocks hold _BLOCK trials, fewer when a trial draws a lot, and the last
+    holds the rest.  Each draws from its own PCG64 stream, the next child
+    spawned from ``seed``: k spawns of one child give the children of one
+    spawn of k.  The trial count and the seed, a non-negative integer, are
     checked when this is called, before anything is drawn.
     """
-    sizes = _block_plan(trials, draws_per_trial)
-    _check_count(seed, "seed", 0)
-    children = np.random.SeedSequence(seed).spawn(len(sizes))
-    return ((size, np.random.Generator(np.random.PCG64(child))) for size, child in zip(sizes, children))
+    trials = _check_trials(trials)
+    root = np.random.SeedSequence(_check_count(seed, "seed", 0))
+    block = max(1, min(_BLOCK, _BLOCK_BUDGET // max(1, draws_per_trial)))
+    return (
+        (min(block, trials - start), np.random.Generator(np.random.PCG64(*root.spawn(1))))
+        for start in range(0, trials, block)
+    )
 
 
 def _presence_groups(gen: np.random.Generator, rows: int, m: int, levels: tuple[float, ...], group: int, T: int = 1):

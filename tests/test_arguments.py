@@ -13,6 +13,7 @@ import json
 import math
 import tempfile
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -320,7 +321,6 @@ def test_too_small_templates(call, minimum, n):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["tstar", "--complete", "2", "--p", "0.5", "--epsilon", "0.1"], "n must be an integer >= 3, got 2"),
         (["spectrum-check", "--complete", "1"], "n must be an integer >= 2, got 1"),
     ],
 )
@@ -355,6 +355,35 @@ def test_oversized_counts(call, name, value, unit):
     with pytest.raises(InvalidParameter) as info:
         call()
     assert str(info.value) == f"bounds need {name} <= 2**53 = {2**53} {unit}, got {value}"
+
+
+TRIALS_PAST_2_53 = f"estimates need trials <= 2**53 = {2**53}, got {BIG}"
+OVERSIZED_TRIALS = {
+    "wilson_interval": lambda: wilson_interval(1, BIG),
+    "empirical_connectivity": lambda: empirical_connectivity(K4, 0.5, trials=BIG, seed=-1, confidence=1.5),
+    "coupled_monotonicity_check": lambda: coupled_monotonicity_check(K4, 0.1, 0.2, BIG, seed=-1, confidence=1.5),
+    "empirical_lambda2_moments": lambda: empirical_lambda2_moments(K4, 0.5, BIG, seed=-1),
+    "empirical_ell_moments": lambda: empirical_ell_moments(K4, 0.5, BIG, seed=-1),
+    "empirical_ell_min_mean": lambda: empirical_ell_min_mean(K4, 0.5, 2, BIG, seed=-1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERSIZED_TRIALS))
+def test_trials_past_2_53(name):
+    # every estimate divides by its trial count as a float: refused before
+    # anything is drawn, and before the seed and the confidence are checked
+    with pytest.raises(InvalidParameter) as info:
+        OVERSIZED_TRIALS[name]()
+    assert str(info.value) == TRIALS_PAST_2_53
+
+
+def test_wilson_interval_up_to_2_53_trials():
+    # with no success the interval is [0, z^2 / (trials + z^2)], at 2**53 trials as at 10
+    z_sq = NormalDist().inv_cdf(0.975) ** 2
+    for trials in (10, 2**53):
+        assert wilson_interval(0, trials) == (0.0, pytest.approx(z_sq / (trials + z_sq), rel=1e-14))
+    with pytest.raises(InvalidParameter, match=r"^estimates need trials <= 2\*\*53 = 9007199254740992, got 9007199254740993$"):
+        wilson_interval(0, 2**53 + 1)
 
 
 NO_SIMPLE_GRAPH = [
@@ -423,6 +452,7 @@ def test_horizon_past_the_largest_float():
         (["tstar", "--complete", str(HUGE_N), "--p", "0.5", "--epsilon", "0.1"], 2, f"error: bounds need n <= 2**53 = {2**53} vertices, got {HUGE_N}\n"),
         (["bound", "--complete", "5", "--p", "0.5", "--T", str(BIG), "--json"], 0, ""),
         (["exact", "--complete", "4", "--p", "0.5", "--T", str(BIG), "--json"], 0, ""),
+        (["simulate", "--complete", "4", "--p", "0.5", "--trials", str(BIG)], 2, f"error: {TRIALS_PAST_2_53}\n"),
     ],
 )
 def test_cli_oversized_counts(capsys, argv, code, err):

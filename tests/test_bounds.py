@@ -58,6 +58,7 @@ K3_HALF = ModelParams(complete(3), 0.5)
 
 def test_moment_values_triangle():
     # K3 at p = 1/2: mu = 2*3*(1/2)/2 = 3/2, S^2 = 6, sigma^2 = 6/4 = 3/2
+    assert (K3_HALF.n, K3_HALF.m, K3_HALF.degrees) == (3, 3, (2, 2, 2))
     assert ell_mean(K3_HALF) == 1.5
     assert s_value(K3_HALF) == pytest.approx(math.sqrt(6.0), rel=1e-15)
     assert ell_variance(K3_HALF) == pytest.approx(1.5, rel=1e-15)
@@ -736,6 +737,7 @@ def test_trace_is_a_lazy_sequence():
     pairs = tuple(res.trace)
     assert len(pairs) == res.t_star and [T for T, _ in pairs] == list(range(1, res.t_star + 1))
     assert res.trace == pairs and res.trace == list(pairs) and res.trace != pairs[:-1]
+    assert (res.trace == 5) is False and res.trace != "pairs"  # no sequence of pairs to compare
     assert res.trace == t_star_complete(30, 0.1, 0.05).trace and hash(res.trace) == hash(pairs)
     assert res.trace[-1] == pairs[-1] == (res.t_star, res.bound_at_t_star)
     assert res.trace[2:7:2] == pairs[2:7:2] and res.trace[::-1] == pairs[::-1] and res.trace[5:2] == ()

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import re
 import shlex
 import subprocess
@@ -110,6 +111,28 @@ def test_tstar_not_found_exit_code_and_trace(capsys, tmp_path):
     assert len(rows) == 5
     assert [int(r["T"]) for r in rows] == [1, 2, 3, 4, 5]
     assert rows[0]["estimate"] == ""  # unused columns stay empty
+
+
+@pytest.mark.parametrize("n, t_star, bound", [(2, 3, 0.875), (1, 1, 1.0)])
+def test_tstar_tiny_template_searches_its_exact_probability(capsys, n, t_star, bound):
+    # the cell of `bound` for n <= 2: one vertex is connected, two need their edge
+    payload = run_json(capsys, "tstar", "--complete", str(n), "--p", "0.5", "--epsilon", "0.2", "--json")
+    assert (payload["n"], payload["t_star"], payload["bound_at_t_star"], payload["trace_length"]) == (n, t_star, bound, t_star)
+
+
+def test_tstar_tiny_template_not_found_exit_code_and_trace(capsys, tmp_path):
+    trace_path = tmp_path / "trace.csv"
+    code, out, err = run_cli(
+        capsys,
+        "tstar", "--complete", "2", "--p", "1e-6",
+        "--epsilon", "0.2", "--t-max", "1000", "--csv", str(trace_path),
+    )
+    assert code == 4 and out == ""
+    best = -math.expm1(1000 * math.log1p(-1e-6))
+    assert err == f"error: no horizon up to 1000 reaches bound 0.8 (best {best} at T=1000)\n"
+    rows = parse_csv(trace_path.read_text())
+    assert [int(r["T"]) for r in rows] == list(range(1, 1001))
+    assert all(r["bound"] == r["p_hat"] and r["n_star"] == "" for r in rows)
 
 
 def test_simulate_json_schema_and_soundness(capsys):

@@ -157,9 +157,11 @@ def test_read_edge_list_errors(tmp_path):
         read_edge_list(bad_count)
 
     bad_edge = tmp_path / "edge.txt"
-    bad_edge.write_text("3\n0 1 2\n")
-    with pytest.raises(InvalidEdge):
-        read_edge_list(bad_edge)
+    for line in ("0 1 2", "0", "0 x", "0 1.0"):
+        bad_edge.write_text(f"3\n{line}\n")
+        with pytest.raises(InvalidEdge) as info:
+            read_edge_list(bad_edge)
+        assert str(info.value) == f"{bad_edge}: edge line must be two integers, got {line!r}"
 
     disconnected = tmp_path / "disc.txt"
     disconnected.write_text("4\n0 1\n2 3\n")

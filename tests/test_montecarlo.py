@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+import time
 import tracemalloc
 
 import numpy as np
@@ -35,7 +37,7 @@ import conngraph.graphs as graphs
 from conngraph.graphs import _connected_rows, _edge_arrays
 import conngraph.montecarlo as mc
 import conngraph.spectral as spectral
-from conngraph.montecarlo import _block_plan, _connected_profile
+from conngraph.montecarlo import _blocks, _connected_profile
 
 import support
 
@@ -599,10 +601,39 @@ def test_block_plan_covers_trials():
     for _ in range(30):
         trials = rng.randrange(1, 40_000)
         per = rng.randrange(1, 10_000)
-        sizes = _block_plan(trials, per)
+        sizes = [size for size, _ in _blocks(trials, per, 0)]
         assert sum(sizes) == trials
         assert all(s >= 1 for s in sizes)
         assert all(s * per <= (1 << 22) or s == 1 for s in sizes)
+
+
+def test_blocks_draw_from_the_children_of_one_spawn():
+    # each block's child is spawned when the loop reaches it, and the first k
+    # are those of one spawn of k, even when the trial count has no end in sight
+    blocks = list(itertools.islice(_blocks(10**15, 3, 5), 4))
+    assert [size for size, _ in blocks] == [8192] * 4
+    children = np.random.SeedSequence(5).spawn(4)
+    assert [gen.bit_generator.state for _, gen in blocks] == [np.random.PCG64(c).state for c in children]
+
+
+def test_first_block_of_a_huge_run_comes_at_once():
+    start = time.perf_counter()
+    size, _ = next(_blocks(10**15, 3, 0))
+    assert size == 8192 and time.perf_counter() - start < 0.5
+
+
+def test_memory_does_not_grow_with_the_block_count(monkeypatch):
+    # one trial per block: 20 blocks and 2000 blocks keep the same few arrays
+    monkeypatch.setattr(mc, "_BLOCK", 1)
+    peaks = []
+    for trials in (20, 20, 2000):  # the first call keeps numpy's set-up out of the count
+        tracemalloc.start()
+        try:
+            empirical_connectivity(complete(4), 0.5, trials=trials, seed=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[2] <= peaks[1] + 4096, peaks
 
 
 def test_lambda2_moments_at_p_one():

@@ -42,11 +42,12 @@ def test_public_api_snapshot():
 
 def test_cli_imports_only_public_names_from_bounds_montecarlo_and_spectral():
     # the CLI renders what the library computes; its private imports are the
-    # bound cores that take the exact complement q_hat, and the spectrum check
+    # bound cores that take the exact complement q_hat, the horizon search
+    # that tstar runs over an exact probability for n <= 2, and the spectrum check
     tree = ast.parse(Path(conngraph.__file__).with_name("cli.py").read_text(encoding="utf-8"))
     allowed = {
         "bounds": set(conngraph.bounds.__all__)
-        | {"_complete_bound_result", "_general_bound_result", "_union_probabilities"},
+        | {"_complete_bound_result", "_general_bound_result", "_union_probabilities", "_check_search", "_t_star_scan"},
         "montecarlo": set(conngraph.montecarlo.__all__),
         "spectral": set(conngraph.spectral.__all__) | {"_spectrum_mismatches"},
     }

@@ -147,8 +147,12 @@ def test_rejects_non_numeric_and_non_finite_matrices():
 
 
 def test_bool_among_numbers_is_refused():
-    # numpy would read True as 1.0 beside floats, and as 1 beside ints
-    for matrix in ([[True]], [[True, 0.0], [0.0, 1.0]], [[1, False], [False, 1]], np.array([[True, 0.0]], dtype=object)):
+    # numpy would read True as 1.0 beside floats, and as 1 beside ints; ragged
+    # rows and an object that is no number are refused with the same message
+    for matrix in (
+        [[True]], [[True, 0.0], [0.0, 1.0]], [[1, False], [False, 1]], np.array([[True, 0.0]], dtype=object),
+        [[1.0, 0.0], [0.0]], [[object(), 0.0], [0.0, 1.0]],
+    ):
         with pytest.raises(InvalidParameter) as info:
             eigenvalues_symmetric(matrix)
         assert str(info.value) == "matrix entries must be real numbers"
