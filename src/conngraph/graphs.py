@@ -6,12 +6,17 @@ A :class:`SampledGraph` is one realization, holding the subset of template
 edges that came up.  Vertices are 0-indexed; edges are stored as (min, max)
 pairs so every edge has a single canonical form.
 
-Connectivity is decided in one place, ``_connected_rows``: hook and shortcut
-over a whole group of edge-presence rows at once, in a few rounds of
-whole-array operations (a path with shuffled labels takes 6 at n = 1000, 10
-at n = 40000) rather than a Python loop over edges.  ``is_connected`` and
-``from_edge_list`` call it on one row; Monte Carlo and the coupled check in
-``montecarlo`` and the spectrum check in ``spectral`` call it on many.
+Connectivity is decided in one place, ``_connected_rows``.  It reads a group
+of edge-presence rows once and settles by edge count every row with fewer
+than n - 1 present edges (disconnected) and every row that holds all m
+edges (one graph, hooked once).  The rows left go through hook and shortcut
+together, in a few rounds of whole-array operations rather than a Python
+loop over edges: one round for a path whose labels ascend along it, 6 or 7
+at n = 1000 and 9 or 10 at n = 40000 when they are shuffled.  Its index
+tables and work arrays, ``_KernelTables``, are built once per call site and
+kept across its groups.  ``is_connected`` and ``from_edge_list`` call it on
+one row; Monte Carlo and the coupled check in ``montecarlo`` and the
+spectrum check in ``spectral`` call it on many.
 
 Laplacians have one builder over the same rows, ``_laplacian_stack``, and
 ``laplacian`` is its one-row case.  ``_subset_rows`` gives the rows of the
@@ -19,10 +24,10 @@ Laplacians have one builder over the same rows, ``_laplacian_stack``, and
 
 Memory rule: the kernel and both eigensolvers take edge-presence rows in
 groups of ``_group_rows(cells_per_row)`` rows, at most ``_GROUP_CELLS``
-cells or one row: max(m, n) cells a kernel row (its index arrays take about
-40 bytes a cell), n * n a Laplacian.  Monte Carlo draws through a buffer of
-max(``_GROUP_CELLS``, m) uniforms.  So no array grows with the trials or
-subsets a caller walks, and each call works on a few MB.
+cells or one row: max(m, n) cells a kernel row (its tables and work arrays
+take about 60 bytes a cell), n * n a Laplacian.  Monte Carlo draws through
+a buffer of max(``_GROUP_CELLS``, m) uniforms.  So no array grows with the
+trials or subsets a caller walks, and each call works on a few MB.
 """
 
 from __future__ import annotations
@@ -230,7 +235,7 @@ def is_connected(g: UnderlyingGraph | SampledGraph) -> bool:
     """
     n, _ = _vertices_and_edges(g)
     ei, ej = _edge_arrays(g)
-    return bool(_connected_rows(n, ei, ej, np.ones((1, ei.size), dtype=bool))[0])
+    return bool(_connected_rows(_KernelTables(n, ei, ej), np.ones((1, ei.size), dtype=bool))[0])
 
 
 def union(gs) -> SampledGraph:
@@ -319,42 +324,107 @@ def _group_rows(cells_per_row: int) -> int:
     return max(1, _GROUP_CELLS // cells_per_row)
 
 
-def _connected_rows(n: int, ei: np.ndarray, ej: np.ndarray, present: np.ndarray) -> np.ndarray:
-    """Row-wise connectivity for a (rows, m) boolean edge-presence group.
+class _KernelTables:
+    """The index tables and work arrays of ``_connected_rows`` for one edge set, kept across its groups.
+
+    Each caller builds one per template, or edge set, and hands it to every
+    kernel call it makes.  For groups of up to ``rows`` rows it holds the
+    flat endpoint tables ``offset + ei`` and ``offset + ej`` (offset r * n
+    in row r), the vertex ids ``0 .. rows * n - 1`` and the vertex and edge
+    work arrays, so no group allocates them or hands them back to the OS.
+    A group with more rows than the tables hold rebuilds them at its size.
+    Vertex ids are int32 while the tables hold fewer than 2^31 of them,
+    int64 beyond.
+    """
+
+    def __init__(self, n: int, ei: np.ndarray, ej: np.ndarray):
+        self.n, self.ei, self.ej, self.rows = n, ei, ej, -1  # nothing built yet, not even for zero rows
+
+    def reserve(self, rows: int) -> None:
+        """Tables and work arrays for groups of up to rows rows."""
+        if rows <= self.rows:
+            return
+        dtype = np.int32 if rows * self.n < 1 << 31 else np.int64
+        self.ids = np.arange(rows * self.n, dtype=dtype)
+        offsets = self.ids[:: self.n, None]
+        self.u, self.v = np.add(offsets, self.ei, dtype=dtype), np.add(offsets, self.ej, dtype=dtype)
+        self.vertices = np.empty((2, self.ids.size), dtype=dtype)  # parent, and the next jump of it
+        self.edges = np.empty((2, 4, self.u.size), dtype=dtype)  # two sets of live u, v and their roots ru, rv
+        self.rows = rows
+
+
+def _connected_rows(tables: _KernelTables, present: np.ndarray) -> np.ndarray:
+    """Row-wise connectivity of a (rows, m) boolean edge-presence group over the edge set of tables.
+
+    Edge counts settle rows before any hooking.  A row with fewer than
+    n - 1 present edges is disconnected.  Every row that holds all m edges
+    is the same graph, so only the first of them is hooked and the others
+    copy its verdict; the edge set itself need not be connected.  The rows
+    left are hooked together by ``_hook_and_shortcut``.  A lone row is only
+    checked against n - 1, which costs less than counting.
+
+    Callers build the tables once and hand the kernel one group of
+    ``_group_rows(max(m, n))`` rows at a time (see the memory rule above).
+    """
+    n, (rows, m) = tables.n, present.shape
+    tables.reserve(rows)
+    if rows == 1:
+        return _hook_and_shortcut(tables, present) if np.count_nonzero(present) >= n - 1 else np.zeros(1, dtype=bool)
+    counts = np.add.reduce(present, axis=1, dtype=np.int32)
+    full = np.flatnonzero(counts == m)
+    counts[full[1:]] = -1  # the same graph as full[0], which is hooked for them all
+    picked = np.flatnonzero(counts >= n - 1)
+    if picked.size == rows:
+        return _hook_and_shortcut(tables, present)
+    connected = np.zeros(rows, dtype=bool)
+    if picked.size:
+        connected[picked] = _hook_and_shortcut(tables, present[picked])
+        connected[full] = connected[full[:1]]
+    return connected
+
+
+def _hook_and_shortcut(tables: _KernelTables, present: np.ndarray) -> np.ndarray:
+    """Row-wise connectivity of every row of present, with tables reserved for its rows.
 
     Hook and shortcut (Shiloach & Vishkin 1982; FastSV, Zhang, Azad & Hu
-    2020) over the flattened (rows x n) vertex space, where vertex v of row r
-    is ``r * n + v``.  The present (row, edge) slots are found once and
-    mapped to their two flat endpoints; every vertex starts as its own root.
-    Each round hooks the larger root of every live edge onto the smaller one
-    with ``np.minimum.at``, jumps pointers (``parent = parent[parent]``)
-    until every vertex points at its root, and then drops the edges whose
-    ends share a root.  Hooks only point to smaller ids, so no cycle forms,
-    and a round with live edges hooks at least one root, so the loop ends.
-    A row is connected when every vertex has the root of its vertex 0.
-
-    All rows are taken in one pass, so callers hand it one group of
-    ``_group_rows(max(m, n))`` rows at a time (see the memory rule above).
-    Vertex ids are int32 while the group has fewer than 2^31 of them, int64
-    beyond.
+    2020) over the flattened (rows x n) vertex space, where vertex v of row
+    r is ``r * n + v``.  The present slots pick their two flat endpoints from
+    the tables, and every vertex starts as its own root.  Each round hooks
+    the larger root of every live edge onto the smaller one with
+    ``np.minimum.at``, jumps pointers (``parent = parent[parent]``) over the
+    whole vertex array until every vertex points at its root, and then
+    drops the edges whose ends share a root into the other set of edge work
+    arrays.  Hooks only point to smaller ids, so no cycle forms, and a round
+    with live edges hooks at least one root, so the loop ends.  A row is
+    connected when every vertex has the root of its vertex 0.  Every index
+    taken is in range, so ``mode="wrap"`` gives what the default mode
+    gives, without buffering ``out``.
     """
-    rows = present.shape[0]
-    dtype = np.int32 if rows * n < 1 << 31 else np.int64
-    parent = np.arange(rows * n, dtype=dtype)
-    offsets = np.arange(0, rows * n, n, dtype=dtype)[:, None]
+    n, rows = tables.n, present.shape[0]
     slots = np.flatnonzero(present)
-    u = np.take(offsets + ei.astype(dtype), slots)
-    v = np.take(offsets + ej.astype(dtype), slots)
+    size = slots.size
+    cur, nxt = tables.edges
+    u = np.take(tables.u, slots, out=cur[0, :size], mode="wrap")
+    v = np.take(tables.v, slots, out=cur[1, :size], mode="wrap")
+    parent, jumped = tables.vertices[0, : rows * n], tables.vertices[1, : rows * n]
+    np.copyto(parent, tables.ids[: rows * n])
     ru, rv = u, v  # every vertex starts as its own root
-    while u.size:
-        np.minimum.at(parent, np.maximum(ru, rv), np.minimum(ru, rv))
+    while size:
+        # nxt is free until the live edges are taken into it
+        np.minimum.at(parent, np.maximum(ru, rv, out=nxt[0, :size]), np.minimum(ru, rv, out=nxt[1, :size]))
         while True:
-            jumped = np.take(parent, parent)
+            np.take(parent, parent, out=jumped, mode="wrap")
             if np.array_equal(jumped, parent):
                 break
-            parent = jumped
-        ru, rv = np.take(parent, u), np.take(parent, v)
+            parent, jumped = jumped, parent
+        ru = np.take(parent, u, out=cur[2, :size], mode="wrap")
+        rv = np.take(parent, v, out=cur[3, :size], mode="wrap")
         live = np.flatnonzero(ru != rv)
-        u, v, ru, rv = (np.take(a, live) for a in (u, v, ru, rv))
+        size = live.size
+        if size:
+            for a, b in zip((u, v, ru, rv), nxt):
+                np.take(a, live, out=b[:size], mode="wrap")
+            cur, nxt = nxt, cur
+            u, v, ru, rv = cur[:, :size]
     labels = parent.reshape(rows, n)
     return (labels == labels[:, :1]).all(axis=1)

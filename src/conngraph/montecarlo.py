@@ -10,8 +10,9 @@ Every estimator runs one block loop, ``_blocks``, which sizes each block of
 trials and spawns its child stream when the loop reaches it, so neither the
 set-up time nor the memory of a run grows with its trial count.  Monte Carlo
 and the coupled check decide connectivity with the package's one kernel,
-``graphs._connected_rows``, many edge-presence rows per call.  The three
-spectra estimators share one checked loop, ``_block_spectra``.
+``graphs._connected_rows``, many edge-presence rows per call, through one
+set of kernel tables per call.  The three spectra estimators share one
+checked loop, ``_block_spectra``.
 
 A block's uniforms are the (rows, T, m) array one ``gen.random`` call would
 return, but ``_presence_groups`` draws them in the same stream order through
@@ -36,7 +37,7 @@ import numpy as np
 
 from .errors import InvalidParameter, TooManyEdges, _check_count, _check_fraction
 from .graphs import (SampledGraph, UnderlyingGraph, _check_graph, _connected_rows, _edge_arrays, _group_rows,
-                     _laplacian_stack)
+                     _KernelTables, _laplacian_stack)
 
 DEFAULT_ENUMERATION_CAP = 24
 DEFAULT_CONFIDENCE = 0.95
@@ -260,11 +261,11 @@ def empirical_connectivity(
     T = _check_count(T, "T", 1)
     blocks = _blocks(trials, _layer_draws(T, _check_graph(parent, "parent").m), seed)
     _check_fraction(confidence, "confidence")
-    ei, ej = _edge_arrays(parent)
+    tables = _KernelTables(parent.n, *_edge_arrays(parent))
     successes = 0
     for b, gen in blocks:
         for _, (present,) in _presence_groups(gen, b, parent.m, (p,), _group_rows(max(parent.m, parent.n)), T):
-            successes += int(_connected_rows(parent.n, ei, ej, present).sum())
+            successes += int(_connected_rows(tables, present).sum())
     return _estimate(successes, trials, confidence)
 
 
@@ -469,12 +470,12 @@ def coupled_monotonicity_check(
         raise InvalidParameter(f"p_low {p_low} exceeds p_high {p_high}")
     blocks = _blocks(trials, _check_graph(parent, "parent").m, seed)
     _check_fraction(confidence, "confidence")
-    ei, ej = _edge_arrays(parent)
+    tables = _KernelTables(parent.n, *_edge_arrays(parent))
     s_low = s_high = violations = 0
     for b, gen in blocks:
         for _, (low, high) in _presence_groups(gen, b, parent.m, (p_low, p_high), _group_rows(max(parent.m, parent.n))):
-            conn_low = _connected_rows(parent.n, ei, ej, low)
-            conn_high = _connected_rows(parent.n, ei, ej, high)
+            conn_low = _connected_rows(tables, low)
+            conn_high = _connected_rows(tables, high)
             s_low += int(conn_low.sum())
             s_high += int(conn_high.sum())
             violations += int((conn_low & ~conn_high).sum())

@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import InvalidParameter, NoConvergence, NotSymmetric, _check_count, _check_fraction
 from .graphs import (SampledGraph, UnderlyingGraph, _check_graph, _connected_rows, _edge_arrays, _group_rows,
-                     _laplacian_stack, _subset_rows, _vertices_and_edges, laplacian)
+                     _KernelTables, _laplacian_stack, _subset_rows, _vertices_and_edges, laplacian)
 from .montecarlo import _presence_groups
 
 JACOBI_MAX_SWEEPS = 100
@@ -145,11 +145,12 @@ def _jacobi_eigenvalues(stack: np.ndarray) -> np.ndarray:
 def _spectrum_mismatches(g: UnderlyingGraph) -> int:
     """How many of g's 2^m edge subsets get another verdict from lambda_2 > ``zero_threshold`` than from the kernel."""
     ei, ej = _edge_arrays(g)
+    tables = _KernelTables(g.n, ei, ej)
     subsets, step, mismatches = 1 << g.m, _group_rows(g.n * g.n), 0  # a group fits the kernel too: n * n >= max(m, n)
     for start in range(0, subsets, step):
         present = _subset_rows(g.m, start, min(start + step, subsets))
         spectral = _jacobi_eigenvalues(_laplacian_stack(g.n, ei, ej, present))[:, 1] > zero_threshold(g.n)
-        mismatches += int(np.count_nonzero(spectral != _connected_rows(g.n, ei, ej, present)))
+        mismatches += int(np.count_nonzero(spectral != _connected_rows(tables, present)))
     return mismatches
 
 

@@ -20,7 +20,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import bound_grid  # noqa: E402
 import exact_oracle  # noqa: E402
 import mc_verify  # noqa: E402
-from harness import Context, load_pins  # noqa: E402
+from harness import Context, build_template, load_pins  # noqa: E402
 
 
 def _failures(ops):
@@ -64,3 +64,23 @@ def test_mc_verify_pins_hold(tmp_path):
     cases = load_pins(mc_verify.NAME)
     assert len(cases) == 190
     assert _failures(mc_verify.make_op(ctx, case) for case in cases) == []
+
+
+def test_mc_verify_kernel_matches_the_reference_kernel(monkeypatch):
+    # every pinned sparse and coupled template, at 256 trials and its pinned seed:
+    # the same estimates, interval bits included, with the reference kernel in
+    # place of the count rules and hook and shortcut
+    def run(case, template):
+        if case["slot"] == "mc.sparse":
+            return conngraph.empirical_connectivity(template, case["p"], T=case["T"], trials=256, seed=case["seed"])
+        return conngraph.coupled_monotonicity_check(template, case["p"], case["p_high"], 256, seed=case["seed"])
+
+    def reference(tables, present):
+        return support.reference_connected_rows(tables.n, tables.ei, tables.ej, present)
+
+    cases = [case for case in load_pins(mc_verify.NAME) if case["slot"] in ("mc.sparse", "mc.coupled")]
+    assert len(cases) == 52
+    templates = [build_template(conngraph, case["template"]) for case in cases]
+    got = [run(case, template) for case, template in zip(cases, templates)]
+    monkeypatch.setattr(conngraph.montecarlo, "_connected_rows", reference)
+    assert [run(case, template) for case, template in zip(cases, templates)] == got

@@ -439,7 +439,7 @@ def test_spectrum_check_default_template(capsys):
 
 def test_spectrum_check_reports_mismatches(capsys, monkeypatch):
     # a kernel that calls every subset disconnected disagrees with the spectral test on each connected one
-    monkeypatch.setattr("conngraph.spectral._connected_rows", lambda n, ei, ej, present: np.zeros(len(present), dtype=bool))
+    monkeypatch.setattr("conngraph.spectral._connected_rows", lambda tables, present: np.zeros(len(present), dtype=bool))
     connected = exact_connectivity(complete(4), 0.5).terms  # 38 for K4
     code, out, _ = run_cli(capsys, "spectrum-check", "--complete", "4", "--json")
     payload = json.loads(out)

@@ -34,7 +34,7 @@ from conngraph import (
     wilson_interval,
 )
 import conngraph.graphs as graphs
-from conngraph.graphs import _connected_rows, _edge_arrays
+from conngraph.graphs import _KernelTables, _connected_rows, _edge_arrays
 import conngraph.montecarlo as mc
 import conngraph.spectral as spectral
 from conngraph.montecarlo import _blocks, _connected_profile
@@ -318,7 +318,7 @@ def test_connected_rows_against_bfs():
         g = from_edge_list(n, support.random_connected_graph(rng, n, rng.randrange(0, 4)))
         ei, ej = _edge_arrays(g)
         present = np_rng.random((64, g.m)) < 0.5
-        got = _connected_rows(n, ei, ej, present)
+        got = _connected_rows(_KernelTables(n, ei, ej), present)
         for row in range(64):
             chosen = [e for e, keep in zip(g.edges, present[row]) if keep]
             assert bool(got[row]) == support.bfs_connected(n, chosen)
@@ -327,7 +327,7 @@ def test_connected_rows_against_bfs():
 def assert_kernels_agree(n, edges, present):
     ei = np.array([i for i, _ in edges], dtype=np.intp)
     ej = np.array([j for _, j in edges], dtype=np.intp)
-    got = _connected_rows(n, ei, ej, present)
+    got = _connected_rows(_KernelTables(n, ei, ej), present)
     assert got.dtype == bool and got.shape == (present.shape[0],)
     assert got.tolist() == support.reference_connected_rows(n, ei, ej, present).tolist()
 
@@ -398,7 +398,99 @@ def test_connected_rows_degenerate_shapes_match_reference():
         assert_kernels_agree(5, edges, np_rng.random((rows, 10)) < 0.5)
         assert_kernels_agree(1, [], np.zeros((rows, 0), dtype=bool))  # n = 1: always connected
         assert_kernels_agree(3, [], np.zeros((rows, 0), dtype=bool))  # m = 0: never, past n = 1
-    assert _connected_rows(1, *_edge_arrays(complete(1)), np.zeros((4, 0), dtype=bool)).all()
+    assert _connected_rows(_KernelTables(1, *_edge_arrays(complete(1))), np.zeros((4, 0), dtype=bool)).all()
+
+
+def rows_with_counts(np_rng, m, counts, per_count=6):
+    """Presence rows holding exactly k of m edges, per_count random rows for each k in counts."""
+    rows = []
+    for k in counts:
+        for _ in range(per_count):
+            row = np.zeros(m, dtype=bool)
+            row[np_rng.choice(m, k, replace=False)] = True
+            rows.append(row)
+    return np.array(rows).reshape(-1, m)
+
+
+def test_connected_rows_count_rules_match_reference():
+    # rows at the counts the rules turn on: n - 2 and fewer are settled as
+    # disconnected, n - 1 and m - 1 are hooked, m is hooked once per group
+    rng = random.Random(53)
+    np_rng = np.random.default_rng(53)
+    templates = [
+        (8, relabeled_path(list(range(8)), True)),
+        (12, grid_edges(3, 4)),
+        (30, support.random_connected_graph(rng, 30, 4)),
+        (6, complete(6).edges),
+    ]
+    for n, edges in templates:
+        m = len(edges)
+        counts = sorted({n - 2, n - 1, m - 1, m})
+        present = rows_with_counts(np_rng, m, counts)
+        assert_kernels_agree(n, edges, present)
+        assert_kernels_agree(n, edges, present[np_rng.permutation(len(present))])
+        for k in counts:
+            assert_kernels_agree(n, edges, rows_with_counts(np_rng, m, [k], per_count=1))  # one row
+
+
+def test_connected_rows_all_present_rows_of_a_disconnected_edge_set():
+    # two disjoint triangles: the rows holding every edge must still come out False
+    n, edges = 6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]
+    np_rng = np.random.default_rng(59)
+    present = np.vstack([np.ones((3, 6), dtype=bool), np_rng.random((20, 6)) < 0.8, np.ones((2, 6), dtype=bool)])
+    assert_kernels_agree(n, edges, present)
+    ei, ej = np.array(edges).T
+    assert not _connected_rows(_KernelTables(n, ei, ej), present).any()
+    assert not _connected_rows(_KernelTables(n, ei, ej), np.ones((1, 6), dtype=bool)).any()
+
+
+def test_connected_rows_hooks_only_rows_the_counts_leave_open(monkeypatch):
+    hooked = []  # the row count of every group that reaches hook and shortcut
+    hook = graphs._hook_and_shortcut
+
+    def spied(tables, present):
+        hooked.append(len(present))
+        return hook(tables, present)
+
+    monkeypatch.setattr(graphs, "_hook_and_shortcut", spied)
+    np_rng = np.random.default_rng(61)
+    n, edges = 10, relabeled_path(list(range(10)), True)  # m = 10
+    ei, ej = np.array(edges).T
+    tables = _KernelTables(n, ei, ej)
+    # every row settled by its count: too few edges, or all of them (hooked once)
+    few = rows_with_counts(np_rng, 10, [0, 3, 8])
+    assert _connected_rows(tables, few).tolist() == [False] * len(few)
+    assert hooked == []
+    full = np.ones((7, 10), dtype=bool)
+    assert _connected_rows(tables, np.vstack([few, full, few])).tolist() == [False] * len(few) + [True] * 7 + [False] * len(few)
+    assert hooked == [1]
+    # no row settled: n - 1 edges each, so every row is hooked in one group
+    hooked.clear()
+    open_rows = rows_with_counts(np_rng, 10, [9], per_count=12)
+    assert _connected_rows(tables, open_rows).all()  # a cycle less one edge is a path
+    assert hooked == [12]
+    # n = 1 and m = 0: every row holds all of its no edges, and one is hooked
+    hooked.clear()
+    assert _connected_rows(_KernelTables(1, ei[:0], ej[:0]), np.zeros((5, 0), dtype=bool)).all()
+    assert hooked == [1]
+    hooked.clear()
+    assert not _connected_rows(_KernelTables(4, ei[:0], ej[:0]), np.zeros((5, 0), dtype=bool)).any()
+    assert hooked == []
+
+
+def test_kernel_tables_serve_groups_of_any_size():
+    # one set of tables for a call's groups, rebuilt when a group outgrows them
+    np_rng = np.random.default_rng(67)
+    g = from_edge_list(9, grid_edges(3, 3))
+    ei, ej = _edge_arrays(g)
+    tables = _KernelTables(g.n, ei, ej)
+    largest = 0
+    for rows in (3, 40, 1, 17, 0, 64):
+        present = np_rng.random((rows, g.m)) < 0.75
+        got = _connected_rows(tables, present)
+        assert got.tolist() == support.reference_connected_rows(g.n, ei, ej, present).tolist()
+        largest = max(largest, rows)
+        assert tables.rows == largest
 
 
 BUDGET_CASES = {
@@ -437,7 +529,7 @@ def test_kernel_and_solvers_take_one_group_per_call(monkeypatch, cells):
 
         return spied
 
-    kernel = spy("kernel", _connected_rows, lambda n, ei, ej, present: max(present.shape[1], n))
+    kernel = spy("kernel", _connected_rows, lambda tables, present: max(present.shape[1], tables.n))
     for module in (graphs, mc, spectral):
         monkeypatch.setattr(module, "_connected_rows", kernel)
     monkeypatch.setattr(np.linalg, "eigvalsh", spy("eigvalsh", np.linalg.eigvalsh, lambda stack: stack[0].size))
