@@ -15,8 +15,8 @@ loop over edges: one round for a path whose labels ascend along it, 6 or 7
 at n = 1000 and 9 or 10 at n = 40000 when they are shuffled.  Its index
 tables and work arrays, ``_KernelTables``, are built once per call site and
 kept across its groups.  ``is_connected`` and ``from_edge_list`` call it on
-one row; Monte Carlo and the coupled check in ``montecarlo`` and the
-spectrum check in ``spectral`` call it on many.
+one row; the connectivity loop of ``montecarlo`` and the spectrum check in
+``spectral`` call it on many.
 
 Laplacians have one builder over the same rows, ``_laplacian_stack``, and
 ``laplacian`` is its one-row case.  ``_subset_rows`` gives the rows of the
@@ -24,10 +24,12 @@ Laplacians have one builder over the same rows, ``_laplacian_stack``, and
 
 Memory rule: the kernel and both eigensolvers take edge-presence rows in
 groups of ``_group_rows(cells_per_row)`` rows, at most ``_GROUP_CELLS``
-cells or one row: max(m, n) cells a kernel row (its tables and work arrays
-take about 60 bytes a cell), n * n a Laplacian.  Monte Carlo draws through
-a buffer of max(``_GROUP_CELLS``, m) uniforms.  So no array grows with the
-trials or subsets a caller walks, and each call works on a few MB.
+cells or one row: max(m, n) cells a kernel row (its tables take about 20
+bytes a cell, and its edge work 32 to 64 bytes a present edge), n * n a
+Laplacian.  Monte Carlo draws through a buffer of max(``_GROUP_CELLS``, m)
+uniforms, and its spectrum indices ``_GROUP_CELLS`` at a time.  So no array
+grows with the trials, layers, draws or subsets a caller walks, and each
+call works on a few MB.
 """
 
 from __future__ import annotations
@@ -330,9 +332,9 @@ class _KernelTables:
     Each caller builds one per template, or edge set, and hands it to every
     kernel call it makes.  For groups of up to ``rows`` rows it holds the
     flat endpoint tables ``offset + ei`` and ``offset + ej`` (offset r * n
-    in row r), the vertex ids ``0 .. rows * n - 1`` and the vertex and edge
-    work arrays, so no group allocates them or hands them back to the OS.
-    A group with more rows than the tables hold rebuilds them at its size.
+    in row r), the vertex ids ``0 .. rows * n - 1`` and the vertex work
+    arrays, rebuilt for a group with more rows, and edge work arrays grown to
+    the power of two above the most present edges yet (at most rows * m).
     Vertex ids are int32 while the tables hold fewer than 2^31 of them,
     int64 beyond.
     """
@@ -349,7 +351,7 @@ class _KernelTables:
         offsets = self.ids[:: self.n, None]
         self.u, self.v = np.add(offsets, self.ei, dtype=dtype), np.add(offsets, self.ej, dtype=dtype)
         self.vertices = np.empty((2, self.ids.size), dtype=dtype)  # parent, and the next jump of it
-        self.edges = np.empty((2, 4, self.u.size), dtype=dtype)  # two sets of live u, v and their roots ru, rv
+        self.edges = np.empty((2, 4, 0), dtype=dtype)  # two sets of live u, v and their roots ru, rv
         self.rows = rows
 
 
@@ -362,9 +364,6 @@ def _connected_rows(tables: _KernelTables, present: np.ndarray) -> np.ndarray:
     copy its verdict; the edge set itself need not be connected.  The rows
     left are hooked together by ``_hook_and_shortcut``.  A lone row is only
     checked against n - 1, which costs less than counting.
-
-    Callers build the tables once and hand the kernel one group of
-    ``_group_rows(max(m, n))`` rows at a time (see the memory rule above).
     """
     n, (rows, m) = tables.n, present.shape
     tables.reserve(rows)
@@ -403,6 +402,8 @@ def _hook_and_shortcut(tables: _KernelTables, present: np.ndarray) -> np.ndarray
     n, rows = tables.n, present.shape[0]
     slots = np.flatnonzero(present)
     size = slots.size
+    if size > tables.edges.shape[2]:  # a power of two, so that a run asks the heap for few sizes and reuses them
+        tables.edges = np.empty((2, 4, min(1 << size.bit_length(), tables.u.size)), dtype=tables.ids.dtype)
     cur, nxt = tables.edges
     u = np.take(tables.u, slots, out=cur[0, :size], mode="wrap")
     v = np.take(tables.v, slots, out=cur[1, :size], mode="wrap")

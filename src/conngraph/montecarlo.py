@@ -9,17 +9,18 @@ not depend on how many blocks run or in what order they would be scheduled.
 Every estimator runs one block loop, ``_blocks``, which sizes each block of
 trials and spawns its child stream when the loop reaches it, so neither the
 set-up time nor the memory of a run grows with its trial count.  Monte Carlo
-and the coupled check decide connectivity with the package's one kernel,
-``graphs._connected_rows``, many edge-presence rows per call, through one
-set of kernel tables per call.  The three spectra estimators share one
-checked loop, ``_block_spectra``.
+and the coupled check share one connectivity loop, ``_connected_groups``,
+which hands the package's one kernel, ``graphs._connected_rows``, each
+presence group at each level, through one set of kernel tables per call.
+The three spectra estimators share one checked loop, ``_block_spectra``.
 
 A block's uniforms are the (rows, T, m) array one ``gen.random`` call would
 return, but ``_presence_groups`` draws them in the same stream order through
 one reused buffer and compares them straight into bool presence groups,
 sized by the memory rule in ``graphs``.  So a block keeps only its results,
 such as its spectra for the index draws that follow them, and its
-estimates are those of drawing the block at once.
+estimates are those of drawing the block at once.  The index draws come a
+bounded chunk at a time too, ``_index_minima``, as one call would draw them.
 
 The exact probability rests on the template's profile of connected edge
 subsets, counted by one frontier-based search over the edges, whose cost
@@ -210,6 +211,14 @@ def _presence_groups(gen: np.random.Generator, rows: int, m: int, levels: tuple[
         yield start, present
 
 
+def _connected_groups(parent: UnderlyingGraph, blocks, levels: tuple[float, ...], T: int = 1):
+    """Kernel verdicts of each presence group of the caller's blocks, one array per level, through one set of tables."""
+    tables = _KernelTables(parent.n, *_edge_arrays(parent))
+    for b, gen in blocks:
+        for _, present in _presence_groups(gen, b, parent.m, levels, _group_rows(max(parent.m, parent.n)), T):
+            yield [_connected_rows(tables, rows) for rows in present]
+
+
 def _layer_draws(T: int, m: int) -> int:
     """T * m, the uniforms one trial of a T-layer union draws; from 2**63 on, InvalidParameter."""
     if T * m >= 1 << 63:
@@ -261,11 +270,7 @@ def empirical_connectivity(
     T = _check_count(T, "T", 1)
     blocks = _blocks(trials, _layer_draws(T, _check_graph(parent, "parent").m), seed)
     _check_fraction(confidence, "confidence")
-    tables = _KernelTables(parent.n, *_edge_arrays(parent))
-    successes = 0
-    for b, gen in blocks:
-        for _, (present,) in _presence_groups(gen, b, parent.m, (p,), _group_rows(max(parent.m, parent.n)), T):
-            successes += int(_connected_rows(tables, present).sum())
+    successes = sum(int(connected.sum()) for (connected,) in _connected_groups(parent, blocks, (p,), T))
     return _estimate(successes, trials, confidence)
 
 
@@ -394,12 +399,30 @@ def _block_spectra(parent, p, trials: int, seed: int, N=1, independent_graphs=Fa
         yield b, gen, vals
 
 
+def _index_minima(gen: np.random.Generator, vals: np.ndarray, trials: int, N: int) -> np.ndarray:
+    """Per trial, the least of N entries vals[g, i], each i uniform over 1 .. n - 1.
+
+    vals holds ascending spectra, one row per graph: one graph per trial,
+    which all N draws read, or N, one a draw.  The indices are those one
+    ``gen.integers(1, n, size=(trials, N))`` call would draw, drawn in the
+    same stream order at most ``_group_rows(1)`` at a time: whole trials
+    when a trial fits, else pieces of one trial, whose minima run.
+    """
+    graphs = np.broadcast_to(np.arange(len(vals)).reshape(trials, -1), (trials, N))  # no copy
+    per, piece = _group_rows(N), min(N, _group_rows(1))
+    x = np.full(trials, np.inf)
+    for r in range(0, trials, per):
+        for j in range(0, N, piece):
+            idx = gen.integers(1, vals.shape[1], size=(min(per, trials - r), min(piece, N - j)))
+            np.minimum(x[r : r + per], vals[graphs[r : r + per, j : j + piece], idx].min(axis=1), out=x[r : r + per])
+    return x
+
+
 def _ell_min_sums(parent, p, N, trials: int, seed: int, independent_graphs=False) -> tuple[float, float]:
     """Sums over trials of x and x^2, x being the minimum of a trial's N ell-draws."""
     s1 = s2 = 0.0
     for b, gen, vals in _block_spectra(parent, p, trials, seed, N, independent_graphs):
-        rows = np.arange(len(vals)).reshape(b, -1)  # trial r's graphs; one column broadcasts to all N
-        x = vals[rows, gen.integers(1, vals.shape[1], size=(b, N))].min(axis=1)
+        x = _index_minima(gen, vals, b, N)
         s1 += float(np.sum(x))
         s2 += float(np.sum(x * x))
     return s1, s2
@@ -470,13 +493,9 @@ def coupled_monotonicity_check(
         raise InvalidParameter(f"p_low {p_low} exceeds p_high {p_high}")
     blocks = _blocks(trials, _check_graph(parent, "parent").m, seed)
     _check_fraction(confidence, "confidence")
-    tables = _KernelTables(parent.n, *_edge_arrays(parent))
     s_low = s_high = violations = 0
-    for b, gen in blocks:
-        for _, (low, high) in _presence_groups(gen, b, parent.m, (p_low, p_high), _group_rows(max(parent.m, parent.n))):
-            conn_low = _connected_rows(tables, low)
-            conn_high = _connected_rows(tables, high)
-            s_low += int(conn_low.sum())
-            s_high += int(conn_high.sum())
-            violations += int((conn_low & ~conn_high).sum())
+    for low, high in _connected_groups(parent, blocks, (p_low, p_high)):
+        s_low += int(low.sum())
+        s_high += int(high.sum())
+        violations += int((low & ~high).sum())
     return CoupledCheck(_estimate(s_low, trials, confidence), _estimate(s_high, trials, confidence), violations)

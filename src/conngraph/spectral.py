@@ -38,7 +38,7 @@ import numpy as np
 from .errors import InvalidParameter, NoConvergence, NotSymmetric, _check_count, _check_fraction
 from .graphs import (SampledGraph, UnderlyingGraph, _check_graph, _connected_rows, _edge_arrays, _group_rows,
                      _KernelTables, _laplacian_stack, _subset_rows, _vertices_and_edges, laplacian)
-from .montecarlo import _presence_groups
+from .montecarlo import _index_minima, _presence_groups
 
 JACOBI_MAX_SWEEPS = 100
 JACOBI_REL_TOL = 1e-10
@@ -253,8 +253,7 @@ def sample_ell_first_order_statistic(
     ei, ej = _edge_arrays(parent)
     if not independent_graphs:
         _, (present,) = next(_presence_groups(rng, 1, parent.m, (p,), 1))
-        w = _jacobi_eigenvalues(_laplacian_stack(n, ei, ej, present))[0]
-        return float(w[rng.integers(1, n, size=N)].min())
+        return float(_index_minima(rng, _jacobi_eigenvalues(_laplacian_stack(n, ei, ej, present)), 1, N)[0])
     step, best = _group_rows(n * n), float("inf")
     for start in range(0, N, step):
         present = np.empty((min(step, N - start), parent.m), dtype=bool)

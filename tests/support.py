@@ -36,6 +36,12 @@ def bfs_connected(n, edges):
     return len(seen) == n
 
 
+def bfs_connected_rows(n, ei, ej, present):
+    """Row-wise connectivity of a (rows, m) edge-presence matrix, one ``bfs_connected`` call a row."""
+    edges = list(zip(ei.tolist(), ej.tolist()))
+    return np.array([bfs_connected(n, itertools.compress(edges, row)) for row in present.tolist()], dtype=bool)
+
+
 def reference_connected_rows(n, ei, ej, present):
     """Row-wise connectivity of a (rows, m) edge-presence matrix, by min-label propagation.
 

@@ -68,15 +68,15 @@ def test_mc_verify_pins_hold(tmp_path):
 
 def test_mc_verify_kernel_matches_the_reference_kernel(monkeypatch):
     # every pinned sparse and coupled template, at 256 trials and its pinned seed:
-    # the same estimates, interval bits included, with the reference kernel in
-    # place of the count rules and hook and shortcut
+    # the same estimates, interval bits included, with a search over each row's
+    # present edges in place of the count rules and hook and shortcut
     def run(case, template):
         if case["slot"] == "mc.sparse":
             return conngraph.empirical_connectivity(template, case["p"], T=case["T"], trials=256, seed=case["seed"])
         return conngraph.coupled_monotonicity_check(template, case["p"], case["p_high"], 256, seed=case["seed"])
 
     def reference(tables, present):
-        return support.reference_connected_rows(tables.n, tables.ei, tables.ej, present)
+        return support.bfs_connected_rows(tables.n, tables.ei, tables.ej, present)
 
     cases = [case for case in load_pins(mc_verify.NAME) if case["slot"] in ("mc.sparse", "mc.coupled")]
     assert len(cases) == 52

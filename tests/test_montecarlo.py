@@ -768,6 +768,24 @@ def test_coupled_monotonicity():
     assert res.low.trials == res.high.trials == 5000
 
 
+@pytest.mark.parametrize(
+    "g, p_low, p_high, trials, seed",
+    [
+        (complete(6), 0.2, 0.45, 5000, 7),
+        (complete_minus_cycle(9), 0.3, 0.6, 20001, 3),
+        (complete(33), 0.1, 0.2, 7943, 1),
+        (from_edge_list(40, [(i, (i + 1) % 40) for i in range(40)]), 0.95, 0.99, 9000, 5),
+    ],
+    ids=["K6", "complete_minus_cycle_9", "K33", "cycle_40"],
+)
+def test_coupled_check_is_two_connectivity_runs(g, p_low, p_high, trials, seed):
+    # both levels read the same uniforms as a run at that level alone, so at
+    # equal trials and seed each side equals that run field for field
+    res = coupled_monotonicity_check(g, p_low, p_high, trials, seed=seed)
+    assert res.low == empirical_connectivity(g, p_low, trials=trials, seed=seed)
+    assert res.high == empirical_connectivity(g, p_high, trials=trials, seed=seed)
+
+
 def test_coupled_monotonicity_rejects_swapped_levels():
     with pytest.raises(InvalidParameter):
         coupled_monotonicity_check(complete(4), 0.8, 0.2, trials=100)
@@ -843,6 +861,9 @@ STREAMED_ESTIMATORS = {
     "ell_min": lambda: empirical_ell_min_mean(complete(5), 0.6, 3, 200, seed=10),
     "ell_min_independent": lambda: empirical_ell_min_mean(complete(5), 0.6, 3, 200, seed=10, independent_graphs=True),
     "sample_union": lambda: (lambda rng: (sample_union(complete(6), 0.3, 4, rng).present, rng.random()))(np.random.default_rng(4)),
+    "sampler": lambda: (lambda rng: (sample_ell_first_order_statistic(complete(6), 0.5, 40, rng), rng.random()))(
+        np.random.default_rng(5)
+    ),
 }
 
 
@@ -904,3 +925,33 @@ def test_block_budget_call_allocates_at_most_8_mib(name):
     finally:
         tracemalloc.stop()
     assert peak <= 8 * 2**20, f"{name} peaked at {peak / 2**20:.1f} MiB"
+
+
+# The same three calls peak at 3.34, 3.40 and 3.40 MiB with edge work arrays of rows x m cells,
+# and at 1.84, 2.41 and 2.04 MiB with arrays for the edges a group holds (numpy 2.4, x86-64).
+KERNEL_CALLS = {name: BUDGET_CALLS[name] for name in ("connectivity", "union", "coupled")}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_CALLS))
+def test_kernel_edge_arrays_follow_the_present_edges(name):
+    KERNEL_CALLS[name]()
+    tracemalloc.start()
+    try:
+        KERNEL_CALLS[name]()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.75 * 2**20, f"{name} peaked at {peak / 2**20:.2f} MiB"
+
+
+def test_index_draws_do_not_grow_with_N():
+    # 100 trials of N index draws each: the draws come a bounded chunk at a time
+    peaks = {}
+    for N in (2, 2, 20000):  # the first call keeps numpy's set-up out of the count
+        tracemalloc.start()
+        try:
+            empirical_ell_min_mean(complete(4), 0.5, N, 100)
+            peaks[N] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[20000] <= peaks[2] + 2**20, peaks
