@@ -5,6 +5,7 @@ probabilities and confidence levels with ``_check_fraction``, so a bool, a
 non-number or an out-of-range value raises InvalidParameter with one of two
 messages: ``{name} must be an integer >= {minimum}, got {value!r}`` or
 ``{name} must lie in (0, 1), got {value!r}`` (``[0, 1]`` where closed).
+The samplers that take a generator check it with ``_check_rng``.
 """
 
 from __future__ import annotations
@@ -104,3 +105,9 @@ def _check_fraction(value, name: str, closed: bool = False) -> float:
     if not inside or isinstance(value, (bool, np.bool_)):
         raise InvalidParameter(f"{name} must lie in {'[0, 1]' if closed else '(0, 1)'}, got {value!r}")
     return float(value)
+
+
+def _check_rng(rng) -> None:
+    """InvalidParameter unless rng is a numpy.random.Generator; the samplers call it before they draw."""
+    if not isinstance(rng, np.random.Generator):
+        raise InvalidParameter(f"rng must be a numpy.random.Generator, got {rng!r}")

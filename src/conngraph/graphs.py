@@ -203,10 +203,14 @@ def read_edge_list(path) -> UnderlyingGraph:
     count; every later such line is an edge "i j" with 0-indexed endpoints.
     Lines whose first non-blank character is '#' are comments.  Both LF and
     CRLF line endings are accepted, and so is a leading UTF-8 byte-order mark.
+    A file that is not UTF-8 text raises InvalidParameter naming the path.
     """
     if not isinstance(path, (str, os.PathLike)):
         raise InvalidParameter(f"path must be a str or os.PathLike, got {path!r}")
-    text = Path(path).read_text(encoding="utf-8-sig")
+    try:
+        text = Path(path).read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise InvalidParameter(f"{path}: edge list must be UTF-8 text, {exc}") from None
     lines = []
     for raw in text.splitlines():
         stripped = raw.strip()

@@ -24,7 +24,11 @@ bounded chunk at a time too, ``_index_minima``, as one call would draw them.
 
 The exact probability rests on the template's profile of connected edge
 subsets, counted by one frontier-based search over the edges, whose cost
-follows the width of the template's vertex order rather than 2^m.
+follows the width of the template's vertex order rather than 2^m.  The
+profile depends only on the template, so one record per template is cached,
+``_exact_table``: the profile as floats, the exponents of p and 1 - p, and
+the count of connected subsets.  A sweep over p then runs one search and one
+array build, and each further p only evaluates the sum on the record.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .errors import InvalidParameter, TooManyEdges, _check_count, _check_fraction
+from .errors import InvalidParameter, TooManyEdges, _check_count, _check_fraction, _check_rng
 from .graphs import (SampledGraph, UnderlyingGraph, _check_graph, _connected_rows, _edge_arrays, _group_rows,
                      _KernelTables, _laplacian_stack)
 
@@ -88,7 +92,8 @@ class ExactProbability:
     """Exact connectivity probability, from the exact count of connected edge subsets.
 
     ``terms`` counts the connected edge subsets that contribute to the sum.
-    The counts come from an exact frontier-based search over the edges.
+    The counts come from an exact frontier-based search over the edges, run
+    once per template and cached with the arrays the sum is evaluated on.
     """
 
     value: float
@@ -248,6 +253,7 @@ def sample_union(parent: UnderlyingGraph, p: float, T: int, rng: np.random.Gener
     p = _check_fraction(p, "p", closed=True)
     T = _check_count(T, "T", 1)
     _layer_draws(T, _check_graph(parent, "parent").m)
+    _check_rng(rng)
     _, present = next(_presence_groups(rng, 1, parent.m, (p,), 1, T))
     return SampledGraph(parent, frozenset(e for e, keep in zip(parent.edges, present[0, 0]) if keep))
 
@@ -274,7 +280,6 @@ def empirical_connectivity(
     return _estimate(successes, trials, confidence)
 
 
-@lru_cache(maxsize=64)
 def _connected_profile(parent: UnderlyingGraph) -> tuple[int, ...]:
     """Count connected spanning edge subsets of each size, k = 0 .. m.
 
@@ -363,6 +368,22 @@ def _breadth_first(adjacent: list[list[int]], start: int) -> list[int]:
     return order
 
 
+@lru_cache(maxsize=64)
+def _exact_table(parent: UnderlyingGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The record ``exact_connectivity`` evaluates at every p: (coef, k, m_k, terms).
+
+    coef is the template's profile as floats, k the sizes 0 .. m and m_k
+    the sizes m - k, as floats; terms is the sum of the profile.  The arrays
+    are read-only, since every call on the template shares them.
+    """
+    counts = _connected_profile(parent)
+    k = np.arange(parent.m + 1, dtype=float)
+    arrays = (np.asarray(counts, dtype=float), k, parent.m - k)
+    for a in arrays:
+        a.flags.writeable = False
+    return *arrays, sum(counts)
+
+
 def exact_connectivity(parent: UnderlyingGraph, p: float, cap: int = DEFAULT_ENUMERATION_CAP) -> ExactProbability:
     """Exact connectivity probability, summed over the connected edge subsets.
 
@@ -371,18 +392,17 @@ def exact_connectivity(parent: UnderlyingGraph, p: float, cap: int = DEFAULT_ENU
     which counts them exactly by a frontier-based search.  Graphs with
     more than ``cap`` edges raise TooManyEdges, and so does any graph with
     more than 32 edges whatever ``cap`` says.  ``cap`` must be a
-    non-negative integer.  The profile depends only on the template, so
-    repeated calls at different p reuse it.
+    non-negative integer.  The profile depends only on the template, so it
+    is searched once per template: ``_exact_table`` keeps it as floats, with
+    the exponent arrays and the count of subsets, for the 64 most recently
+    used templates, and a call at another p only evaluates the sum on them.
     """
     p = _check_fraction(p, "p", closed=True)
     cap = min(_check_count(cap, "cap", 0), _MAX_ENUMERATION_EDGES)
     if _check_graph(parent, "parent").m > cap:
         raise TooManyEdges(f"graph has {parent.m} edges, enumeration cap is {cap}")
-    counts = _connected_profile(parent)
-    profile = np.asarray(counts, dtype=float)
-    ks = np.arange(parent.m + 1, dtype=float)
-    value = float(np.sum(profile * np.power(p, ks) * np.power(1.0 - p, parent.m - ks)))
-    return ExactProbability(value, sum(counts))
+    coef, k, m_k, terms = _exact_table(parent)
+    return ExactProbability(float(np.add.reduce(coef * np.power(p, k) * np.power(1.0 - p, m_k))), terms)
 
 
 def _block_spectra(parent, p, trials: int, seed: int, N=1, independent_graphs=False):

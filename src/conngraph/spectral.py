@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameter, NoConvergence, NotSymmetric, _check_count, _check_fraction
+from .errors import InvalidParameter, NoConvergence, NotSymmetric, _check_count, _check_fraction, _check_rng
 from .graphs import (SampledGraph, UnderlyingGraph, _check_graph, _connected_rows, _edge_arrays, _group_rows,
                      _KernelTables, _laplacian_stack, _subset_rows, _vertices_and_edges, laplacian)
 from .montecarlo import _index_minima, _presence_groups
@@ -226,6 +226,7 @@ def sample_ell(g: SampledGraph, rng: np.random.Generator) -> float:
     {1, ..., n - 1} (0-based; index 0 is the trivial zero eigenvalue).
     """
     n = _check_count(_check_graph(g, "g", (SampledGraph,)).parent.n, "n", 2)
+    _check_rng(rng)
     w = eigenvalues_symmetric(laplacian(g)).eigenvalues
     return float(w[int(rng.integers(1, n))])
 
@@ -250,6 +251,7 @@ def sample_ell_first_order_statistic(
     n = _check_count(_check_graph(parent, "parent").n, "n", 2)
     N = _check_count(N, "N", 1)
     p = _check_fraction(p, "p", closed=True)
+    _check_rng(rng)
     ei, ej = _edge_arrays(parent)
     if not independent_graphs:
         _, (present,) = next(_presence_groups(rng, 1, parent.m, (p,), 1))

@@ -7,7 +7,8 @@ transcription of the bound formulas with a naive full scan.  The numpy
 routines are two of the package's former ones: its Monte Carlo connectivity
 kernel, min-label propagation, kept as a second oracle for the
 hook-and-shortcut kernel that replaced it, and its edge-by-edge Laplacian
-builder, which fixes every bit of the vectorized one, signed zeros included.  The union horizon reference is a plain ascending scan over the
+builder, which fixes every bit of the vectorized one, signed zeros included.  The exact probability's
+reference is its sum formed afresh from a profile.  The union horizon reference is a plain ascending scan over the
 package's own one-cell bound, since what it checks is the search, not the
 cell.  Slow is fine; independent is the point.
 """
@@ -94,6 +95,19 @@ def brute_force_connectivity(n, edges, p):
             total += p**k * (1.0 - p) ** (m - k)
             count += 1
     return total, count
+
+
+def exact_value(counts, p):
+    """The exact probability and its term count from a profile, with float arrays built afresh at each call.
+
+    This is ``exact_connectivity``'s expression, numpy's sum of
+    counts[k] p^k (1 - p)^(m - k) over k = 0 .. m, on arrays of its own.  The
+    package evaluates the same expression on the arrays it keeps per
+    template, so the two agree bit for bit.
+    """
+    profile = np.asarray(counts, dtype=float)
+    ks = np.arange(len(counts), dtype=float)
+    return float(np.sum(profile * np.power(p, ks) * np.power(1.0 - p, len(counts) - 1 - ks))), sum(counts)
 
 
 def connected_count_by_size(n, edges):

@@ -299,6 +299,22 @@ def test_order_of_argument_checks():
         assert str(info.value) == message, (i, call.__name__, reading)
 
 
+SAMPLERS = {
+    "sample_graph": lambda rng: sample_graph(K4, 0.5, rng),
+    "sample_union": lambda rng: sample_union(K4, 0.5, 2, rng),
+    "sample_ell": lambda rng: sample_ell(K4.all_present(), rng),
+    "sample_ell_first_order_statistic": lambda rng: sample_ell_first_order_statistic(K4, 0.5, 3, rng),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLERS))
+@pytest.mark.parametrize("bad", [None, 5, np.random.RandomState(0), "x"], ids=["None", "5", "RandomState", "'x'"])
+def test_rng_must_be_a_generator(name, bad):
+    with pytest.raises(InvalidParameter) as info:
+        SAMPLERS[name](bad)
+    assert str(info.value) == f"rng must be a numpy.random.Generator, got {bad!r}"
+
+
 TOO_SMALL = [
     (lambda: ModelParams(complete(2), 0.5), 3, 2),
     (lambda: t_star(complete(2), 0.5, 0.1), 3, 2),

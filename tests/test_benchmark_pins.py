@@ -58,6 +58,19 @@ def test_exact_oracle_pins_hold(tmp_path):
     assert _failures(ops) == []
 
 
+def test_exact_oracle_values_are_the_reference_sum_bit_for_bit():
+    # every pinned exact template at its pinned p and at both ends, against the sum formed afresh from its profile
+    cases = [case for case in load_pins(exact_oracle.NAME) if case["slot"].startswith("exact.") or case["slot"] == "cli.exact"]
+    assert len(cases) == 60
+    for case in cases:
+        g = build_template(conngraph, case["template"])
+        counts = conngraph.montecarlo._connected_profile(g)
+        for p in case["p"] + [0.0, 1e-9, 0.5, 1 - 1e-9, 1.0]:
+            got = conngraph.exact_connectivity(g, p)
+            value, terms = support.exact_value(counts, p)
+            assert (got.value.hex(), got.terms) == (value.hex(), terms), (case, p)
+
+
 def test_mc_verify_pins_hold(tmp_path):
     # each estimate within 4 combined half-widths of its pin, and never below the bound
     ctx = Context(conngraph, conngraph.cli, support, tmp_path)

@@ -282,9 +282,14 @@ def test_usage_errors(capsys):
     )
 
 
-def test_missing_edge_list_file(capsys):
+def test_missing_edge_list_file(capsys, tmp_path):
     code, _, err = run_cli(capsys, "bound", "--edge-list", "/no/such/file", "--p", "0.5")
     assert code == 2
+    assert run_cli(capsys, "bound", "--edge-list", str(tmp_path), "--p", "0.5")[0] == 2
+    utf16 = tmp_path / "utf16.txt"
+    utf16.write_bytes(b"\xff\xfe3\n0 1\n")
+    code, _, err = run_cli(capsys, "exact", "--edge-list", str(utf16), "--p", "0.5")
+    assert code == 2 and err.startswith(f"error: {utf16}: edge list must be UTF-8 text, ")
 
 
 def test_edge_list_through_cli(capsys, tmp_path):

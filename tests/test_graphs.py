@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -167,6 +168,17 @@ def test_read_edge_list_errors(tmp_path):
     disconnected.write_text("4\n0 1\n2 3\n")
     with pytest.raises(DisconnectedTemplate):
         read_edge_list(disconnected)
+
+    utf16 = tmp_path / "utf16.txt"
+    utf16.write_bytes(b"\xff\xfe3\n0 1\n")
+    with pytest.raises(InvalidParameter, match=f"^{re.escape(str(utf16))}: edge list must be UTF-8 text, "):
+        read_edge_list(utf16)
+
+    # the file system's own errors pass through
+    with pytest.raises(FileNotFoundError):
+        read_edge_list(tmp_path / "missing.txt")
+    with pytest.raises(IsADirectoryError):
+        read_edge_list(tmp_path)
 
 
 def test_sampled_graph_connectivity_matches_bfs():

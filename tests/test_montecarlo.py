@@ -169,8 +169,8 @@ def test_non_numeric_probability_is_a_typed_error():
 
 
 def _checked_profile(g):
-    """The profile, uncached, after checking it against the vertex-subset recurrence."""
-    profile = _connected_profile.__wrapped__(g)
+    """The profile, after checking it against the vertex-subset recurrence."""
+    profile = _connected_profile(g)
     assert list(profile) == support.gilbert_profile(g.n, g.edges), (g.n, g.edges)
     return profile
 
@@ -185,6 +185,10 @@ def _grid(rows, cols):
     v = lambda i, j: i * cols + j
     right = [(v(i, j), v(i, j + 1)) for i in range(rows) for j in range(cols - 1)]
     return from_edge_list(rows * cols, right + [(v(i, j), v(i + 1, j)) for i in range(rows - 1) for j in range(cols)])
+
+
+def _ladder(k):
+    return from_edge_list(2 * k, [(2 * i, 2 * i + 1) for i in range(k)] + [(i, i + 2) for i in range(2 * k - 2)])
 
 
 def _hand_built(n, edges):
@@ -276,9 +280,9 @@ def test_complete_totals_match_oeis_a001187():
 def test_profile_of_cycle_complete_and_chorded_cycle():
     chorded = from_edge_list(12, [(i, (i + 1) % 12) for i in range(12)] + [(i, i + 6) for i in range(5)])
     cycle = from_edge_list(14, [(i, (i + 1) % 14) for i in range(14)])
-    assert _connected_profile.__wrapped__(cycle) == tuple([0] * 13 + [14, 1])
-    assert sum(_connected_profile.__wrapped__(complete(7))) == 1866256
-    assert list(_connected_profile.__wrapped__(chorded)) == support.gilbert_profile(12, chorded.edges)
+    assert _connected_profile(cycle) == tuple([0] * 13 + [14, 1])
+    assert sum(_connected_profile(complete(7))) == 1866256
+    assert list(_connected_profile(chorded)) == support.gilbert_profile(12, chorded.edges)
 
 
 def _spanning_trees(g):
@@ -297,7 +301,7 @@ def test_profile_reaches_templates_of_up_to_32_edges():
     assert _connected_profile(cycle) == tuple([0] * 31 + [32, 1])
     tree = from_edge_list(33, support.random_connected_graph(random.Random(59), 33, 0))
     assert exact_connectivity(tree, 0.5, cap=32).value == 0.5**32
-    ladder = from_edge_list(22, [(2 * i, 2 * i + 1) for i in range(11)] + [(i, i + 2) for i in range(20)])
+    ladder = _ladder(11)
     assert ladder.m == 31 and list(_connected_profile(ladder)) == support.ladder_profile(11)
     assert exact_connectivity(ladder, 0.5, cap=32).terms == sum(support.ladder_profile(11))
     # the 3 x 5 grid as the vertex-subset recurrence and enumeration both counted it
@@ -308,6 +312,67 @@ def test_profile_reaches_templates_of_up_to_32_edges():
     assert grid.m == 31 and exact_connectivity(grid, 0.5, cap=31).terms == 38_757_695
     assert profile[: grid.n - 1] == (0,) * (grid.n - 1) and profile[grid.n - 1] == _spanning_trees(grid)
     assert profile[-2:] == (grid.m - _bridges(grid), 1)
+
+
+def _exact_corpus():
+    """Cycles, ladders, grids and trees with chords up to 32 edges, K3-K8 and complete-minus-cycle(5-8)."""
+    rng = random.Random(61)
+    yield from (from_edge_list(n, [(i, (i + 1) % n) for i in range(n)]) for n in range(3, 33))
+    yield from (_ladder(k) for k in range(2, 12))
+    yield from (_grid(rows, cols) for rows, last in ((2, 11), (3, 7), (4, 5)) for cols in range(rows, last + 1))
+    for n in range(4, 25, 2):
+        for chords in (1, 3, 8):
+            yield from_edge_list(n, support.random_connected_graph(rng, n, min(chords, 33 - n)))
+    yield from (complete(n) for n in range(3, 9))
+    yield from (complete_minus_cycle(n) for n in range(5, 9))
+
+
+EXACT_PS = (0.0, 1e-300, 1e-9, 0.3, 0.5, 0.9, 1 - 1e-9, 1 - 2**-53, 1.0)
+
+
+def test_exact_values_are_the_reference_sum_bit_for_bit():
+    # the cached record is evaluated by the same expression as the sum formed afresh from the profile
+    for g in _exact_corpus():
+        assert g.m <= 32
+        counts = _connected_profile(g)
+        for p in EXACT_PS:
+            got = exact_connectivity(g, p, cap=32)
+            value, terms = support.exact_value(counts, p)
+            assert (got.value.hex(), got.terms) == (value.hex(), terms), (g.n, g.edges, p)
+
+
+def test_exact_record_is_searched_once_per_recent_template(monkeypatch):
+    assert not hasattr(_connected_profile, "cache_info")  # only the record is cached
+    searched = []
+
+    def spy(parent):
+        searched.append(parent)
+        return _connected_profile(parent)
+
+    monkeypatch.setattr(mc, "_connected_profile", spy)
+    mc._exact_table.cache_clear()
+    g = _grid(3, 4)
+    values = {exact_connectivity(g, p).value for p in np.linspace(0.05, 0.95, 10)}
+    assert len(values) == 10 and searched == [g]
+    order = list(range(g.n))
+    random.Random(67).shuffle(order)
+    relabeled = from_edge_list(g.n, [(order[i], order[j]) for i, j in g.edges])
+    assert relabeled != g
+    assert exact_connectivity(relabeled, 0.5) == exact_connectivity(g, 0.5)
+    assert searched == [g, relabeled]
+    # distinct paths on 8 vertices: each permutation that starts at 0 is one path
+    others = [from_edge_list(8, list(zip(v, v[1:]))) for v in itertools.islice(itertools.permutations(range(8)), 126)]
+    for h in others[:62]:
+        exact_connectivity(h, 0.5)
+    exact_connectivity(g, 0.5)  # g is still among the 64 most recent templates
+    assert searched.count(g) == 1
+    for h in others[62:]:
+        exact_connectivity(h, 0.5)
+    exact_connectivity(g, 0.5)  # 64 other templates since g's last call
+    assert searched.count(g) == 2 and len(searched) == 2 + len(others) + 1
+    for a in mc._exact_table(g)[:3]:  # every call shares the record's arrays
+        with pytest.raises(ValueError):
+            a[0] = 1.0
 
 
 def test_connected_rows_against_bfs():
