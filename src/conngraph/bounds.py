@@ -56,8 +56,17 @@ For unions of T independent samples of the same template, connectivity of
 the union equals connectivity of a single sample with the collapsed edge
 probability p_hat(T) = 1 - (1 - p)^T, so every bound extends to unions by
 substitution.  The bound is monotone in T (below), so the union horizon
-search gallops over T in doubling steps and bisects, one cell per horizon.
-A horizon reads only the cell's maximized ratio, not its BoundResult.
+search gallops over T in doubling steps and bisects.  Two closed forms
+settle most of its probes, at 1-2 us each against a cell's 10: from below,
+the cell's own ratio at the draw count its band grows from; from above,
+(a - b g_lo)_+^2 / ((n-1) E) widened for rounding, with g_lo the least g(N)
+over 2 <= N <= n_cap, so that no cell exceeds it whatever its band or n_hi
+(_horizon_bracket).  A probe evaluates its cell only when its value falls
+between the two: near the crossing, or on a plateau where rounding jitters
+the bound.  So a search usually evaluates one or two cells, where it
+evaluated two per doubling of T*, and still probes the same horizons, hence
+returns the same result, as a search over cells alone.  A horizon reads only the cell's
+maximized ratio, not its BoundResult.
 
 The bound does not fall as p rises, hence not as T rises.  At fixed N and
 q = 1 - p, the general ratio is (2m - g S/p)_+^2 / ((n-1) E/p^2), where
@@ -87,6 +96,10 @@ DEFAULT_T_MAX = 10**5
 _Y_STAR = 1.2564312086261697
 # tau / (a + b g_min): a generous bound on the rounding error of one ratio
 _ROUNDING = 64 * np.finfo(float).eps
+# relative and absolute widening of a horizon's closed-form upper bound, and
+# the p_hat below which it gives up and reads 1 (_horizon_bracket)
+_UPPER_SLACK = 2.0**-44
+_UPPER_FLOOR = 2.0**-500
 # (N-1) L past which R(N) = 1 - e^-((N-1) L) rounds to exactly 1
 _SATURATION = 40.0
 # widest band evaluated one draw count at a time on Python floats; wider
@@ -561,6 +574,58 @@ def _horizon_bound(terms, n: int, log_q: float, n_cap: int, T: int) -> float:
     return _maximize(a, math.sqrt(b_sq), energy, n, n_cap)[4]
 
 
+def _horizon_bracket(terms, n: int, log_q: float, n_cap: int):
+    """(lower, upper): closed forms with lower(T) <= _horizon_bound(terms, n, log_q, n_cap, T) <= upper(T).
+
+    lower(T) is the cell's own ratio, bit for bit, at min(N, n_hi), where
+    N is c = max(2, floor(N_c)) or c + 1, whichever has the smaller g: the
+    draw count _band grows the cell's band from, so the cell's maximum is at
+    least lower(T); in a vacuous cell it rounds to 0 as every ratio does.
+
+    upper(T) = min(1, ((a - b g_lo)_+ + tau)^2 / ((n-1) E) (1 + _UPPER_SLACK)
+    + _UPPER_FLOOR), with tau = _ROUNDING (a + b g_lo) and g_lo = g(min(N,
+    n_cap)).  It holds because:
+
+    - g is quasi-convex, least at N over the integers N >= 2 (up to the
+      rounding of the two g that chose N) and falling before it, so
+      g(N') >= g_lo at every draw count 2 <= N' <= n_cap a cell reads,
+      whatever its band or n_hi.
+    - A cell's ratio at N' is raw^2 / den, raw = a R - b sqrt(N'-1) and
+      den = (n-1) R^2 E.  R, raw and g_lo each carry a few ulps of rounding,
+      so raw / R <= a - b g(N') + 16 eps (a + b g(N')), which falls as g
+      rises and so is at most (a - b g_lo)_+ + tau.  Squaring, dividing and
+      this function's own arithmetic add a few ulps more, far inside the
+      slack.
+    - From p_hat = _UPPER_FLOOR up every quantity but raw^2 is a normal
+      float; raw^2 may round as a subnormal, which moves the ratio by at most
+      2^-1075 / den <= 2^-524, inside the added _UPPER_FLOOR.  Below it,
+      upper reads 1.
+
+    A loose bracket only costs a search cells; a wrong one would give a
+    wrong T*.
+    """
+    log_decay = math.log1p(-1.0 / (n - 1))
+    c = max(2, int(1.0 + _Y_STAR * (-1.0 / log_decay)))  # as _band rounds it
+    best = c + 1 if _g(c + 1, log_decay) < _g(c, log_decay) else c
+    g_lo = _g(min(best, n_cap), log_decay)
+
+    def lower(T: int) -> float:
+        a, b_sq, energy = terms(*_union_probabilities(log_q, T))
+        b = math.sqrt(b_sq)
+        return _ratio_at(a, b, energy, n, min(best, _range_limit(a, b, n_cap)))[2]
+
+    def upper(T: int) -> float:
+        p_hat, q_hat = _union_probabilities(log_q, T)
+        if p_hat < _UPPER_FLOOR:
+            return 1.0
+        a, b_sq, energy = terms(p_hat, q_hat)
+        b = math.sqrt(b_sq)
+        head = max(a - b * g_lo, 0.0) + _ROUNDING * (a + b * g_lo)
+        return min(1.0, head * head / ((n - 1) * energy) * (1.0 + _UPPER_SLACK) + _UPPER_FLOOR)
+
+    return lower, upper
+
+
 class _Trace(Sequence):
     """The (T, bound) pairs of horizons 1 .. length, each evaluated on access.
 
@@ -597,27 +662,45 @@ class _Trace(Sequence):
         return f"<trace of {self._horizons.stop - 1} horizons>"
 
 
-def _t_star_scan(bound, p: float, epsilon: float, t_max: int) -> TStarResult:
+def _t_star_scan(bound, lower, upper, p: float, epsilon: float, t_max: int) -> TStarResult:
     # bound(T) is the bound at horizon T, which does not fall as T rises
     # (module docstring), so each _reach below gallops and bisects from
     # horizon 0, which meets nothing, to the last horizon short of its value.
+    # lower(T) <= bound(T) <= upper(T) are cheap closed forms; a probe
+    # evaluates its cell only when its value falls between them, and every
+    # probe, hence the result, is that of a search over cells alone.
     # The search ends at t_max, or at the first horizon whose complement
     # underflows to zero, since every later one evaluates on identical
     # inputs.  Then best_t is the first horizon to reach the last one's bound.
     target = 1.0 - epsilon
     log_q = math.log1p(-p)
     last = min(t_max, _reach(lambda T: _union_probabilities(log_q, T)[1] == 0.0, 0, t_max) + 1)
-    t = _reach(lambda T: bound(T) >= target, 0, last) + 1
+
+    def first(value: float) -> int:
+        # the first horizon up to last whose bound reaches value, else last + 1
+        def reached(T: int) -> bool:
+            return upper(T) >= value and (lower(T) >= value or bound(T) >= value)
+
+        return _reach(reached, 0, last) + 1
+
+    t = first(target)
     if t <= last:
         return TStarResult(t, epsilon, bound(t), _Trace(bound, t))
     best_bound = bound(last)
-    best_t = _reach(lambda T: bound(T) >= best_bound, 0, last) + 1
+    best_t = first(best_bound)
     raise TStarNotFound(
         f"no horizon up to {t_max} reaches bound {target} (best {best_bound} at T={best_t})",
         best_t,
         best_bound,
         _Trace(bound, last),
     )
+
+
+def _horizon_search(terms, n: int, p: float, epsilon: float, t_max: int, n_cap: int) -> TStarResult:
+    """The union horizon search over the cells whose terms(p_hat, q_hat) are (a, b^2, E)."""
+    log_q = math.log1p(-p)
+    lower, upper = _horizon_bracket(terms, n, log_q, n_cap)
+    return _t_star_scan(partial(_horizon_bound, terms, n, log_q, n_cap), lower, upper, p, epsilon, t_max)
 
 
 def t_star(
@@ -629,15 +712,17 @@ def t_star(
 ) -> TStarResult:
     """Smallest union horizon T with connectivity bound at least 1 - epsilon.
 
-    Gallops over T in doubling steps and bisects, evaluating the maximized
-    bound at the collapsed probability p_hat(T); raises TStarNotFound
+    Gallops over T in doubling steps and bisects, on the maximized bound at
+    the collapsed probability p_hat(T).  Closed forms below and above that
+    bound settle most of its O(log T*) probes, so it evaluates a bound cell
+    at one or two of them (module docstring).  Raises TStarNotFound
     (carrying the best horizon and the trace) when t_max, or a complement
     that underflows to zero, is reached first.
     """
     p, epsilon, t_max, n_cap = _check_search(p, epsilon, t_max, n_cap)
     n = _check_count(_check_graph(graph, "graph").n, "n", 3)
     terms = partial(_general_terms, n, graph.m, sum_degree_squares(graph))
-    return _t_star_scan(partial(_horizon_bound, terms, n, math.log1p(-p), n_cap), p, epsilon, t_max)
+    return _horizon_search(terms, n, p, epsilon, t_max, n_cap)
 
 
 def t_star_from_stats(
@@ -649,12 +734,12 @@ def t_star_from_stats(
     t_max: int = DEFAULT_T_MAX,
     n_cap: int = DEFAULT_N_CAP,
 ) -> TStarResult:
-    """Union horizon search from summary statistics alone."""
+    """Union horizon search from summary statistics alone; t_star says how it searches."""
     n, m, deg_sq = _check_stats(n, m, deg_sq)
     n = _check_size(n, "n", "vertices")
     p, epsilon, t_max, n_cap = _check_search(p, epsilon, t_max, n_cap)
     terms = partial(_general_terms, n, m, deg_sq)
-    return _t_star_scan(partial(_horizon_bound, terms, n, math.log1p(-p), n_cap), p, epsilon, t_max)
+    return _horizon_search(terms, n, p, epsilon, t_max, n_cap)
 
 
 def t_star_complete(
@@ -664,8 +749,8 @@ def t_star_complete(
     t_max: int = DEFAULT_T_MAX,
     n_cap: int = DEFAULT_N_CAP,
 ) -> TStarResult:
-    """Union horizon search for the complete template via its simplified bound."""
+    """Union horizon search for the complete template via its simplified bound; t_star says how it searches."""
     n = _check_size(_check_count(n, "n", 3), "n", "vertices")
     p, epsilon, t_max, n_cap = _check_search(p, epsilon, t_max, n_cap)
     terms = partial(_complete_terms, n)
-    return _t_star_scan(partial(_horizon_bound, terms, n, math.log1p(-p), n_cap), p, epsilon, t_max)
+    return _horizon_search(terms, n, p, epsilon, t_max, n_cap)

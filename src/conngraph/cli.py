@@ -343,9 +343,13 @@ def _trace_rows(tpl: _TemplateSpec, p: float, trace) -> Iterable[dict]:
 def cmd_tstar(args) -> _Report:
     tpl = _resolve_template(args, need_graph=False)
     try:
-        if tpl.n <= 2:  # the library search over the cell's exact probability
+        if tpl.n <= 2:  # the library search over the cell's exact probability, which brackets itself
             p, epsilon, t_max, _ = _check_search(args.p, args.epsilon, args.t_max, args.n_cap)
-            res = _t_star_scan(lambda T: _cell(tpl, p, T, args.n_cap)[0]["bound"], p, epsilon, t_max)
+
+            def exact(T):
+                return _cell(tpl, p, T, args.n_cap)[0]["bound"]
+
+            res = _t_star_scan(exact, exact, exact, p, epsilon, t_max)
         elif tpl.family == "complete":
             res = t_star_complete(tpl.n, args.p, args.epsilon, args.t_max, args.n_cap)
         else:

@@ -8,9 +8,10 @@ routines are two of the package's former ones: its Monte Carlo connectivity
 kernel, min-label propagation, kept as a second oracle for the
 hook-and-shortcut kernel that replaced it, and its edge-by-edge Laplacian
 builder, which fixes every bit of the vectorized one, signed zeros included.  The exact probability's
-reference is its sum formed afresh from a profile.  The union horizon reference is a plain ascending scan over the
-package's own one-cell bound, since what it checks is the search, not the
-cell.  Slow is fine; independent is the point.
+reference is its sum formed afresh from a profile.  The union horizon references are a plain ascending scan
+and the package's former search, a gallop and bisection from T = 0 over cells
+alone, both over the package's own one-cell bound, since what they check is
+the search, not the cell.  Slow is fine; independent is the point.
 """
 
 import itertools
@@ -236,6 +237,42 @@ def reference_t_star(cell, p, epsilon, t_max):
             break
     best_t, best = max(trace, key=lambda entry: entry[1])
     return False, best_t, best, tuple(trace)
+
+
+def reference_t_star_gallop(cell, p, epsilon, t_max):
+    """The union horizon search as a gallop and bisection from T = 0 over cells alone.
+
+    The same search as reference_t_star, with cell as there, but it reads
+    O(log T*) horizons instead of T*, so it reaches horizons in the billions
+    and budgets past 2**63 (up to where T log(1-p) still fits a float).
+    Relies on the bound not falling as T rises.  Returns (found, T, value)
+    as reference_t_star does, without the trace.
+    """
+    target = 1.0 - epsilon
+    log_q = math.log1p(-p)
+
+    def value(T):
+        return cell(-math.expm1(T * log_q), math.exp(T * log_q)).probability_lower_bound
+
+    def last_short(reached, stop):
+        # the last T in [0, stop] at which reached(T) is false, reached(0) being false
+        inside, jump = 0, 1
+        while inside < stop:
+            probe = min(stop, inside + jump)
+            if reached(probe):
+                while probe - inside > 1:
+                    mid = (inside + probe) // 2
+                    inside, probe = (inside, mid) if reached(mid) else (mid, probe)
+                return inside
+            inside, jump = probe, 2 * jump
+        return inside
+
+    last = min(t_max, last_short(lambda T: math.exp(T * log_q) == 0.0, t_max) + 1)
+    t = last_short(lambda T: value(T) >= target, last) + 1
+    if t <= last:
+        return True, t, value(t)
+    best = value(last)
+    return False, last_short(lambda T: value(T) >= best, last) + 1, best
 
 
 def reference_ratio(n, m, deg_sq, p, N):

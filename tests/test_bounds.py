@@ -46,6 +46,8 @@ from conngraph.bounds import (
     _complete_terms,
     _general_bound_result,
     _general_terms,
+    _horizon_bound,
+    _horizon_bracket,
     _range_limit,
     _ratio_at,
     _ratio_terms,
@@ -732,6 +734,163 @@ def test_t_star_matches_linear_scan_on_a_corpus():
     assert min(outcomes.values()) >= 5, outcomes
 
 
+def _horizon_pair(cell, p):
+    """(bound, lower, upper) of a corpus cell: its bound at horizon T as a search reads it, and the closed forms around it."""
+    terms = partial(_complete_terms if cell.func is _complete_bound_result else _general_terms, *cell.args)
+    n, n_cap, log_q = cell.args[0], cell.keywords["n_cap"], math.log1p(-p)
+    return (partial(_horizon_bound, terms, n, log_q, n_cap), *_horizon_bracket(terms, n, log_q, n_cap))
+
+
+def test_horizon_bracket_holds_every_horizon_a_corpus_search_reads(monkeypatch):
+    # the closed forms hold the cell between them at every horizon the
+    # linear scan reads and at every horizon the searches read, some of
+    # them past T*
+    read = []
+
+    def recording_bracket(*args):
+        return [lambda T, f=f: read.append(T) or f(T) for f in _horizon_bracket(*args)]
+
+    monkeypatch.setattr(bounds, "_horizon_bracket", recording_bracket)
+    checked = 0
+    for cell, p, epsilon, t_max, n_cap, searches in _t_star_corpus(random.Random(12)):
+        read.clear()
+        for search in searches.values():
+            try:
+                search(p, epsilon, t_max=t_max, n_cap=n_cap)
+            except TStarNotFound:
+                pass
+        bound, lower, upper = _horizon_pair(cell, p)
+        horizons = set(read) | {T for T, _ in support.reference_t_star(cell, p, epsilon, t_max)[3]}
+        for T in sorted(horizons):
+            assert lower(T) <= bound(T) <= upper(T), (p, epsilon, t_max, n_cap, T)
+        checked += len(horizons)
+    assert checked > 10_000
+
+
+def _edge_cells(rng):
+    """(label, terms, n, n_cap, p, T) of cells at the edges of the bracket's argument."""
+    for p in (0.01, 0.3, 0.5, 0.9):  # N_c = 2.8 at n = 3, so g_lo is g(2) or g(3)
+        for n_cap in (2, 3, DEFAULT_N_CAP):
+            for T in range(1, 70, 3):
+                yield "n = 3", partial(_complete_terms, 3), 3, n_cap, p, T
+                yield "n = 3", partial(_general_terms, 3, 3, 12), 3, n_cap, p, T
+                yield "n = 3", partial(_general_terms, 3, 2, 6), 3, n_cap, p, T  # the path
+    for n in (5, 6, 12, 40):  # sparse templates whose cells are vacuous at every horizon
+        m, deg_sq = complete_minus_cycle_stats(n) if n < 10 else (n, 4 * n)  # the cycle C_n past 10
+        for p in (0.3, 0.7):
+            for T in (1, 2, 5, 20, 200):
+                yield "sparse", partial(_general_terms, n, m, deg_sq), n, DEFAULT_N_CAP, p, T
+    for n in (10**6, 3 * 10**6, 10**7):  # p_hat near 1 widens the band towards n_hi
+        for T in range(24, 56, 8):
+            yield "large n", partial(_complete_terms, n), n, DEFAULT_N_CAP, 0.5, T
+            yield "large n", partial(_general_terms, n, *complete_stats(n)), n, DEFAULT_N_CAP, 0.5, T
+    for _ in range(150):  # small n_cap on random templates
+        n = rng.randint(3, 40)
+        g = from_edge_list(n, support.random_connected_graph(rng, n, rng.randint(0, n * (n - 1) // 2)))
+        p = 10 ** rng.uniform(-3, -0.05)
+        T = int(10 ** rng.uniform(0, 4))
+        yield "small n_cap", partial(_general_terms, n, g.m, sum_degree_squares(g)), n, rng.randint(2, 30), p, T
+    for p in (1e-20, 1e-25, 1e-300):  # horizons past 2**63, and past the largest float
+        for T in (2**63 + 1, 2**70, 10**30, 2**1030, 10**400):
+            yield "past 2**63", partial(_complete_terms, 1000), 1000, DEFAULT_N_CAP, p, T
+            yield "past 2**63", partial(_general_terms, 40, *complete_minus_cycle_stats(40)), 40, 7, p, T
+
+
+def test_horizon_bracket_holds_edge_cells():
+    seen = collections.Counter()
+    for label, terms, n, n_cap, p, T in _edge_cells(random.Random(26)):
+        log_q = math.log1p(-p)
+        lower, upper = _horizon_bracket(terms, n, log_q, n_cap)
+        value = _horizon_bound(terms, n, log_q, n_cap, T)
+        assert lower(T) <= value <= upper(T), (label, n, n_cap, p, T)
+        a, b_sq, energy = terms(*bounds._union_probabilities(log_q, T))
+        b = math.sqrt(b_sq)
+        band = _band(a, b, n, _range_limit(a, b, n_cap))
+        seen[label] += 1
+        seen["vacuous" if value == 0.0 else "clamped" if value == 1.0 else "between"] += 1
+        seen["wide band"] += band is not None and band[1] - band[0] >= _BAND_CHUNK
+        try:
+            T * log_q
+        except OverflowError:
+            seen["integer ratio"] += 1
+    assert min(seen.values()) >= 5, seen
+
+
+def _deep_corpus(rng):
+    """Seeded searches that reach deep: (the cell they scan, p, epsilon, t_max, n_cap, search).
+
+    p down to 1e-9 puts T* near 1e9, budgets go past 2**63 and epsilon down
+    to 1e-12, on the complete and stats routes, some under a small n_cap.
+    """
+    for _ in range(160):
+        p = 10 ** rng.uniform(-9, -0.3)
+        epsilon = 10 ** rng.uniform(-12, math.log10(0.5))
+        t_max = rng.choice([int(10 ** rng.uniform(1, 9.7)), 2**64 + rng.randrange(10**6)])
+        n_cap = rng.choice([DEFAULT_N_CAP, rng.randint(2, 30)])
+        family = rng.choice(["complete", "complete stats", "complete-minus-cycle stats", "graph stats"])
+        if family == "complete":
+            n = int(10 ** rng.uniform(math.log10(3), 7))
+            yield partial(_complete_bound_result, n, n_cap=n_cap), p, epsilon, t_max, n_cap, partial(t_star_complete, n)
+            continue
+        if family == "graph stats":
+            n = rng.randint(3, 40)
+            g = from_edge_list(n, support.random_connected_graph(rng, n, rng.randint(0, n * (n - 1) // 2)))
+            m, deg_sq = g.m, sum_degree_squares(g)
+        else:
+            n = int(10 ** rng.uniform(math.log10(5), 6))
+            m, deg_sq = (complete_stats if family == "complete stats" else complete_minus_cycle_stats)(n)
+        yield partial(_general_bound_result, n, m, deg_sq, n_cap=n_cap), p, epsilon, t_max, n_cap, partial(t_star_from_stats, n, m, deg_sq)
+
+
+def test_t_star_matches_the_gallop_from_zero_on_deep_horizons():
+    # the former search, which reads only cells, reaches where the linear
+    # scan cannot: the same T*, best horizon, bounds and message
+    outcomes = collections.Counter()
+    for cell, p, epsilon, t_max, n_cap, search in _deep_corpus(random.Random(26)):
+        case = (cell, p, epsilon, t_max)
+        found, want_t, want_bound = support.reference_t_star_gallop(cell, p, epsilon, t_max)
+        if found:
+            res = search(p, epsilon, t_max=t_max, n_cap=n_cap)
+            assert (res.t_star, res.bound_at_t_star) == (want_t, want_bound), case
+            assert res.trace[-1] == (want_t, want_bound), case
+        else:
+            with pytest.raises(TStarNotFound) as info:
+                search(p, epsilon, t_max=t_max, n_cap=n_cap)
+            exc = info.value
+            assert (exc.best_t, exc.best_bound) == (want_t, want_bound), case
+            message = f"no horizon up to {t_max} reaches bound {1.0 - epsilon} (best {want_bound} at T={want_t})"
+            assert str(exc) == message, case
+        outcomes["found" if found else "not found"] += 1
+        outcomes["T* past 1e7"] += found and want_t > 10**7
+        outcomes["t_max past 2**63"] += t_max > 2**63
+        outcomes["epsilon below 1e-9"] += epsilon < 1e-9
+        outcomes["small n_cap"] += n_cap < DEFAULT_N_CAP
+    assert min(outcomes.values()) >= 5, outcomes
+
+
+def _cells_read(monkeypatch, search):
+    """The horizons at which search evaluates a cell, in order."""
+    read = []
+    monkeypatch.setattr(bounds, "_horizon_bound", lambda *args: read.append(args[-1]) or _horizon_bound(*args))
+    try:
+        search()
+    except TStarNotFound:
+        pass
+    return read
+
+
+def test_t_star_reads_at_most_three_cells(monkeypatch):
+    # the closed forms settle nearly every probe of the search
+    # the README's K1000 search read 46 cells when cells alone settled them
+    assert len(_cells_read(monkeypatch, lambda: t_star_complete(1000, 1e-6, 0.1, t_max=10**9))) <= 3
+    # test_t_star_plateau_breaks_early's search read 13
+    assert len(_cells_read(monkeypatch, lambda: t_star(complete_minus_cycle(5), 0.5, 0.01, t_max=10**5))) <= 3
+    # the upper bound already certifies the last horizon short of the target
+    _, upper = _horizon_bracket(partial(_complete_terms, 2000), 2000, math.log1p(-0.01), DEFAULT_N_CAP)
+    assert upper(300) < 1.0 - 1e-9
+    assert len(_cells_read(monkeypatch, lambda: t_star_complete(2000, 0.01, 1e-9, t_max=300))) <= 3
+
+
 def test_trace_is_a_lazy_sequence():
     res = t_star_complete(30, 0.1, 0.05)
     pairs = tuple(res.trace)
@@ -756,8 +915,8 @@ def test_trace_is_a_lazy_sequence():
     [(1000, 1e-6, 0.1, 7_529_970), (100, 1e-6, 1e-3, 16_777_618)],
 )
 def test_t_star_long_horizons(n, p, epsilon, want):
-    # millions of horizons, found in O(log T*) cells; the trace is read at
-    # its two last entries only, never iterated
+    # millions of horizons, found in O(log T*) probes that closed forms
+    # settle; the trace is read at its two last entries only, never iterated
     res = t_star_complete(n, p, epsilon, t_max=10**8)
     assert res.t_star == want
     assert len(res.trace) == want
