@@ -75,6 +75,11 @@ p.  The complete ratio is (a - g b)_+^2 / ((n-1) E), where
 a^2/E = n(n-1)p / (2q + np) rises in p and b^2/E = 2(n-1)q / (2q + np)
 falls.  The maximum of such ratios over the fixed range 2 <= N <= n_cap,
 clamped at 1, cannot fall either.
+
+The command line reaches unions through two private entries: _union_cell,
+the cell of T samples (one for T None) from the exact complement q_hat, which
+p_hat cannot carry once it rounds to 1, by the complete or general route or,
+for n <= 2, as the exact probability 1 or p_hat; and _union_search over them.
 """
 
 from __future__ import annotations
@@ -671,7 +676,8 @@ def _t_star_scan(bound, lower, upper, p: float, epsilon: float, t_max: int) -> T
     # probe, hence the result, is that of a search over cells alone.
     # The search ends at t_max, or at the first horizon whose complement
     # underflows to zero, since every later one evaluates on identical
-    # inputs.  Then best_t is the first horizon to reach the last one's bound.
+    # inputs.  Then best_t is the first horizon to reach the last one's bound,
+    # and best_bound, read there, may lie above it where rounding jitters.
     target = 1.0 - epsilon
     log_q = math.log1p(-p)
     last = min(t_max, _reach(lambda T: _union_probabilities(log_q, T)[1] == 0.0, 0, t_max) + 1)
@@ -686,8 +692,8 @@ def _t_star_scan(bound, lower, upper, p: float, epsilon: float, t_max: int) -> T
     t = first(target)
     if t <= last:
         return TStarResult(t, epsilon, bound(t), _Trace(bound, t))
-    best_bound = bound(last)
-    best_t = first(best_bound)
+    best_t = first(bound(last))
+    best_bound = bound(best_t)
     raise TStarNotFound(
         f"no horizon up to {t_max} reaches bound {target} (best {best_bound} at T={best_t})",
         best_t,
@@ -712,17 +718,18 @@ def t_star(
 ) -> TStarResult:
     """Smallest union horizon T with connectivity bound at least 1 - epsilon.
 
-    Gallops over T in doubling steps and bisects, on the maximized bound at
-    the collapsed probability p_hat(T).  Closed forms below and above that
-    bound settle most of its O(log T*) probes, so it evaluates a bound cell
-    at one or two of them (module docstring).  Raises TStarNotFound
-    (carrying the best horizon and the trace) when t_max, or a complement
-    that underflows to zero, is reached first.
+    Gallops from horizon 0 over T in doubling steps and bisects, on the
+    maximized bound at the collapsed probability p_hat(T).  Closed forms
+    below and above that bound settle most of its O(log T*) probes, so it
+    evaluates a bound cell at one or two of them (module docstring).  Raises
+    TStarNotFound (carrying the best horizon, the bound there and the trace)
+    when t_max, or a complement that underflows to zero, is reached first.
+    Where the bound jitters in its last bits, T* and the best horizon are
+    the answers of this gallop, which a linear scan need not share.
     """
     p, epsilon, t_max, n_cap = _check_search(p, epsilon, t_max, n_cap)
     n = _check_count(_check_graph(graph, "graph").n, "n", 3)
-    terms = partial(_general_terms, n, graph.m, sum_degree_squares(graph))
-    return _horizon_search(terms, n, p, epsilon, t_max, n_cap)
+    return _horizon_search(partial(_general_terms, n, graph.m, sum_degree_squares(graph)), n, p, epsilon, t_max, n_cap)
 
 
 def t_star_from_stats(
@@ -738,8 +745,7 @@ def t_star_from_stats(
     n, m, deg_sq = _check_stats(n, m, deg_sq)
     n = _check_size(n, "n", "vertices")
     p, epsilon, t_max, n_cap = _check_search(p, epsilon, t_max, n_cap)
-    terms = partial(_general_terms, n, m, deg_sq)
-    return _horizon_search(terms, n, p, epsilon, t_max, n_cap)
+    return _horizon_search(partial(_general_terms, n, m, deg_sq), n, p, epsilon, t_max, n_cap)
 
 
 def t_star_complete(
@@ -752,5 +758,33 @@ def t_star_complete(
     """Union horizon search for the complete template via its simplified bound; t_star says how it searches."""
     n = _check_size(_check_count(n, "n", 3), "n", "vertices")
     p, epsilon, t_max, n_cap = _check_search(p, epsilon, t_max, n_cap)
-    terms = partial(_complete_terms, n)
-    return _horizon_search(terms, n, p, epsilon, t_max, n_cap)
+    return _horizon_search(partial(_complete_terms, n), n, p, epsilon, t_max, n_cap)
+
+
+def _union_cell(
+    n: int, m: int, deg_sq: int, complete: bool, p: float, T: int | None, n_cap: int
+) -> tuple[float, float, BoundResult | None]:
+    """(p_hat, bound, BoundResult | None) of T samples, or of one for T None; the caller checks.
+
+    For n <= 2 the bound is exact and the result None: one vertex is always
+    connected, two need their one edge.
+    """
+    p_hat, q_hat = (p, 1.0 - p) if T is None else _union_probabilities(math.log1p(-p), T)
+    if n <= 2:
+        return p_hat, 1.0 if n == 1 else p_hat, None
+    cell = partial(_complete_bound_result, n) if complete else partial(_general_bound_result, n, m, deg_sq)
+    res = cell(p_hat, q_hat, n_cap)
+    return p_hat, res.probability_lower_bound, res
+
+
+def _union_search(n: int, m: int, deg_sq: int, complete: bool, p: float, epsilon: float, t_max: int, n_cap: int) -> TStarResult:
+    """The TStarResult of t_star_complete or t_star_from_stats for n >= 3; for n <= 2, of the exact probability."""
+    if n >= 3:
+        search = partial(t_star_complete, n) if complete else partial(t_star_from_stats, n, m, deg_sq)
+        return search(p, epsilon, t_max, n_cap)
+    p, epsilon, t_max, n_cap = _check_search(p, epsilon, t_max, n_cap)
+
+    def exact(T: int) -> float:
+        return _union_cell(n, m, deg_sq, complete, p, T, n_cap)[1]
+
+    return _t_star_scan(exact, exact, exact, p, epsilon, t_max)

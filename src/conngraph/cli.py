@@ -12,6 +12,8 @@ Each command builds one report: an ordered list of fields, each a JSON key,
 a text label and one value, next to its CSV rows.  `_emit` renders the keyed
 fields as the --json document and the labelled ones as aligned text lines, so
 a value both show is spelled once; `main` checks the shared flags first.
+Every cell and horizon search, n <= 2 included, comes from `bounds`, whose
+`_union_cell` and `_union_search` decide the route; commands only render.
 
 Exit codes: 0 ok, 1 spectrum-check mismatch, 2 usage, 3 disconnected
 template, 4 horizon target not reached, 5 enumeration cap exceeded, 141
@@ -31,7 +33,6 @@ import argparse
 import csv
 import functools
 import json
-import math
 import os
 import sys
 from collections.abc import Iterable
@@ -39,18 +40,9 @@ from dataclasses import asdict, dataclass, field
 from decimal import Decimal
 
 from . import __version__
-from .bounds import (
-    DEFAULT_N_CAP,
-    DEFAULT_T_MAX,
-    BoundResult,
-    t_star_complete,
-    t_star_from_stats,
-)
-# The internal cores take the exact complement q_hat = exp(T log(1-p)), which
-# the public API (p only) cannot carry once p_hat rounds to 1.0.
-from .bounds import _complete_bound_result, _general_bound_result, _union_probabilities
-# For n <= 2 the horizon search runs over the exact probability of `_cell`.
-from .bounds import _check_search, _t_star_scan
+from .bounds import DEFAULT_N_CAP, DEFAULT_T_MAX, BoundResult, union_edge_probability
+# a union's cell and horizon search, on the exact complement that p alone loses once p_hat rounds to 1.0
+from .bounds import _union_cell, _union_search
 from .errors import (
     ConnGraphError,
     DisconnectedTemplate,
@@ -181,39 +173,15 @@ def _resolve_template(args, need_graph: bool) -> _TemplateSpec:
     return _family_template("complete", 5, need_graph)  # spectrum-check default template
 
 
-def _collapse(p: float, T: int | None) -> tuple[float, float]:
-    """(p_hat, complement) of a union of T samples; T None is a single sample.
-
-    The complement is carried as exp(T log(1-p)) so huge horizons stay exact
-    even after p_hat itself rounds to 1.0.
-    """
-    if T is None:
-        return p, 1.0 - p
-    return _union_probabilities(math.log1p(-p), T)
-
-
 def _row(tpl: _TemplateSpec, p: float, T: int | None, pe: float | None, **values) -> dict:
-    """A CSV row, template and horizon first.
-
-    pe is p collapsed over the horizon, shown as p_hat for a union only.
-    """
+    """A CSV row, template and horizon first; pe, p collapsed over the horizon, is p_hat for a union only."""
     return {"family": tpl.family, "n": tpl.n, "p": p, "T": T, "p_hat": None if T is None else pe, **values}
 
 
 def _cell(tpl: _TemplateSpec, p: float, T: int | None, n_cap: int) -> tuple[dict, BoundResult | None]:
-    """One bound cell: its CSV row and its BoundResult.
-
-    For n <= 2 the result is None and the row holds the exact probability:
-    one vertex is always connected, two vertices need their single edge.
-    """
-    pe, qe = _collapse(p, T)
-    if tpl.n <= 2:
-        return _row(tpl, p, T, pe, bound=1.0 if tpl.n == 1 else pe, n_star=None), None
-    if tpl.family == "complete":
-        res = _complete_bound_result(tpl.n, pe, qe, n_cap)
-    else:
-        res = _general_bound_result(tpl.n, tpl.m, tpl.deg_sq, pe, qe, n_cap)
-    return _row(tpl, p, T, pe, bound=res.probability_lower_bound, n_star=res.maximizing_n), res
+    """One bound cell: its CSV row and its BoundResult, None for n <= 2, where the row holds the exact probability."""
+    pe, bound, res = _union_cell(tpl.n, tpl.m, tpl.deg_sq, tpl.family == "complete", p, T, n_cap)
+    return _row(tpl, p, T, pe, bound=bound, n_star=None if res is None else res.maximizing_n), res
 
 
 def _mc_columns(row: dict, graph: UnderlyingGraph, args):
@@ -337,25 +305,13 @@ def cmd_bound(args) -> _Report:
 
 def _trace_rows(tpl: _TemplateSpec, p: float, trace) -> Iterable[dict]:
     # lazy: each trace pair is a bound cell evaluated when read, and most reports never write them
-    return (_row(tpl, p, T, _collapse(p, T)[0], bound=value) for T, value in trace)
+    return (_row(tpl, p, T, union_edge_probability(p, T), bound=value) for T, value in trace)
 
 
 def cmd_tstar(args) -> _Report:
     tpl = _resolve_template(args, need_graph=False)
     try:
-        if tpl.n <= 2:  # the library search over the cell's exact probability, which brackets itself
-            p, epsilon, t_max, _ = _check_search(args.p, args.epsilon, args.t_max, args.n_cap)
-
-            def exact(T):
-                return _cell(tpl, p, T, args.n_cap)[0]["bound"]
-
-            res = _t_star_scan(exact, exact, exact, p, epsilon, t_max)
-        elif tpl.family == "complete":
-            res = t_star_complete(tpl.n, args.p, args.epsilon, args.t_max, args.n_cap)
-        else:
-            res = t_star_from_stats(
-                tpl.n, tpl.m, tpl.deg_sq, args.p, args.epsilon, args.t_max, args.n_cap
-            )
+        res = _union_search(tpl.n, tpl.m, tpl.deg_sq, tpl.family == "complete", args.p, args.epsilon, args.t_max, args.n_cap)
     except TStarNotFound as exc:
         # still emit the trace of every horizon up to where the search stopped
         return _Report(None, _trace_rows(tpl, args.p, exc.trace), notes=[f"error: {exc}"], status=_exit_code(exc))
@@ -398,7 +354,7 @@ def cmd_simulate(args) -> _Report:
     # moments are skipped there; below 2 vertices the call still runs, to
     # raise its typed error under every renderer
     if args.lambda2_moments and (args.csv != "-" or tpl.n < 2):
-        pe, _ = _collapse(args.p, args.T)
+        pe = args.p if args.T is None else row["p_hat"]
         lam = empirical_lambda2_moments(tpl.graph, pe, trials=args.trials, seed=args.seed)
         fields += [
             ("lambda2", None, asdict(lam)),
@@ -410,7 +366,7 @@ def cmd_simulate(args) -> _Report:
 
 def cmd_exact(args) -> _Report:
     tpl = _resolve_template(args, need_graph=True)
-    pe, _ = _collapse(args.p, args.T)
+    pe = args.p if args.T is None else union_edge_probability(args.p, args.T)
     result = exact_connectivity(tpl.graph, pe)
     total = 1 << tpl.m
 

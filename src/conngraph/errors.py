@@ -68,8 +68,9 @@ class TStarNotFound(ConnGraphError):
     """No union horizon within the scan budget meets the requested target.
 
     Attributes:
-        best_t: first horizon with the largest bound up to the last searched.
-        best_bound: that largest bound.
+        best_t: first horizon to reach the bound of the last one searched
+            (under last-bit jitter, the one the gallop from horizon 0 finds).
+        best_bound: the bound at best_t, as trace[best_t - 1] reads it.
         trace: the (T, bound) pairs up to the last horizon, each evaluated when read.
     """
 

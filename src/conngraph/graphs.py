@@ -29,7 +29,8 @@ bytes a cell, and its edge work 32 to 64 bytes a present edge), n * n a
 Laplacian.  Monte Carlo draws through a buffer of max(``_GROUP_CELLS``, m)
 uniforms, and its spectrum indices ``_GROUP_CELLS`` at a time.  So no array
 grows with the trials, layers, draws or subsets a caller walks, and each
-call works on a few MB.
+call works on a few MB.  The one exception is ``empirical_ell_min_mean``
+with ``independent_graphs=True``, whose memory grows with N (``montecarlo``).
 """
 
 from __future__ import annotations
@@ -296,9 +297,12 @@ def _vertices_and_edges(g: UnderlyingGraph | SampledGraph) -> tuple[int, tuple[E
 
 
 def _edge_arrays(g: UnderlyingGraph | SampledGraph) -> tuple[np.ndarray, np.ndarray]:
-    """The two endpoint arrays of the edges ``_vertices_and_edges`` gives."""
-    _, edges = _vertices_and_edges(g)
+    """The two endpoint arrays of the edges ``_vertices_and_edges`` gives; InvalidEdge past 0 .. n - 1."""
+    n, edges = _vertices_and_edges(g)
     arr = np.fromiter(chain.from_iterable(edges), np.intp, 2 * len(edges)).reshape(-1, 2)
+    if arr.size and (arr.min() < 0 or arr.max() >= n):  # a hand-built graph: the builders check each edge
+        i, j = arr[((arr < 0) | (arr >= n)).any(axis=1)][0]
+        raise InvalidEdge(f"edge ({i}, {j}) out of range for n={n}")
     return arr[:, 0], arr[:, 1]
 
 

@@ -19,7 +19,9 @@ return, but ``_presence_groups`` draws them in the same stream order through
 one reused buffer and compares them straight into bool presence groups,
 sized by the memory rule in ``graphs``.  So a block keeps only its results,
 such as its spectra for the index draws that follow them, and its
-estimates are those of drawing the block at once.  The index draws come a
+estimates are those of drawing the block at once.  The one exception: with
+``independent_graphs=True`` a block of b trials keeps b * N spectra, so
+``empirical_ell_min_mean``'s memory grows with N.  The index draws come a
 bounded chunk at a time too, ``_index_minima``, as one call would draw them.
 
 The exact probability rests on the template's profile of connected edge
@@ -40,7 +42,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .errors import InvalidParameter, TooManyEdges, _check_count, _check_fraction, _check_rng
+from .errors import InvalidEdge, InvalidParameter, TooManyEdges, _check_count, _check_fraction, _check_rng
 from .graphs import (SampledGraph, UnderlyingGraph, _check_graph, _connected_rows, _edge_arrays, _group_rows,
                      _KernelTables, _laplacian_stack)
 
@@ -308,6 +310,8 @@ def _connected_profile(parent: UnderlyingGraph) -> tuple[int, ...]:
     n, width = parent.n, parent.m + 1
     adjacent = [[] for _ in range(n)]
     for i, j in parent.edges:
+        if not (0 <= i < n and 0 <= j < n):  # a hand-built template
+            raise InvalidEdge(f"edge ({i}, {j}) out of range for n={n}")
         adjacent[i].append(j)
         adjacent[j].append(i)
     for vs in adjacent:
@@ -486,7 +490,8 @@ def empirical_ell_min_mean(
     """Monte Carlo mean (and its standard error) of the minimum of N ell-draws.
 
     Default reading: one subgraph per trial, N indices from its spectrum.
-    ``independent_graphs=True`` draws N subgraphs per trial instead.
+    ``independent_graphs=True`` draws N subgraphs per trial instead, and its
+    memory grows with N: it keeps their N spectra until the index draws.
     """
     mean, _, se = _mean_se(*_ell_min_sums(parent, p, N, trials, seed, independent_graphs), trials)
     return mean, se

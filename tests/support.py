@@ -246,7 +246,9 @@ def reference_t_star_gallop(cell, p, epsilon, t_max):
     O(log T*) horizons instead of T*, so it reaches horizons in the billions
     and budgets past 2**63 (up to where T log(1-p) still fits a float).
     Relies on the bound not falling as T rises.  Returns (found, T, value)
-    as reference_t_star does, without the trace.
+    as reference_t_star does, without the trace: when not found, T is the
+    first horizon to reach the last one's bound and value the bound at T,
+    which can lie above the last one's where rounding jitters.
     """
     target = 1.0 - epsilon
     log_q = math.log1p(-p)
@@ -272,7 +274,8 @@ def reference_t_star_gallop(cell, p, epsilon, t_max):
     if t <= last:
         return True, t, value(t)
     best = value(last)
-    return False, last_short(lambda T: value(T) >= best, last) + 1, best
+    best_t = last_short(lambda T: value(T) >= best, last) + 1
+    return False, best_t, value(best_t)
 
 
 def reference_ratio(n, m, deg_sq, p, N):

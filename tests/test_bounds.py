@@ -858,6 +858,7 @@ def test_t_star_matches_the_gallop_from_zero_on_deep_horizons():
                 search(p, epsilon, t_max=t_max, n_cap=n_cap)
             exc = info.value
             assert (exc.best_t, exc.best_bound) == (want_t, want_bound), case
+            assert exc.trace[exc.best_t - 1] == (exc.best_t, exc.best_bound), case
             message = f"no horizon up to {t_max} reaches bound {1.0 - epsilon} (best {want_bound} at T={want_t})"
             assert str(exc) == message, case
         outcomes["found" if found else "not found"] += 1
@@ -866,6 +867,22 @@ def test_t_star_matches_the_gallop_from_zero_on_deep_horizons():
         outcomes["epsilon below 1e-9"] += epsilon < 1e-9
         outcomes["small n_cap"] += n_cap < DEFAULT_N_CAP
     assert min(outcomes.values()) >= 5, outcomes
+
+
+def test_t_star_not_found_reports_the_bound_at_its_best_horizon():
+    # on this plateau the bound jitters in its last bits: the last horizon,
+    # 76710, reads ...822, below the ...824 that the best horizon reads
+    n, m, deg_sq, p, epsilon = 8, 23, 272, 0.009666665937347189, 2.797220187373536e-11
+    cell = partial(_general_bound_result, n, m, deg_sq, n_cap=17)
+    found, want_t, want_bound, want_trace = support.reference_t_star(cell, p, epsilon, 2**64)
+    assert not found and (want_t, len(want_trace)) == (3820, 76710)
+    assert want_bound > want_trace[-1][1]
+    with pytest.raises(TStarNotFound) as info:
+        t_star_from_stats(n, m, deg_sq, p, epsilon, t_max=18446744073710105435, n_cap=17)
+    exc = info.value
+    assert (exc.best_t, exc.best_bound) == (want_t, want_bound)
+    assert exc.trace[exc.best_t - 1] == (want_t, want_bound)
+    assert f"(best {want_bound} at T=3820)" in str(exc)
 
 
 def _cells_read(monkeypatch, search):

@@ -86,6 +86,23 @@ def test_from_edge_list_rejects_out_of_range():
         from_edge_list(3, [(0, 1), (-1, 2)])
 
 
+def test_hand_built_edges_out_of_range_raise_invalid_edge():
+    # the builders check each edge; a hand-built graph is checked where its
+    # endpoint arrays are made, instead of indexing past n or wrapping
+    cases = [
+        UnderlyingGraph(3, ((0, 5), (1, 2)), 2, (1, 2, 1)),
+        UnderlyingGraph(3, ((-1, 1), (1, 2)), 2, (1, 2, 1)),
+        SampledGraph(complete(3), frozenset({(0, 7)})),  # once read as 7 mod 3
+    ]
+    for g in cases:
+        for check in (is_connected, laplacian, _edge_arrays):
+            with pytest.raises(InvalidEdge, match=r"edge \(-?\d+, \d+\) out of range for n=3"):
+                check(g)
+    flipped = UnderlyingGraph(3, ((1, 0), (2, 1)), 2, (1, 2, 1))  # (j, i) pairs stay accepted
+    assert is_connected(flipped)
+    assert laplacian(flipped).tolist() == laplacian(from_edge_list(3, [(0, 1), (1, 2)])).tolist()
+
+
 def test_from_edge_list_rejects_disconnected():
     with pytest.raises(DisconnectedTemplate):
         from_edge_list(4, [(0, 1), (2, 3)])

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conngraph import (
+    InvalidEdge,
     InvalidParameter,
     TooManyEdges,
     UnderlyingGraph,
@@ -209,6 +210,19 @@ def test_profile_matches_the_recurrence_at_every_density():
             g = from_edge_list(n, tree + rng.sample(rest, m - n + 1))
             # a hand-built template may store an edge as (j, i) with j > i
             assert _checked_profile(_hand_built(n, [(j, i) for i, j in g.edges])) == _checked_profile(g)
+
+
+def test_estimators_reject_hand_built_edges_out_of_range():
+    # once a bare IndexError, or for -1 a silent wrap to vertex n - 1
+    for edges in [((0, 5), (1, 2)), ((-1, 1), (1, 2))]:
+        g = UnderlyingGraph(3, edges, 2, (1, 2, 1))
+        for estimate in (
+            lambda: empirical_connectivity(g, 0.5, trials=10),
+            lambda: exact_connectivity(g, 0.5),
+            lambda: _connected_profile(g),
+        ):
+            with pytest.raises(InvalidEdge, match="out of range for n=3"):
+                estimate()
 
 
 def test_profile_closed_forms_on_trees_stars_and_cycles():

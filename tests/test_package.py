@@ -40,27 +40,69 @@ def test_public_api_snapshot():
     assert sorted(k for k in namespace if k != "__builtins__") == PUBLIC_NAMES
 
 
-def test_cli_imports_only_public_names_from_bounds_montecarlo_and_spectral():
-    # the CLI renders what the library computes; its private imports are the
-    # bound cores that take the exact complement q_hat, the horizon search
-    # that tstar runs over an exact probability for n <= 2, and the spectrum check
-    tree = ast.parse(Path(conngraph.__file__).with_name("cli.py").read_text(encoding="utf-8"))
-    allowed = {
-        "bounds": set(conngraph.bounds.__all__)
-        | {"_complete_bound_result", "_general_bound_result", "_union_probabilities", "_check_search", "_t_star_scan"},
-        "montecarlo": set(conngraph.montecarlo.__all__),
-        "spectral": set(conngraph.spectral.__all__) | {"_spectrum_mismatches"},
-    }
-    imported = {name: set() for name in allowed}
+# Every private name a module imports from a sibling: the package's whole
+# internal boundary, so that a new leak across modules edits this table.
+# errors holds the argument checks that every module shares; graphs the
+# kernel and Laplacian builders; montecarlo the sampling the spectral
+# sampler reuses; bounds the union cell and horizon search that the CLI
+# renders, which take the exact complement that p alone cannot carry; and
+# spectral the spectrum check behind the CLI's spectrum-check.
+PRIVATE_IMPORTS = {
+    "bounds": {"errors": {"_check_count", "_check_fraction"}, "graphs": {"_check_graph"}},
+    "cli": {
+        "bounds": {"_union_cell", "_union_search"},
+        "errors": {"_check_count", "_check_fraction"},
+        "spectral": {"_spectrum_mismatches"},
+    },
+    "graphs": {"errors": {"_check_count"}},
+    "montecarlo": {
+        "errors": {"_check_count", "_check_fraction", "_check_rng"},
+        "graphs": {"_check_graph", "_connected_rows", "_edge_arrays", "_group_rows", "_KernelTables", "_laplacian_stack"},
+    },
+    "spectral": {
+        "errors": {"_check_count", "_check_fraction", "_check_rng"},
+        "graphs": {
+            "_check_graph", "_connected_rows", "_edge_arrays", "_group_rows", "_KernelTables", "_laplacian_stack",
+            "_subset_rows", "_vertices_and_edges",
+        },
+        "montecarlo": {"_index_minima", "_presence_groups"},
+    },
+}
+
+
+def _sibling_imports(module: str) -> dict[str, set[str]]:
+    """The names a package module imports from each sibling module, by the sibling's name."""
+    tree = ast.parse(Path(conngraph.__file__).with_name(f"{module}.py").read_text(encoding="utf-8"))
+    imported: dict[str, set[str]] = {}
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom):
-            module = node.module if node.level else (node.module or "").removeprefix("conngraph.")
-            if module in allowed:
-                imported[module] |= {alias.name for alias in node.names}
+        if isinstance(node, ast.ImportFrom) and node.level:
+            imported.setdefault(node.module, set()).update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):  # siblings are imported relatively, never by the package's name
+            assert node.module.split(".")[0] != "conngraph", module
         elif isinstance(node, ast.Import):
-            assert not {alias.name for alias in node.names} & {f"conngraph.{module}" for module in allowed}
-    for module, names in imported.items():
-        assert names and names <= allowed[module], (module, sorted(names - allowed[module]))
+            assert all(alias.name.split(".")[0] != "conngraph" for alias in node.names), module
+    return imported
+
+
+def test_modules_import_exactly_the_private_names_in_the_table():
+    for path in sorted(Path(conngraph.__file__).parent.glob("*.py")):
+        module = path.stem
+        private = {
+            sibling: found
+            for sibling, names in _sibling_imports(module).items()
+            if sibling and (found := {name for name in names if name.startswith("_") and not name.startswith("__")})
+        }
+        assert private == PRIVATE_IMPORTS.get(module, {}), module
+
+
+def test_cli_imports_only_public_names_from_bounds_montecarlo_and_spectral():
+    # the CLI renders what the library computes; past each module's __all__
+    # it may import only that module's row of PRIVATE_IMPORTS
+    imported = _sibling_imports("cli")
+    for module in ("bounds", "montecarlo", "spectral"):
+        allowed = set(getattr(conngraph, module).__all__) | PRIVATE_IMPORTS["cli"].get(module, set())
+        names = imported.get(module, set())
+        assert names and names <= allowed, (module, sorted(names - allowed))
 
 
 def test_every_error_round_trips_through_pickle():
