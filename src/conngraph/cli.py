@@ -24,7 +24,11 @@ CONNGRAPH_T_MAX, and CONNGRAPH_N_CAP.
 `main` can be called any number of times in one process.  It reads and
 checks the four variables on every call, so a changed or malformed value
 takes effect on the next call, and fills in from them the options left unset
-after parsing; the parser itself is built once per process.
+after parsing.  The parser is built once per process, and each call is parsed
+once, by its command's own parser; the top-level parser sees only help,
+version, an unknown command and tokens the command leaves over, whose text
+only it can word.  One encoder, built with the module, writes every --json
+document.
 """
 
 from __future__ import annotations
@@ -92,6 +96,9 @@ DEFAULT_TRIALS = 10_000
 MC_SWEEP_N_CAP = 1000
 # spectrum-check walks 2^m subgraphs through the dense eigensolver
 SPECTRUM_CHECK_EDGE_CAP = 15
+
+# the bytes of json.dump(document, indent=2), from one encoder and one write
+_JSON_ENCODER = json.JSONEncoder(indent=2)
 
 
 def _exit_code(exc: Exception) -> int:
@@ -259,8 +266,7 @@ def _emit(report: _Report, args) -> None:
         pass  # no result to show: the command's error is among the notes
     elif args.json:
         document = {"command": args.command} | {key: value for key, _, value in report.fields if key is not None}
-        json.dump(document, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        sys.stdout.write(_JSON_ENCODER.encode(document) + "\n")
     elif report.line is not None:
         print(report.line)
     else:
@@ -462,6 +468,9 @@ def cmd_spectrum_check(args) -> _Report:
 
 # Built once per process: `main` fills in the environment's defaults after
 # parsing, and rebuilding the argparse tree would cost more than most commands.
+# `main` parses a call once, with the parser in `commands` that its first token
+# names; the top-level parser handles only help, version, an unknown command
+# and tokens the command leaves over, the argv whose text only it can word.
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     # every option once; the four the environment can default stay None until `main` fills them in
@@ -510,6 +519,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # each command's name -> its own parser
     for name, (func, summary, flags) in commands.items():
         sp = sub.add_parser(name, help=summary)
         sp.set_defaults(func=func)
@@ -531,8 +541,15 @@ def main(argv=None) -> int:
             "t_max": _env("T_MAX", int, DEFAULT_T_MAX, "an integer"),
             "n_cap": _env("N_CAP", int, DEFAULT_N_CAP, "an integer"),
         }
+        parser = _build_parser()
+        argv = sys.argv[1:] if argv is None else list(argv)
+        command = parser.commands.get(argv[0]) if argv else None
         try:
-            args = _build_parser().parse_args(argv)
+            if command is not None:
+                # what the top-level parser does with a command: name it, then hand every later token to its parser
+                args, rest = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+            if command is None or rest:  # help, version, an unknown command or leftover tokens
+                args = parser.parse_args(argv)
         except SystemExit as exc:
             return EXIT_OK if not exc.code else EXIT_USAGE
         for name, value in defaults.items():

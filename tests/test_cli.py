@@ -511,17 +511,153 @@ def test_env_override_invalid(capsys, monkeypatch):
     assert run_cli(capsys, "bound", "--complete", "3", "--p", "0.5")[0] == 0
 
 
-def test_repeated_calls_match_fresh_processes(capsys):
+def test_repeated_calls_match_fresh_processes(capsys, monkeypatch):
     # one process runs them in turn; no flag, default or rewrite carries over
-    # from one call to the next, so each prints what a new process prints
+    # from one call to the next, so each prints what a new process prints,
+    # help, version and the top-level parser's errors included
+    monkeypatch.setenv("COLUMNS", "80")  # help wraps alike with or without a terminal
     for argv in [
         ["bound", "--complete", "7", "--p", "0.4", "--T", "3", "--json"],
         ["bound", "--complete", "7", "--p", "0.4"],
         ["sweep", "--family", "complete", "--n-values", "5,9", "--p-values", "0.3,0.8"],
         ["bound", "--complete-minus-cycle", "8", "--p", "0.6"],
+        [],
+        ["--version"],
+        ["bound", "-h"],
+        ["nope"],
+        ["bound", "--complete", "5", "--p", "0.4", "--bogus"],
+        ["--json", "bound", "--complete", "5", "--p", "0.4"],
     ]:
         fresh = subprocess.run([sys.executable, "-m", "conngraph", *argv], capture_output=True, text=True)
         assert run_cli(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+
+
+EDGES = "EDGES"  # stands for an edge-list file the tests write: a 4-cycle with a chord
+
+
+def _parse_corpus():
+    """argv for the one-parse tests, in four groups.
+
+    well: they parse into a command; every command x template form x output
+    form, with --p=, a repeated flag and an abbreviation among them.
+    command: the command's own parser rejects them or prints its help.
+    top: only the top-level parser words them, with help, version or an error.
+    dashes: a -- among the command's tokens; argparse versions differ on whether
+    the command's parser takes it, so these are only compared across the two routes.
+    """
+    templates = [("--complete", "4"), ("--complete-minus-cycle", "6"), ("--edge-list", EDGES), ("--complete-m", "6")]
+    outputs = [(), ("--json",), ("--csv", "-")]
+    flags = {
+        "bound": ("--p", "0.4", "--T", "3"),
+        "tstar": ("--p", "0.4", "--epsilon", "0.1", "--t-max", "50"),
+        "simulate": ("--p", "0.4", "--trials", "20"),
+        "exact": ("--p", "0.4"),
+    }
+    bound = ["bound", "--complete", "5", "--p", "0.4"]
+    groups = {"well": [], "command": [], "top": [], "dashes": []}
+    for command, rest in flags.items():
+        for template in templates:
+            for output in outputs:
+                groups["well"] += [
+                    [command, *template, *rest, *output],
+                    [command, *template, "--p=0.4", *rest[2:], *output],
+                    [command, *template, "--p", "0.9", *rest, *output],
+                ]
+        groups["command"].append([command, "--comp", "4", *rest])  # ambiguous: --complete or --complete-minus-cycle
+        groups["dashes"] += [[command, *templates[0], *rest, "--"], [command, *templates[0], "--", *rest]]
+    for template in [("--family", "complete", "--n-values", "4,5"), ("--edge-list", EDGES), ("--fam", "complete", "--n-v", "6")]:
+        for output in outputs:
+            groups["well"] += [
+                ["sweep", *template, "--p-values", "0.3,0.8", *output],
+                ["sweep", *template, "--p-values=0.5", "--p-values", "0.3,0.8", "--T", "2", *output],
+            ]
+    for template in [(), *templates]:
+        groups["well"] += [["spectrum-check", *template], ["spectrum-check", *template, "--json"]]
+        groups["top"].append(["spectrum-check", *template, "--csv", "-"])
+    groups["command"] += [
+        ["bound", "-h"], ["sweep", "--help"], ["bound", "--bogus", "-h"], ["spectrum-check", "--comp", "4"],
+        ["bound", "--complete", "5"], ["tstar", *bound[1:]], ["sweep", "--family", "complete", "--n-values", "5"],
+        ["bound", "--p", "0.4"], ["bound", "--complete", "five", "--p", "0.4"], ["bound", "--complete", "5", "--p", "x"],
+        ["sweep", "--family", "cube", "--n-values", "5", "--p-values", "0.3"],
+        [*bound, "--complete-minus-cycle", "6"], ["sweep", "--family", "complete", "--edge-list", EDGES, "--p-values", "0.3"],
+        [*bound, "--T"],
+    ]
+    groups["top"] += [
+        [], ["-h"], ["--help"], ["--version"], ["--vers"], ["-h", "bound"], ["--version", *bound],
+        ["nope"], ["nope", "--complete", "5"], ["Bound", *bound[1:]], ["boun", *bound[1:]], ["-"], ["--", *bound],
+        ["--json", *bound], ["--complete", "5", "bound", "--p", "0.4"],
+        [*bound, "--bogus"], [*bound, "--bogus=1", "--json"], [*bound, "--vers"], [*bound, "-q"],
+        [*bound, "extra"], ["bound", "extra", *bound[1:]], ["spectrum-check", "--complete", "4", "--trials", "3"],
+    ]
+    return groups
+
+
+@pytest.fixture
+def corpus(tmp_path):
+    edges = tmp_path / "chorded-cycle.txt"
+    edges.write_text("4\n0 1\n1 2\n2 3\n3 0\n0 2\n")
+    return {
+        group: [[str(edges) if token == EDGES else token for token in argv] for argv in argvs]
+        for group, argvs in _parse_corpus().items()
+    }
+
+
+def _run_all(capsys, monkeypatch, argvs):
+    """Each argv's (exit code, stdout, stderr), and the namespace `main` checks, None where parsing stopped."""
+    namespaces = []
+
+    def record(args):
+        namespaces[-1] = list(vars(args).items())  # in order, as the parser set them
+        return check(args)
+
+    check = cli._check_flags
+    monkeypatch.setattr(cli, "_check_flags", record)
+    outcomes = []
+    for argv in argvs:
+        namespaces.append(None)
+        outcomes.append(run_cli(capsys, *argv))
+    monkeypatch.setattr(cli, "_check_flags", check)
+    return outcomes, namespaces
+
+
+def test_one_parse_matches_the_top_level_route(capsys, monkeypatch, corpus):
+    monkeypatch.setenv("COLUMNS", "80")
+    argvs = [argv for group in corpus.values() for argv in group]
+    assert len(argvs) >= 150
+    outcomes, namespaces = _run_all(capsys, monkeypatch, argvs)
+    # with no command parser to hand, `main` routes every call through the top-level parser
+    monkeypatch.setattr(cli._build_parser(), "commands", {})
+    assert (outcomes, namespaces) == _run_all(capsys, monkeypatch, argvs)
+    parsed = [argv for argv, ns in zip(argvs, namespaces) if ns is not None]
+    assert parsed[: len(corpus["well"])] == corpus["well"]
+    assert {code for code, _, _ in outcomes} == {0, 2, 4}  # tstar --t-max 50 misses on the sparse templates
+
+
+def test_top_level_parser_parses_only_what_it_words(capsys, monkeypatch, corpus):
+    parser = cli._build_parser()
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return parse(*args, **kwargs)
+
+    parse = parser.parse_known_args
+    monkeypatch.setattr(parser, "parse_known_args", spy)
+    for group, top in [("well", False), ("command", False), ("top", True)]:
+        for argv in corpus[group]:
+            calls.clear()
+            run_cli(capsys, *argv)
+            assert bool(calls) is top, argv
+
+
+def test_main_without_argv_reads_sys_argv(capsys, monkeypatch, corpus):
+    monkeypatch.setenv("COLUMNS", "80")
+    for argv in [argv for group in corpus.values() for argv in group[::3]]:
+        expected = run_cli(capsys, *argv)
+        monkeypatch.setattr(sys, "argv", ["conngraph", *argv])
+        code = main()
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == expected, argv
 
 
 N_CAP_COMMANDS = {
